@@ -3,8 +3,9 @@
 Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert] [--seed N]
 
 Each subcommand reads an optional JSON config ({"schema": 1, ...}; unknown
-keys are rejected), writes CSV/JSON results with 17 significant digits, and
--- with --assert -- exits nonzero when its acceptance threshold is violated.
+keys and values of the wrong type are rejected), writes CSV/JSON results with
+17 significant digits, and -- with --assert -- exits nonzero when its
+acceptance threshold is violated.
 All computations are deterministic (fixed summation orders), so re-running
 with an identical config reproduces byte-identical output.
 """
@@ -20,12 +21,13 @@ import sys
 import numpy as np
 
 from . import flatness, gevrey, heatsim, holo, numkit, plancherel
+from .numkit import write_csv as _write_csv
 
-FMT = "{:.17g}"
 
-
-def _fmt(x) -> str:
-    return FMT.format(float(x))
+def _kind(v) -> str:
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return "number"
+    return {str: "string", list: "list"}.get(type(v), type(v).__name__)
 
 
 def _load_config(path, defaults: dict, name: str) -> dict:
@@ -38,16 +40,12 @@ def _load_config(path, defaults: dict, name: str) -> dict:
         unknown = set(user) - set(defaults) - {"schema"}
         if unknown:
             raise SystemExit(f"{name}: unknown config keys {sorted(unknown)}")
+        for k in sorted(set(user) - {"schema"}):
+            if _kind(user[k]) != _kind(defaults[k]):
+                raise SystemExit(f"{name}: config key {k!r} must be a {_kind(defaults[k])}, "
+                                 f"not a {_kind(user[k])}")
         cfg.update({k: v for k, v in user.items() if k != "schema"})
     return cfg
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                            for v in row) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .gevrey import Signal, _log_l2_norm
+from .gevrey import GevreyNormResult, GevreyParams, Signal, gevrey_norm_time
 from .heatsim import SimConfig, SimResult, simulate
 from .holo import BergmanReport, CoeffSeq, bergman_norm_estimate, borel_range_test
+from .numkit import write_csv
 
 __all__ = [
     "flat_state",
@@ -41,7 +42,6 @@ __all__ = [
     "FlatEval",
     "ControlSynthesis",
     "TrackingResult",
-    "SeriesCheck",
     "Trackable2Result",
 ]
 
@@ -134,10 +134,8 @@ class TrackingResult:
     K: int
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t,y_target,y_sim,u\n")
-            for t, yt, ys, u in zip(self.sim.t, self.y_target, self.sim.y, self.sim.u):
-                f.write(f"{t:.17g},{yt:.17g},{ys:.17g},{u:.17g}\n")
+        write_csv(path, ["t", "y_target", "y_sim", "u"],
+                  zip(self.sim.t, self.y_target, self.sim.y, self.sim.u))
 
 
 def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingResult:
@@ -164,55 +162,23 @@ def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingRes
 # Trackability conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesCheck:
-    partial_sums: np.ndarray
-    increments: np.ndarray
-    converged: bool
+def check_trackable_infinite(y: Signal, N: int) -> GevreyNormResult:
+    """Partial sums of sum_k (||y^(k+1)||_{L2} / [(2k)! 2^k (1+k)^{3/4}])^2, k <= N.
 
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1])
-
-
-def _log_weight_condition5(k: np.ndarray) -> np.ndarray:
-    # (2k)! 2^k (1+k)^{3/4}
-    return gammaln(2 * k + 1) + k * math.log(2.0) + 0.75 * np.log1p(k)
-
-
-def check_trackable_infinite(y: Signal, N: int, decay_ratio: float = 0.95) -> SeriesCheck:
-    """Partial sums of sum_k (||y^(k+1)||_{L2} / [(2k)! 2^k (1+k)^{3/4}])^2.
-
-    The weights equal the order-2 radius-1/sqrt(2) exponent -1/2 Hilbert
-    weights applied to y' (exact index bridge); the geometric-decay flag
-    follows the same rule as the Gevrey norms.
+    The weight is M_k of the Gevrey class (2, 1/sqrt(2), -1/2), so the series
+    is the Gevrey time norm of y' and shares its quadrature and convergence
+    flag; any N >= 1 works.
     """
     if y.deriv is None:
         raise ValueError("needs analytic derivatives")
-    if N < 1:
-        raise ValueError("N >= 1")
-    k = np.arange(N + 1, dtype=float)
-    logW = _log_weight_condition5(k)
-    incs = np.empty(N + 1)
-    for kk in range(N + 1):
-        log_norm, _ = _log_l2_norm(lambda t, n=kk + 1: y.deriv(n, t), y.t0, y.t1)
-        incs[kk] = 0.0 if log_norm == -math.inf else math.exp(
-            min(2.0 * (log_norm - logW[kk]), 700.0)
-        )
-    partial = np.cumsum(incs)
-    if partial[-1] == 0.0:
-        converged = True
-    elif np.all(incs[-5:] <= 1e-14 * partial[-1]):
-        converged = True
-    else:
-        ratios = incs[-5:] / np.maximum(incs[-6:-1], 1e-300)
-        converged = bool(np.all(ratios <= decay_ratio))
-    return SeriesCheck(partial, incs, converged)
+    yprime = Signal(y.grid, y.deriv(1, y.grid), deriv=lambda n, t: y.deriv(n + 1, t),
+                    family="derivative")
+    return gevrey_norm_time(yprime, GevreyParams(2.0, 1.0 / math.sqrt(2.0), -0.5), N)
 
 
 @dataclass
 class Trackable2Result:
-    condition13: SeriesCheck
+    condition13: GevreyNormResult
     terminal_even: BergmanReport
     terminal_derivative: BergmanReport
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
-from .numkit import LogScalar
+from .numkit import LogScalar, write_csv
 
 __all__ = [
     "GevreyParams",
@@ -75,9 +75,10 @@ class Signal:
         self.values = np.asarray(self.values)
         if self.grid.ndim != 1 or len(self.grid) < 2:
             raise ValueError("grid must be 1-D with at least two points")
+        # spacings of a uniform grid differ only by the rounding of its values
         h = np.diff(self.grid)
-        if np.any(np.abs(h - h[0]) > 1e-12 * max(abs(h[0]), 1e-300)):
-            raise ValueError("grid must be uniform to 1e-12 relative")
+        if np.any(np.abs(h - h[0]) > 8.0 * np.finfo(float).eps * np.max(np.abs(self.grid))):
+            raise ValueError("grid must be uniform to a few ulps of its largest value")
         if self.values.shape != self.grid.shape:
             raise ValueError("values must match grid shape")
         if self.deriv is not None:
@@ -123,14 +124,20 @@ class Signal:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t,value\n")
-            for t, v in zip(self.grid, self.values):
-                f.write(f"{t:.17g},{np.real(v):.17g}\n")
+        write_csv(path, ["t", "value"], zip(self.grid, np.real(self.values)))
 
     def to_json(self, path) -> None:
         with open(path, "w") as f:
             json.dump(self.descriptor(), f, indent=1)
+
+
+def _leibniz(da, db, n: int, t):
+    """n-th derivative of a product, sum_j C(n, j) da(j, t) db(n - j, t)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for j in range(n + 1):
+        out = out + comb(n, j) * da(j, t) * db(n - j, t)
+    return out
 
 
 def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
@@ -138,17 +145,10 @@ def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
     if len(a.grid) != len(b.grid) or np.max(np.abs(a.grid - b.grid)) > 1e-12:
         raise ValueError("signals must share a grid")
     da, db = a.deriv, b.deriv
-
-    def dprod(n, t):
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for j in range(n + 1):
-            out = out + comb(n, j) * da(j, t) * db(n - j, t)
-        return out
-
     return Signal(
         a.grid,
         a.values * b.values,
-        deriv=dprod if (da and db) else None,
+        deriv=(lambda n, t: _leibniz(da, db, n, t)) if (da and db) else None,
         compact_support=a.compact_support or b.compact_support,
         family=family,
         params={"factors": [a.descriptor(), b.descriptor()]},
@@ -229,12 +229,12 @@ class GevreyNormResult:
         return float(self.partial_sums[-1])
 
 
-def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int,
-                     decay_ratio: float = 0.95) -> GevreyNormResult:
-    """Partial sums of sum_n (||phi^(n)||_{L2} / M_n)^2 up to n = N.
+def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int) -> GevreyNormResult:
+    """Partial sums of sum_n (||phi^(n)||_{L2} / M_n)^2 up to n = N, for any N >= 1.
 
-    The convergence flag is set when the last five increments decay
-    geometrically (successive ratios <= ``decay_ratio``) or have hit zero.
+    The convergence flag is set when the last five increments (all of them
+    after the first when N < 5) decay geometrically, each at most 0.95 times
+    its predecessor, or are below 1e-14 of the total.
     """
     if sig.deriv is None:
         raise ValueError("gevrey_norm_time requires a signal with a derivative provider")
@@ -251,15 +251,10 @@ def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int,
         )
     partial = np.cumsum(incs)
     total = partial[-1]
-    if total == 0.0:
-        converged = True
-    else:
-        last = incs[-5:]
-        if np.all(last <= 1e-14 * total):
-            converged = True
-        else:
-            ratios = incs[-5:] / np.maximum(incs[-6:-1], 1e-300)
-            converged = bool(np.all(ratios <= decay_ratio))
+    tail = incs[-6:]
+    last = tail[1:]
+    converged = bool(np.all(last <= 1e-14 * total)
+                     or np.all(last / np.maximum(tail[:-1], 1e-300) <= 0.95))
     return GevreyNormResult(partial, incs, converged, quad_ok)
 
 
@@ -358,8 +353,11 @@ class _OneSidedBump:
             tp = t[pos]
             d = self._coeffs(n)
             m = np.arange(n + 1)
-            logs = -np.outer(m * self.g + n, np.log(tp))
-            vals = (d[:, None] * np.exp(logs)).sum(axis=0)
+            # one (n+1) x points table, updated in place to bound peak memory
+            terms = np.outer(-(m * self.g + n), np.log(tp))
+            np.exp(terms, out=terms)
+            terms *= d[:, None]
+            vals = terms.sum(axis=0)
             out[pos] = vals * np.exp(-tp ** -self.g)
         out = out.astype(np.float64)
         return out[0] if scalar else out
@@ -400,13 +398,8 @@ def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
     peak = float(base(0, np.array([halfwidth]))[0]) ** 2
 
     def deriv(n, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for j in range(n + 1):
-            fa = base(j, t - a)
-            fb = (-1.0) ** (n - j) * base(n - j, b - t)
-            out += comb(n, j) * fa * fb
-        return out / peak
+        return _leibniz(lambda j, u: base(j, u - a),
+                        lambda j, u: (-1.0) ** j * base(j, b - u), n, t) / peak
 
     if grid is None:
         grid = np.linspace(a - halfwidth, b + halfwidth, npts)
@@ -457,11 +450,8 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
     c = 0.5 * (t_a + t_b)
 
     def rho_deriv(n, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for j in range(n + 1):
-            out += comb(n, j) * base(j, t - t_a) * (-1.0) ** (n - j) * base(n - j, t_b - t)
-        return out
+        return _leibniz(lambda j, u: base(j, u - t_a),
+                        lambda j, u: (-1.0) ** j * base(j, t_b - u), n, t)
 
     # cumulative integral of rho over [t_a, t_b]: composite Simpson on pairs
     # of subintervals, then a spline through the even-node values

@@ -21,6 +21,8 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
+from .numkit import write_csv
+
 __all__ = [
     "TransferKind",
     "NEU_DIR",
@@ -185,17 +187,12 @@ class SimResult:
     tail_bound: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t,y\n")
-            for t, y in zip(self.t, self.y):
-                f.write(f"{t:.17g},{y:.17g}\n")
+        write_csv(path, ["t", "y"], zip(self.t, self.y))
 
     def state_to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t,x,z\n")
-            for i, t in enumerate(self.t):
-                for j, x in enumerate(self.x_grid):
-                    f.write(f"{t:.17g},{x:.17g},{self.z[i, j]:.17g}\n")
+        rows = ((t, x, self.z[i, j]) for i, t in enumerate(self.t)
+                for j, x in enumerate(self.x_grid))
+        write_csv(path, ["t", "x", "z"], rows)
 
 
 def _alt_zeta_partial(J: int, power: int) -> float:

@@ -1,4 +1,4 @@
-"""Log-scaled arithmetic and special functions.
+"""Log-scaled arithmetic, special functions and the package's CSV writer.
 
 Everything factorial-sized in this package -- (2k)!, R^{ns}, Mittag-Leffler
 tails -- is carried as a natural-log magnitude plus a unit phase, so products
@@ -28,6 +28,7 @@ __all__ = [
     "theta_gauss_sum",
     "ThetaResult",
     "MittagTypeFit",
+    "write_csv",
 ]
 
 _LN_MAX = math.log(np.finfo(float).max)  # ~709.78
@@ -330,3 +331,16 @@ def theta_gauss_sum(n: int, a: float, b: float) -> ThetaResult:
             a=float(a),
             b=float(b),
         )
+
+
+# ---------------------------------------------------------------------------
+# Result files
+# ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """Header line, then one line per row: numbers as repr-exact ``.17g``, the rest by str."""
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(f"{float(v):.17g}" if isinstance(v, (int, float, np.floating))
+                             else str(v) for v in row) + "\n")

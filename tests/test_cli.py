@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from heatflat.cli import main
+from heatflat.cli import _write_csv, main
+from heatflat.flatness import ControlSynthesis, TrackingResult
+from heatflat.gevrey import Signal
+from heatflat.heatsim import SimResult
 
 
 def run(args):
@@ -54,6 +58,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             run(["loss-table", "--config", str(cfgp), "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("cmd, key, value, kind", [
+        ("track", "dt", "0.001", "number"),
+        ("laplace-discrete", "n_quadratic", 100, "list"),
+        ("track", "K", "25", "number"),
+    ])
+    def test_wrong_value_type_rejected(self, tmp_path, cmd, key, value, kind):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, key: value}))
+        with pytest.raises(SystemExit, match=f"'{key}' must be a {kind}"):
+            run([cmd, "--config", str(cfgp), "--out", str(tmp_path)])
+
     def test_missing_schema_rejected(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"s_grid": [2.0]}))
@@ -74,3 +89,25 @@ class TestCli:
 
     def test_seed_flag_accepted(self, tmp_path):
         assert run(["loss-table", "--out", str(tmp_path), "--seed", "42"]) == 0
+
+
+def test_csv_format(tmp_path):
+    # one writer: header line, then .17g numbers (repr-exact) joined by commas
+    t = np.array([0.0, 0.1])
+    sim = SimResult(t, np.array([0.0, 1 / 3]), np.array([1.0, 2.0]), np.array([0.0, 1.0]),
+                    np.array([[0.0, 0.5], [0.25, 1 / 3]]), True, 0.0)
+    Signal(t, np.array([1.0, 1 / 3])).to_csv(tmp_path / "signal.csv")
+    sim.to_csv(tmp_path / "y.csv")
+    sim.state_to_csv(tmp_path / "z.csv")
+    TrackingResult(sim, np.array([0.0, 0.3]), 0.0, ControlSynthesis(sim.u, 0.0, False),
+                   1).to_csv(tmp_path / "track.csv")
+    _write_csv(tmp_path / "rows.csv", ["name", "n", "x"], [("a;b", 3, -2.5e-20)])
+    read = lambda name: (tmp_path / name).read_text()
+    assert read("signal.csv") == "t,value\n0,1\n0.10000000000000001,0.33333333333333331\n"
+    assert read("y.csv") == "t,y\n0,0\n0.10000000000000001,0.33333333333333331\n"
+    assert read("z.csv") == ("t,x,z\n0,0,0\n0,1,0.5\n0.10000000000000001,0,0.25\n"
+                             "0.10000000000000001,1,0.33333333333333331\n")
+    assert read("track.csv") == ("t,y_target,y_sim,u\n0,0,0,1\n"
+                                 "0.10000000000000001,0.29999999999999999,"
+                                 "0.33333333333333331,2\n")
+    assert read("rows.csv") == "name,n,x\na;b,3,-2.4999999999999999e-20\n"

@@ -15,6 +15,7 @@ from heatflat.flatness import (
 from heatflat.gevrey import (
     GevreyParams,
     Signal,
+    _log_l2_norm,
     bump_gevrey,
     gaussian_signal,
     gevrey_cutoff,
@@ -139,16 +140,27 @@ class TestTrackableInfinite:
         assert np.all(np.diff(chk.partial_sums) >= 0)
 
     def test_summand_matches_gevrey_norm_of_derivative(self):
-        # condition-(5) summand k == (2,1/sqrt2,-1/2) norm summand of y' at k
+        # the (2,1/sqrt2,-1/2) norm summand of y' at k == condition-(5)
+        # summand (||y^(k+1)|| / [(2k)! 2^k (1+k)^{3/4}])^2 written out
         y = two_sided_bump(0.5, 0.4, 1.5, grid=np.linspace(0.0, 1.1, 1101))
-        yprime = Signal(y.grid, y.deriv(1, y.grid),
-                        deriv=lambda n, t: y.deriv(n + 1, t), family="derivative")
         chk = check_trackable_infinite(y, 12)
-        p = GevreyParams(2.0, 1.0 / math.sqrt(2.0), -0.5)
-        norm = gevrey_norm_time(yprime, p, 12)
         for k in range(13):
-            a, b = chk.increments[k], norm.increments[k]
+            log_norm, _ = _log_l2_norm(lambda t: y.deriv(k + 1, t), y.t0, y.t1)
+            log_w = gammaln(2 * k + 1) + k * math.log(2.0) + 0.75 * math.log1p(k)
+            a, b = chk.increments[k], math.exp(2.0 * (log_norm - log_w))
             assert abs(a - b) <= 1e-12 * max(a, b, 1e-300)
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_short_series_on_gaussian(N):
+    # every N >= 1 works, and the first N+1 increments do not depend on N
+    g = gaussian_signal(0.0, 1.0)
+    p = GevreyParams(2.0, 0.5, 0.0)
+    for series in (lambda n: gevrey_norm_time(g, p, n),
+                   lambda n: check_trackable_infinite(g, n)):
+        res = series(N)
+        assert np.array_equal(res.increments, series(5).increments[:N + 1])
+        assert res.converged is True
 
 
 class TestTrackableFinite:

@@ -22,6 +22,7 @@ from heatflat.gevrey import (
     weight_seq,
     weighted_fourier_norm,
 )
+from heatflat.heatsim import SimConfig
 
 P2 = GevreyParams(2.0, 0.5, 0.0)
 
@@ -57,6 +58,16 @@ class TestSignal:
         g = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
             Signal(g, np.zeros(3))
+
+    def test_fine_time_grid_accepted(self):
+        # dt=1e-4 spacings deviate by ~1e-12 relative to dt, but only by an
+        # ulp or so of the grid values
+        grid = SimConfig(dt=1e-4).time_grid()
+        Signal(grid, np.zeros_like(grid))
+        moved = grid.copy()
+        moved[5000] += 1e-6 * 1e-4
+        with pytest.raises(ValueError):
+            Signal(moved, np.zeros_like(moved))
 
     def test_deriv_consistency_checked(self):
         g = np.linspace(0, 1, 11)
