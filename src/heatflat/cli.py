@@ -3,9 +3,10 @@
 Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert] [--seed N]
 
 Each subcommand reads an optional JSON config ({"schema": 1, ...}; unknown
-keys and values of the wrong type are rejected), writes CSV/JSON results with
-17 significant digits, and -- with --assert -- exits nonzero when its
-acceptance threshold is violated.
+keys and values or list entries of the wrong type are rejected), writes
+CSV/JSON results with 17 significant digits, and -- with --assert -- exits
+nonzero when its acceptance threshold is violated; a value out of range ends
+in an ERROR line and exit code 2.
 All computations are deterministic (fixed summation orders), so re-running
 with an identical config reproduces byte-identical output.
 """
@@ -27,7 +28,9 @@ from .numkit import write_csv as _write_csv
 def _kind(v) -> str:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         return "number"
-    return {str: "string", list: "list"}.get(type(v), type(v).__name__)
+    if isinstance(v, list):
+        return "list[" + "|".join(sorted({_kind(x) for x in v})) + "]"
+    return "string" if isinstance(v, str) else type(v).__name__
 
 
 def _load_config(path, defaults: dict, name: str) -> dict:
@@ -282,7 +285,11 @@ def main(argv=None) -> int:
     fn, defaults = SUBCOMMANDS[args.subcommand]
     cfg = _load_config(args.config, defaults, args.subcommand)
     os.makedirs(args.out, exist_ok=True)
-    ok, msg = fn(cfg, args.out)
+    try:
+        ok, msg = fn(cfg, args.out)
+    except ValueError as e:  # a value of the right kind out of its range
+        print(f"{args.subcommand}: ERROR: {e}")
+        return 2
     status = "PASS" if ok else "FAIL"
     print(f"{args.subcommand}: {status}: {msg}")
     if args.do_assert and not ok:

@@ -76,8 +76,11 @@ class SimConfig:
     x_grid: tuple = ()
 
     def __post_init__(self):
-        if self.J < 1 or self.dt <= 0 or self.T <= 0:
-            raise ValueError("SimConfig requires J >= 1, dt > 0, T > 0")
+        if self.J < 1 or not self.dt > 0 or not 0 < self.T < math.inf:
+            raise ValueError("SimConfig requires J >= 1, dt > 0, finite T > 0")
+        if not abs(round(self.T / self.dt) * self.dt - self.T) <= 1e-9 * self.T:
+            raise ValueError(f"SimConfig requires T to be a multiple of dt "
+                             f"(T={self.T:g}, dt={self.dt:g})")
         if len(self.x_grid) and (min(self.x_grid) < 0 or max(self.x_grid) > 1):
             raise ValueError("x_grid must lie in [0, 1]")
 

@@ -1,10 +1,12 @@
 """Bergman-space membership tests on the tilted square.
 
 Omega = { zeta : |Re zeta| + |Im zeta| < 1 } (area 2).  For a coefficient
-sequence (a_k) the even series  f(zeta) = sum a_k (sqrt(2) R zeta)^{2k}/(2k)!
+sequence (a_k) the even series  f_R(zeta) = sum a_k (sqrt(2) R zeta)^{2k}/(2k)!
 (or the odd variant with 2k+1) is tested for membership in A^2(Omega) by
-quadrature of |f|^2 over the exhaustion Omega_eps = (1-eps) Omega, with a
-three-way classification: convergent / divergent / undecided.
+quadrature of |f_R|^2 over the exhaustion Omega_eps = (1-eps) Omega, with a
+three-way classification: convergent / divergent / undecided.  Since
+f_R(zeta) = f_1(R zeta), one evaluator of f_1 per sequence serves every R:
+the scale multiplies the quadrature nodes and divides the singularity gauge.
 
 Membership in A^2 is undecidable from finite data; the judgment calls are:
 
@@ -26,12 +28,14 @@ Membership in A^2 is undecidable from finite data; the judgment calls are:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import toeplitz
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
@@ -71,11 +75,13 @@ class OmegaDomain:
         return cls.l1(zeta) < 1.0 - eps
 
     @staticmethod
+    @functools.lru_cache(maxsize=32)
     def quad_nodes(eps: float, n: int):
         """Tensor Gauss-Legendre nodes for Omega_eps in rotated coordinates.
 
         (u, v) = ((a+b)/sqrt2, (b-a)/sqrt2) maps Omega_eps to the square
         max(|u|,|v|) < (1-eps)/sqrt2; the rotation has unit Jacobian.
+        Cached per (eps, n); the arrays are shared, hence read-only.
         """
         x, w = leggauss(n)
         half = (1.0 - eps) / math.sqrt(2.0)
@@ -84,7 +90,9 @@ class OmegaDomain:
         U, V = np.meshgrid(u, u, indexing="ij")
         W = np.outer(wu, wu)
         zeta = ((U - V) + 1j * (U + V)) / math.sqrt(2.0)
-        return zeta.ravel(), W.ravel()
+        zeta, W = zeta.ravel(), W.ravel()
+        zeta.flags.writeable = W.flags.writeable = False
+        return zeta, W
 
 
 @dataclass
@@ -217,13 +225,10 @@ class EvalResult:
     diverged: bool
 
 
-def _series_coeffs_g(c: CoeffSeq, R_scale: float):
-    """Coefficients of g(w): f(zeta) = g(zeta^2) (even) or zeta*g(zeta^2) (odd)."""
-    k = np.arange(len(c))
-    if c.parity == "even":
-        lg = c.log_mag + 2 * k * math.log(math.sqrt(2.0) * R_scale) - gammaln(2 * k + 1)
-    else:
-        lg = c.log_mag + (2 * k + 1) * math.log(math.sqrt(2.0) * R_scale) - gammaln(2 * k + 2)
+def _series_coeffs_g(c: CoeffSeq):
+    """Coefficients of g(w): f_1(zeta) = g(zeta^2) (even) or zeta*g(zeta^2) (odd)."""
+    p = 2 * np.arange(len(c)) + (c.parity == "odd")
+    lg = c.log_mag + p * math.log(math.sqrt(2.0)) - gammaln(p + 1)
     return lg, c.phase.copy()
 
 
@@ -266,10 +271,7 @@ def _raw_eval(lg, ph, w, kmax=None, stop_rtol=1e-15):
 class _Pade:
     def __init__(self, b: np.ndarray, m: int):
         self.m = m
-        C = np.empty((m, m), dtype=complex)
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                C[i - 1, j - 1] = b[m + i - j]
+        C = toeplitz(b[m: 2 * m], b[m:0:-1])  # C[i-1, j-1] = b[m+i-j], i, j = 1..m
         rhs = -b[m + 1: 2 * m + 1]
         qt, *_ = np.linalg.lstsq(C, rhs, rcond=1e-13)
         self.q = np.concatenate([[1.0 + 0j], qt])
@@ -279,13 +281,7 @@ class _Pade:
 
     def __call__(self, v):
         v = np.asarray(v, dtype=complex)
-        num = np.zeros_like(v)
-        for pk in self.p[::-1]:
-            num = num * v + pk
-        den = np.zeros_like(v)
-        for qk in self.q[::-1]:
-            den = den * v + qk
-        return num / den
+        return np.polyval(self.p[::-1], v) / np.polyval(self.q[::-1], v)
 
     def poles(self):
         if self.m == 0:
@@ -301,34 +297,28 @@ class _Pade:
 
 
 class SeriesEvaluator:
-    """Evaluates g(w) over Omega-sized |w| by raw series plus Pade continuation."""
+    """Evaluates the unscaled series f_1; the scale R is applied as f_1(R zeta).
 
-    def __init__(self, c: CoeffSeq, R_scale: float):
-        self.c = c
-        self.R = float(R_scale)
-        self.lg, self.ph = _series_coeffs_g(c, R_scale)
+    Built once per sequence.  The coefficients of g are normalized by its
+    estimated radius r, lb_k = lg_k + k log r: the raw series (inside 0.85 r),
+    both Pade fits and their validation ring work in v = w / r.
+    """
+
+    def __init__(self, c: CoeffSeq):
+        lg, self.ph = _series_coeffs_g(c)
         self.odd = c.parity == "odd"
-        self._analyze_radius()
-        self._build_pade()
-
-    def _analyze_radius(self):
-        lg = self.lg
-        fin = np.isfinite(lg)
-        idx = np.where(fin)[0]
+        # radius of g from the median tail increment of log|g_k|; entire below 8 terms
+        idx = np.flatnonzero(np.isfinite(lg))
         self.n_finite = len(idx)
-        if self.n_finite < 8:
-            self.log_r = math.inf
-            return
-        tailn = min(60, self.n_finite // 2)
-        ks = idx[-tailn:]
-        incs = np.diff(lg[ks]) / np.diff(ks)
-        med = float(np.median(incs))
-        # superexponential decay: effectively entire on our domain
-        self.log_r = math.inf if med < -25.0 else -med
-
-    @property
-    def radius(self) -> float:
-        return math.exp(self.log_r) if self.log_r < math.inf else math.inf
+        self.log_r = math.inf
+        if self.n_finite >= 8:
+            ks = idx[-min(60, self.n_finite // 2):]
+            self.log_r = -float(np.median(np.diff(lg[ks]) / np.diff(ks)))
+        # clamped so that exp(log_unit) stays finite for extreme sequences
+        log_unit = min(max(self.log_r, -700.0), 700.0) if math.isfinite(self.log_r) else 0.0
+        self.lb = lg + np.arange(len(lg)) * log_unit
+        self.unit = math.exp(log_unit)
+        self._build_pade()
 
     def _build_pade(self):
         self.pade = None
@@ -337,17 +327,15 @@ class SeriesEvaluator:
         self.pade_valid = False
         if not math.isfinite(self.log_r) or self.n_finite < 40:
             return
-        K = len(self.lg)
+        K = len(self.lb)
         m2 = min(40, (K - 2) // 2)
         m1 = max(8, m2 - 10)
         if m2 < 12:
             return
-        k = np.arange(2 * m2 + 1)
-        lb = self.lg[: 2 * m2 + 1] + k * self.log_r
+        lb = self.lb[: 2 * m2 + 1]
         b = np.where(np.isfinite(lb), np.exp(np.minimum(lb, 690.0)), 0.0) * self.ph[: 2 * m2 + 1]
         # effective numerical rank caps the useful order (exact rational inputs)
-        H = np.array([[b[m2 + i - j] for j in range(1, m2 + 1)] for i in range(1, m2 + 1)])
-        sv = np.linalg.svd(H, compute_uv=False)
+        sv = np.linalg.svd(toeplitz(b[m2: 2 * m2], b[m2:0:-1]), compute_uv=False)
         rank = int(np.sum(sv > 1e-12 * sv[0])) if sv[0] > 0 else 0
         if rank < m2:
             m2 = max(rank, 1)
@@ -360,7 +348,7 @@ class SeriesEvaluator:
         # validation ring well inside the disc
         ang = 2 * np.pi * (np.arange(17) + 0.31) / 17
         ring = 0.75 * np.exp(1j * ang)
-        raw, _, _ = _raw_eval(self.lg, self.ph, ring * math.exp(self.log_r))
+        raw, _, _ = _raw_eval(self.lb, self.ph, ring)
         scale = np.max(np.abs(raw)) + 1e-300
         ok_ring = np.max(np.abs(self.pade_hi(ring) - raw)) <= 1e-7 * scale
         # stable singularities: poles agreeing between the two orders
@@ -370,7 +358,7 @@ class SeriesEvaluator:
             if abs(p_) > 25.0:
                 continue
             if len(p1) and np.min(np.abs(p1 - p_)) <= 2e-3 * max(abs(p_), 0.1):
-                stable.append(p_ * math.exp(self.log_r))  # back to w
+                stable.append(p_ * self.unit)  # back to w
         self.singularities = np.array(stable)
         self.pade_valid = bool(ok_ring)
 
@@ -382,33 +370,28 @@ class SeriesEvaluator:
         return float(np.min(np.abs(zp.real) + np.abs(zp.imag)))
 
     def values(self, zeta):
-        """f at the given points; returns (values, unresolved_mask, raw_diverged_mask)."""
+        """f_1 at the given points; returns (values, unresolved_mask, raw_diverged_mask)."""
         zeta = np.asarray(zeta, dtype=complex)
-        w = zeta * zeta
-        vals = np.empty_like(w)
-        unresolved = np.zeros(w.shape, dtype=bool)
-        rawdiv = np.zeros(w.shape, dtype=bool)
+        v = zeta * zeta / self.unit
+        vals = np.empty_like(v)
+        unresolved = np.zeros(v.shape, dtype=bool)
+        rawdiv = np.zeros(v.shape, dtype=bool)
         if math.isfinite(self.log_r):
-            inner = np.abs(w) <= 0.85 * math.exp(self.log_r)
+            inner = np.abs(v) <= 0.85
         else:
-            inner = np.ones(w.shape, dtype=bool)
+            inner = np.ones(v.shape, dtype=bool)
         if inner.any():
-            v, _, dv = _raw_eval(self.lg, self.ph, w[inner])
-            vals[inner] = v
-            rawdiv[inner] = dv
+            vals[inner], _, rawdiv[inner] = _raw_eval(self.lb, self.ph, v[inner])
         outer = ~inner
         if outer.any():
             if self.pade_valid:
-                vnode = w[outer] * math.exp(-self.log_r)
-                a = self.pade(vnode)
-                bb = self.pade_hi(vnode)
+                a = self.pade(v[outer])
+                bb = self.pade_hi(v[outer])
                 vals[outer] = bb
                 scale = np.maximum(np.abs(bb), 1e-300)
                 unresolved[outer] = np.abs(a - bb) > 1e-5 * scale
             else:
-                v, _, dv = _raw_eval(self.lg, self.ph, w[outer])
-                vals[outer] = v
-                rawdiv[outer] = dv
+                vals[outer], _, rawdiv[outer] = _raw_eval(self.lb, self.ph, v[outer])
         if self.odd:
             vals = vals * zeta
         return vals, unresolved, rawdiv
@@ -422,10 +405,10 @@ def eval_series(c: CoeffSeq, zeta: complex, R_scale: float, K: int = None) -> Ev
     """
     if OmegaDomain.l1(zeta) > 1.0 + 1e-12:
         raise ValueError("zeta lies outside the closed tilted square")
-    lg, ph = _series_coeffs_g(c, R_scale)
-    w = np.array([complex(zeta) ** 2])
-    vals, tail, div = _raw_eval(lg, ph, w, kmax=K)
-    v = vals[0] * complex(zeta) if c.parity == "odd" else vals[0]
+    lg, ph = _series_coeffs_g(c)
+    z = R_scale * complex(zeta)
+    vals, tail, div = _raw_eval(lg, ph, np.array([z * z]), kmax=K)
+    v = vals[0] * z if c.parity == "odd" else vals[0]
     return EvalResult(complex(v), float(tail[0]), bool(div[0]))
 
 
@@ -457,9 +440,9 @@ class BergmanReport:
         )
 
 
-def _margin_norm(ev: SeriesEvaluator, eps: float, n: int):
+def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int):
     zeta, W = OmegaDomain.quad_nodes(eps, n)
-    vals, unresolved, rawdiv = ev.values(zeta)
+    vals, unresolved, rawdiv = ev.values(R * zeta)
     if rawdiv.any():
         return None, "raw-divergence", float(np.mean(rawdiv))
     if unresolved.any():
@@ -482,23 +465,31 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
     if c.is_zero:
         return BergmanReport(margins, tuple(0.0 for _ in margins), "convergent",
                              0.0, math.inf, "zero sequence", 0.0)
-    ev = SeriesEvaluator(c, R_scale)
-    l1sing = ev.singularity_l1()
+    return _classify(SeriesEvaluator(c), float(R_scale), margins, nodes)
+
+
+def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> BergmanReport:
+    """Bergman report of f_R(zeta) = f_1(R zeta) from the evaluator of f_1."""
+    # tail increments of log|g_R| below -25: superexponential decay, effectively
+    # entire on our domain, so the continuation and its singularities play no part
+    entire = ev.log_r - 2.0 * math.log(R) > 25.0
+    pade_valid = ev.pade_valid and not entire
+    l1sing = math.inf if entire else ev.singularity_l1() / R
 
     norms = []
     notes = ""
     refine_gap = 0.0
     for eps in margins:
-        val, why, frac = _margin_norm(ev, eps, nodes)
+        val, why, frac = _margin_norm(ev, R, eps, nodes)
         if val is None:
-            if why == "raw-divergence" and not ev.pade_valid:
+            if why == "raw-divergence" and not pade_valid:
                 return BergmanReport(tuple(margins[: len(norms)]), tuple(norms),
                                      "divergent", math.nan, l1sing,
                                      f"series divergence at eps={eps} ({frac:.0%} of nodes)",
                                      refine_gap)
             notes = f"{why} at eps={eps}"
             break
-        val2, why2, _ = _margin_norm(ev, eps, nodes + nodes // 2)
+        val2, why2, _ = _margin_norm(ev, R, eps, nodes + nodes // 2)
         if val2 is not None:
             refine_gap = max(refine_gap, abs(val2 - val) / max(abs(val2), 1e-300))
             val = val2
@@ -516,10 +507,9 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
     eps_arr = np.array(margins[: len(norms)])
     n_arr = np.array(norms)
     slope = float(np.polyfit(np.log(1.0 / eps_arr[-3:]), np.log(np.maximum(n_arr[-3:], 1e-300)), 1)[0])
-    entire_like = not math.isfinite(ev.log_r) or ev.n_finite < 8
-    certified_outside = (ev.pade_valid and len(ev.singularities) > 0
+    certified_outside = (pade_valid and len(ev.singularities) > 0
                          and l1sing >= 1.0 + _POLE_GUARD)
-    if entire_like or certified_outside:
+    if entire or certified_outside:
         # entire-type coefficient decay, or all validated singularities
         # strictly outside the closed square: holomorphic on a neighborhood
         # of the closure, hence a member even while the margin norms are
@@ -550,17 +540,22 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
 def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
     """Bracket of R_a = sup{ R : the scaled series lies in A^2(Omega) }.
 
-    Two monotone bisections: the supremum of certified-convergent R and the
-    infimum of certified-divergent R.  Undecided classifications widen the
+    One evaluator serves every R and each distinct R is classified once.  One
+    bisection runs for the supremum of certified-convergent R and again for the
+    infimum of certified-divergent R; undecided classifications widen the
     bracket instead of being guessed.  Returns (R_lo, R_hi) or "unbounded".
     """
     if not tol > 1e-4:
         raise ValueError("tol must exceed 1e-4")
     if c.is_zero:
         return "unbounded"
+    ev = SeriesEvaluator(c)
+    memo = {}
 
     def cls(R):
-        return bergman_norm_estimate(c, R).classification
+        if R not in memo:
+            memo[R] = _classify(ev, R, DEFAULT_MARGINS, 64).classification
+        return memo[R]
 
     # initial bracket
     R_div = None
@@ -568,7 +563,7 @@ def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
     R = 0.05
     while R <= R_max:
         k = cls(R)
-        if k == "convergent" and R_div is None:
+        if k == "convergent":
             R_conv = R
         elif k == "divergent":
             R_div = R
@@ -587,25 +582,17 @@ def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
         if R_conv is None:
             return (0.0, R_div)
 
-    # sup of convergent
-    lo, hi = R_conv, R_div
-    while hi - lo > tol / 2.0:
-        mid = 0.5 * (lo + hi)
-        if cls(mid) == "convergent":
-            lo = mid
-        else:
-            hi = mid
-    R_lo = lo
-    # inf of divergent
-    lo, hi = R_conv, R_div
-    while hi - lo > tol / 2.0:
-        mid = 0.5 * (lo + hi)
-        if cls(mid) == "divergent":
-            hi = mid
-        else:
-            lo = mid
-    R_hi = hi
-    return (R_lo, R_hi)
+    def bisect(below):
+        lo, hi = R_conv, R_div
+        while hi - lo > tol / 2.0:
+            mid = 0.5 * (lo + hi)
+            if below(cls(mid)):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    return (bisect(lambda k: k == "convergent")[0], bisect(lambda k: k != "divergent")[1])
 
 
 # ---------------------------------------------------------------------------

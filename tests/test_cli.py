@@ -62,12 +62,22 @@ class TestCli:
         ("track", "dt", "0.001", "number"),
         ("laplace-discrete", "n_quadratic", 100, "list"),
         ("track", "K", "25", "number"),
+        ("laplace-discrete", "n_quadratic", ["100"], "list"),
+        ("laplace-discrete", "n_quadratic", [], "list"),
+        ("theta-identity", "cases", [[100, "2.0", 0.5]], "list"),
     ])
     def test_wrong_value_type_rejected(self, tmp_path, cmd, key, value, kind):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"schema": 1, key: value}))
         with pytest.raises(SystemExit, match=f"'{key}' must be a {kind}"):
             run([cmd, "--config", str(cfgp), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("cfg", [{"dt": 0.0}, {"dt": 0.3}])
+    def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(cfg, schema=1)))
+        assert run(["track", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out.startswith("track: ERROR: SimConfig requires")
 
     def test_missing_schema_rejected(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

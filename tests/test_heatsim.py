@@ -146,6 +146,13 @@ class TestSimulate:
         cfg = SimConfig(J=32, dt=2e-3, T=0.7, x_grid=(0.0, 0.25, 1.0))
         assert SimConfig.from_json(cfg.to_json()) == cfg
 
+    def test_T_must_be_a_multiple_of_dt(self):
+        with pytest.raises(ValueError, match="multiple of dt"):
+            SimConfig(dt=0.3, T=1.0)  # the grid would stop at 0.9
+        for dt in (1e-3, 5e-4, 2.5e-4, 2e-4, 1e-4):  # the refinement ladder
+            grid = SimConfig(dt=dt, T=1.0).time_grid()
+            assert grid[-1] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestTransfer:
     def test_neu_dir_at_1(self):

@@ -87,6 +87,15 @@ class TestEvalSeries:
         with pytest.raises(ValueError):
             eval_series(CoeffSeq.from_values([1.0]), 0.9 + 0.2j, 1.0)
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_scale_dilates_the_argument(self, parity):
+        # f_R(zeta) = f_1(R zeta)
+        base = CoeffSeq.polylog_seq(1.5, 400)
+        seq = CoeffSeq(base.log_mag, base.phase, parity)
+        for R, zeta in ((0.5, 0.6 + 0.3j), (0.9, -0.2 + 0.5j), (1.3, 0.3 - 0.2j)):
+            want = eval_series(seq, R * zeta, 1.0).value
+            assert abs(eval_series(seq, zeta, R).value - want) <= 1e-12 * abs(want)
+
 
 class TestBergmanNormEstimate:
     def test_constant_area(self):
@@ -150,6 +159,20 @@ class TestRadiusRa:
     def test_sharp_radius_brackets_inv_sqrt2(self):
         lo, hi = radius_Ra(CoeffSeq.sharp_radius(700), tol=0.01)
         assert INV_SQRT2 - 0.02 <= lo <= hi <= INV_SQRT2 + 0.02
+
+    def test_one_evaluator_and_one_classification_per_scale(self, monkeypatch):
+        from heatflat import holo
+
+        builds, scales = [], []
+        make, classify = holo.SeriesEvaluator, holo._classify
+        monkeypatch.setattr(holo, "SeriesEvaluator",
+                            lambda *a: builds.append(a) or make(*a))
+        monkeypatch.setattr(holo, "_classify",
+                            lambda ev, R, *a: scales.append(R) or classify(ev, R, *a))
+        lo, hi = radius_Ra(CoeffSeq.geometric(1.0, 300), tol=0.02)
+        assert INV_SQRT2 - 0.02 <= lo <= hi <= INV_SQRT2 + 0.02
+        assert len(builds) == 1
+        assert len(scales) == len(set(scales)) > 5
 
     def test_bracket_classifications_consistent(self):
         seq = CoeffSeq.geometric(1.0, 700)
