@@ -36,10 +36,13 @@ def _kind(v) -> str:
 def _load_config(path, defaults: dict, name: str) -> dict:
     cfg = dict(defaults)
     if path is not None:
-        with open(path) as f:
-            user = json.load(f)
-        if user.get("schema") != 1:
-            raise SystemExit(f"{name}: config must carry \"schema\": 1")
+        try:
+            with open(path) as f:
+                user = json.load(f)
+        except (OSError, ValueError) as e:  # JSON and UTF-8 decode errors are ValueErrors
+            raise SystemExit(f"{name}: cannot read config {path}: {e}") from None
+        if not isinstance(user, dict) or user.get("schema") != 1:
+            raise SystemExit(f"{name}: config must be a JSON object carrying \"schema\": 1")
         unknown = set(user) - set(defaults) - {"schema"}
         if unknown:
             raise SystemExit(f"{name}: unknown config keys {sorted(unknown)}")
@@ -56,6 +59,8 @@ def _load_config(path, defaults: dict, name: str) -> dict:
 # --------------------------------------------------------------------------
 
 def run_kernel_check(cfg, out):
+    if cfg["n_points"] < 2:
+        raise ValueError(f"n_points must be at least 2, got {cfg['n_points']}")
     t = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["n_points"])
     ke = heatsim.kernel_k(t, "eigen")
     kp = heatsim.kernel_k(t, "poisson")
@@ -172,10 +177,13 @@ def run_bergman_radius(cfg, out):
     target = 1.0 / math.sqrt(2.0)
     rows = []
     ok = True
+    seqs = {"geometric": holo.CoeffSeq.geometric(1.0, 700),
+            "sharp_radius": holo.CoeffSeq.sharp_radius(700)}
+    unknown = sorted(set(cfg["sequences"]) - set(seqs))
+    if unknown:
+        raise ValueError(f"unknown sequences {unknown}; allowed: {sorted(seqs)}")
     for name in cfg["sequences"]:
-        seq = {"geometric": holo.CoeffSeq.geometric(1.0, 700),
-               "sharp_radius": holo.CoeffSeq.sharp_radius(700)}[name]
-        lo, hi = holo.radius_Ra(seq, tol=cfg["tol"])
+        lo, hi = holo.radius_Ra(seqs[name], tol=cfg["tol"])
         rows.append((name, lo, hi))
         ok = ok and (target - cfg["window"] <= lo) and (hi <= target + cfg["window"])
     _write_csv(os.path.join(out, "bergman_radius.csv"), ["sequence", "R_lo", "R_hi"], rows)

@@ -21,7 +21,7 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from .numkit import write_csv
+from .numkit import gauss_sum, write_csv
 
 __all__ = [
     "TransferKind",
@@ -120,19 +120,16 @@ def _kernel_eigen_f64(t: np.ndarray) -> np.ndarray:
 
 def _kernel_eigen_small_t(ti: float, k_est: float) -> float:
     # alternating eigen sum cancels to ~k(t); extend precision to keep the
-    # *relative* error of this representation below 1e-13
+    # *relative* error of this representation below 1e-13.  Terms past jmax
+    # lie below 10^-dps.  The alternating sum is twice the even-j Gaussian sum
+    # minus the full one; the guard digits cover their ~1/sqrt(pi t) size and
+    # the ~2 log10(2 jmax) digits each loses to the gauss_sum recurrence.
     dps = 20 + max(0, int(-math.log10(max(k_est, 1e-300))))
-    with mp.workdps(dps):
-        tm = mp.mpf(ti)
-        s = mp.mpf(1)
-        j = 1
-        while True:
-            term = 2 * (-1) ** j * mp.exp(-mp.pi**2 * j**2 * tm)
-            s += term
-            if abs(term) < mp.mpf(10) ** (-dps):
-                break
-            j += 1
-        return float(s)
+    jmax = int(math.sqrt(dps * math.log(10) / (math.pi**2 * ti))) + 1
+    with mp.workdps(dps + 5 + int(2 * math.log10(2 * jmax + 1))):
+        c = mp.pi**2 * mp.mpf(ti)
+        return float(2 * gauss_sum(4 * c, 0, -(jmax // 2), jmax // 2)
+                     - gauss_sum(c, 0, -jmax, jmax))
 
 
 def kernel_k(t, rep: str = "auto"):

@@ -24,6 +24,7 @@ from scipy.special import gammaln
 
 from .gevrey import GevreyParams, _log_Mn
 from .holo import CoeffSeq
+from .numkit import gauss_sum
 
 __all__ = [
     "varpi_params",
@@ -139,11 +140,23 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
     """(1/n) sum_{k=0}^n e^{-n u(k/n)} against sqrt(2 pi/(u''(x0) n)) e^{-n u(x0)}.
 
     ``u`` must have a strict global minimum at x0 in (0,1) with u''(x0) > 0
-    (``d2u_x0``).  Sums run in the log domain.  With ``dps`` set, the sum is
-    evaluated with mpmath at that precision -- required to resolve the
-    superexponentially small error of the pure-Gaussian case; ``u`` is then
-    called on mpf arguments.
+    (``d2u_x0``), and n >= 2.  Sums run in the log domain.
+
+    With ``dps`` set, ``u`` must be its own Gaussian model
+    u(x0) + u''(x0)/2 (x - x0)^2: the float values u(k/n) must match it to
+    1e-12 max(1, max |model|), and any other ``u`` raises ValueError.  The
+    model sum is then evaluated exactly, at ``dps`` digits, as
+    e^{-n u(x0)} gauss_sum(u''(x0)/(2n), n x0, 0, n) / n -- required to resolve
+    the superexponentially small error of the pure-Gaussian case.  That error
+    is the boundary truncation of the bilateral Gaussian sum, the terms
+    beyond k = 0 and k = n: for u = (x - 1/2)^2 it is about
+    2 e^{-n/4} / ((e - 1) sqrt(pi n)).  The theta gap of the bilateral sum,
+    O(e^{-pi^2 n}), lies far below it.  The CLI's rule
+    dps = 0.25 n/ln 10 + 40 is matched to the truncation law (40 digits below
+    e^{-n/4}), not to the theta gap.
     """
+    if n < 2:
+        raise ValueError(f"discrete Laplace requires n >= 2, got n = {n}")
     if not (0.0 < x0 < 1.0):
         raise ValueError("x0 must lie strictly inside (0, 1)")
     if not d2u_x0 > 0:
@@ -155,19 +168,25 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
         raise ValueError("u appears constant: no strict minimum")
     if abs(k[np.argmin(uvals)] / n - x0) > 2.0 / n + 1e-12:
         raise ValueError("grid minimum is not at x0; u must have its strict minimum there")
+    u0 = float(u(x0))
 
     if dps is None:
         expo = -n * uvals
         m = expo.max()
         log_sum = m + math.log(math.fsum(np.exp(expo - m))) - math.log(n)
-        log_pred = 0.5 * (math.log(2.0 * math.pi) - math.log(d2u_x0 * n)) - n * float(u(x0))
+        log_pred = 0.5 * (math.log(2.0 * math.pi) - math.log(d2u_x0 * n)) - n * u0
         rel = abs(math.expm1(log_sum - log_pred))
         return LaplaceResult(log_sum, log_pred, rel,
                              math.log10(rel) if rel > 0 else -math.inf)
 
+    model = u0 + 0.5 * d2u_x0 * (k / n - x0) ** 2
+    if np.max(np.abs(uvals - model)) > 1e-12 * max(1.0, np.max(np.abs(model))):
+        raise ValueError("the dps mode sums the Gaussian model exactly: u must equal "
+                         "u(x0) + u''(x0)/2 (x - x0)^2 on the grid k/n")
     with mp.workdps(dps):
-        s = mp.fsum(mp.exp(-n * u(mp.mpf(int(ki)) / n)) for ki in k) / n
-        pred = mp.sqrt(2 * mp.pi / (mp.mpf(d2u_x0) * n)) * mp.exp(-n * u(mp.mpf(x0)))
+        d2u, scale = mp.mpf(d2u_x0), mp.exp(-n * mp.mpf(u0))
+        s = scale * gauss_sum(d2u / (2 * n), n * mp.mpf(x0), 0, n) / n
+        pred = mp.sqrt(2 * mp.pi / (d2u * n)) * scale
         rel = abs(s / pred - 1)
         log10_rel = float(mp.log10(rel)) if rel > 0 else -math.inf
         return LaplaceResult(float(mp.log(s)), float(mp.log(pred)), float(rel), log10_rel)

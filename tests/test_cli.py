@@ -72,12 +72,32 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"'{key}' must be a {kind}"):
             run([cmd, "--config", str(cfgp), "--out", str(tmp_path)])
 
-    @pytest.mark.parametrize("cfg", [{"dt": 0.0}, {"dt": 0.3}])
+    @pytest.mark.parametrize("cfg", [
+        ("track", {"dt": 0.0}, "SimConfig requires"),
+        ("track", {"dt": 0.3}, "SimConfig requires"),
+        ("bergman-radius", {"sequences": ["foo"]},
+         "unknown sequences ['foo']; allowed: ['geometric', 'sharp_radius']"),
+        ("laplace-discrete", {"n_quadratic": [-5]}, "discrete Laplace requires n >= 2"),
+        ("kernel-check", {"n_points": 0}, "n_points must be at least 2"),
+    ])
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
+        cmd, values, msg = cfg
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps(dict(cfg, schema=1)))
-        assert run(["track", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().out.startswith("track: ERROR: SimConfig requires")
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out.startswith(f"{cmd}: ERROR: {msg}")
+
+    @pytest.mark.parametrize("text, msg", [
+        ("{bad", "cannot read config .*cfg.json: Expecting property name"),
+        (None, "cannot read config .*cfg.json: .*No such file"),
+        ("[1]", "config must be a JSON object"),
+    ], ids=["bad-json", "missing-file", "not-an-object"])
+    def test_malformed_config_rejected(self, tmp_path, text, msg):
+        cfgp = tmp_path / "cfg.json"
+        if text is not None:
+            cfgp.write_text(text)
+        with pytest.raises(SystemExit, match=f"^laplace-discrete: {msg}"):
+            run(["laplace-discrete", "--config", str(cfgp), "--out", str(tmp_path)])
 
     def test_missing_schema_rejected(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -43,6 +44,16 @@ class TestKernel:
         e = kernel_k(t, "eigen")
         p = kernel_k(t, "poisson")
         assert np.max(np.abs(e - p) / np.abs(p)) < 1e-10
+
+    def test_eigen_small_t_against_mpmath_images(self):
+        # where the alternating eigen sum cancels to k(t) (down to 1e-270 here),
+        # it must still match the positive image-charge series summed in mpmath
+        t = np.geomspace(4e-4, 0.03, 12)
+        e = kernel_k(t, "eigen")
+        with mp.workdps(30):
+            ref = [float(2 * mp.fsum(mp.exp(-(m + mp.mpf(0.5)) ** 2 / ti) for m in range(5))
+                         / mp.sqrt(mp.pi * ti)) for ti in t]
+        assert np.max(np.abs(e - ref) / ref) < 1e-13
 
     def test_auto_matches_branches(self):
         for t in (0.05, 0.31, 0.33, 2.0):

@@ -9,6 +9,7 @@ from heatflat.numkit import (
     MLParams,
     _ml_asymptotic_log,
     _ml_series_log,
+    gauss_sum,
     log_gamma,
     mittag_leffler,
     mittag_type_imaginary,
@@ -195,6 +196,19 @@ class TestThetaGaussSum:
         direct = np.exp(-0.5 * k.astype(float) ** 2).sum()
         assert abs(r.sum - direct) < 1e-14 * direct
 
+    @pytest.mark.parametrize("n,a,b", [(100, 2.0, 0.5), (50, 1.0, 0.25), (200, 3.0, 0.7)])
+    def test_poisson_dual_oracle(self, n, a, b):
+        # S = sqrt(2 n pi/a) (1 + 2 sum_{m>=1} e^{-2 pi^2 m^2 n/a} cos(2 pi m n b));
+        # m <= 3 leaves a relative remainder far below 30 digits
+        r = theta_gauss_sum(n, a, b)
+        with mp.workdps(30):
+            gap = 2 * mp.fsum(mp.exp(-2 * mp.pi**2 * m * m * n / mp.mpf(a))
+                              * mp.cos(2 * mp.pi * m * n * mp.mpf(b)) for m in range(1, 4))
+            total = float(mp.sqrt(2 * n * mp.pi / mp.mpf(a)) * (1 + gap))
+            log10_gap = float(mp.log10(abs(gap)))
+        assert abs(r.sum - total) <= 1e-14 * total
+        assert abs(r.log10_gap - log10_gap) <= 1e-6
+
     @pytest.mark.parametrize("n,a,b", [(7, 1.3, 0.21), (25, 0.7, -0.4), (50, 3.1, 1.7)])
     def test_shift_invariance(self, n, a, b):
         r1 = theta_gauss_sum(n, a, b)
@@ -206,3 +220,13 @@ class TestThetaGaussSum:
             theta_gauss_sum(0, 1.0, 0.0)
         with pytest.raises(ValueError):
             theta_gauss_sum(5, -1.0, 0.0)
+
+
+def test_gauss_sum_matches_termwise_exp():
+    # the two-multiplication recurrence against one mp.exp per term: a
+    # non-integer centre inside the range, a negative centre, a single term
+    with mp.workdps(50):
+        for c, kc, lo, hi in [(0.013, 3.7, -40, 60), (2.5, -0.3, -3, 4), (0.1, 0.0, 5, 5)]:
+            c, kc = mp.mpf(c), mp.mpf(kc)
+            want = mp.fsum(mp.exp(-c * (k - kc) ** 2) for k in range(lo, hi + 1))
+            assert abs(gauss_sum(c, kc, lo, hi) / want - 1) < mp.mpf(10) ** -45

@@ -18,6 +18,13 @@ from heatflat.plancherel import (
 P = GevreyParams(2.0, 1.0, -0.5)  # alpha = 4, beta = 1
 
 
+def _log_h_u(x, alpha=4.0):
+    """u = log h, h(x) = x^{alpha x} (1-x)^{alpha(1-x)}, with u''(1/2) = 4 alpha."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return alpha * (x * math.log(x) + (1 - x) * math.log(1 - x))
+
+
 class TestVarpiCoeffs:
     def test_parameter_map(self):
         assert varpi_params(P) == (4.0, 1.0)
@@ -102,6 +109,11 @@ class TestDiscreteLaplace:
             dps = int(0.25 * n / math.log(10)) + 40
             r = discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, n, dps=dps)
             logs.append(r.log10_rel_err)
+            # the error is the two boundary tails of the bilateral sum,
+            # sum_{k > n} e^{-(k - n/2)^2/n} ~ e^{-n/4}/(e - 1) each, over sqrt(pi n)
+            law = (math.log10(2.0) - n / (4.0 * math.log(10)) - math.log10(math.e - 1.0)
+                   - 0.5 * math.log10(math.pi * n))
+            assert abs(r.log10_rel_err - law) < 0.2
         assert logs[0] > logs[1] > logs[2]
         assert logs[0] < -10  # already tiny at n = 100
 
@@ -123,17 +135,26 @@ class TestDiscreteLaplace:
         with pytest.raises(ValueError):
             discrete_laplace(lambda x: (x - 0.5) ** 2, 0.0, 0.5, 100)
 
+    def test_dps_mode_requires_the_gaussian_model(self):
+        # the dps mode sums the Gaussian model u(x0) + u''(x0)/2 (x - x0)^2 exactly
+        with pytest.raises(ValueError, match="Gaussian model"):
+            discrete_laplace(_log_h_u, 16.0, 0.5, 200, dps=40)
+        shifted = lambda x: 3.0 + 2.0 * (x - 0.25) ** 2
+        exact = discrete_laplace(shifted, 4.0, 0.25, 200, dps=60)
+        flt = discrete_laplace(shifted, 4.0, 0.25, 200)
+        assert exact.log_sum == pytest.approx(flt.log_sum, abs=1e-12)
+        assert exact.log_prediction == pytest.approx(flt.log_prediction, abs=1e-12)
+
+    def test_small_n_rejected(self):
+        for n in (1, 0, -5):
+            with pytest.raises(ValueError, match="requires n >= 2"):
+                discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, n)
+
     def test_log_h_case(self):
         # u = log h, h(x) = x^{alpha x}(1-x)^{alpha(1-x)}, alpha = 4:
         # (1/n) sum h^{-n} ~ 2^{alpha n} sqrt(2 pi/(u''(1/2) n)), u''(1/2) = 4 alpha
         alpha = 4.0
-
-        def u(x):
-            if x <= 0.0 or x >= 1.0:
-                return 0.0
-            return alpha * (x * math.log(x) + (1 - x) * math.log(1 - x))
-
-        r = discrete_laplace(u, 4.0 * alpha, 0.5, 2000)
+        r = discrete_laplace(_log_h_u, 4.0 * alpha, 0.5, 2000)
         assert r.rel_err < 5e-2
         # the prediction's leading factor is 2^{alpha n}: check in log
         want = alpha * 2000 * math.log(2.0)
