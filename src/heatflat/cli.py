@@ -61,6 +61,9 @@ def _load_config(path, defaults: dict, name: str) -> dict:
 def run_kernel_check(cfg, out):
     if cfg["n_points"] < 2:
         raise ValueError(f"n_points must be at least 2, got {cfg['n_points']}")
+    if cfg["t_min"] < 3.51e-4:  # k(t) ~ 2 e^{-1/(4t)} / sqrt(pi t) falls below 2.2e-308 there
+        raise ValueError(f"t_min must be at least 3.51e-4, where k(t) leaves the normal "
+                         f"float range, got {cfg['t_min']:g}")
     t = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["n_points"])
     ke = heatsim.kernel_k(t, "eigen")
     kp = heatsim.kernel_k(t, "poisson")
@@ -76,7 +79,7 @@ def run_track(cfg, out):
     tgrid = sim_cfg.time_grid()
     if cfg["target"] == "zero":
         y = gevrey.Signal(tgrid, np.zeros_like(tgrid),
-                          deriv=lambda n, t: np.zeros_like(np.asarray(t, dtype=float)))
+                          derivs=lambda N, t: np.zeros((N + 1, len(t))))
     else:
         y = gevrey.bump_gevrey(cfg["gamma_exp"], t_scale=cfg["t_scale"], grid=tgrid)
     res = flatness.tracking_experiment(y, sim_cfg, K=int(cfg["K"]))
@@ -162,6 +165,8 @@ def run_laplace_discrete(cfg, out):
 
 
 def run_theta_identity(cfg, out):
+    if any(len(case) != 3 for case in cfg["cases"]):
+        raise ValueError(f"cases entries must be [n, a, b] triples, got {cfg['cases']}")
     rows = []
     worst = 0.0
     for n, a, b in cfg["cases"]:

@@ -53,18 +53,18 @@ class FlatEval:
     diverged: bool
 
 
-def flat_state(y_provider, t: float, x: float, K: int) -> FlatEval:
+def flat_state(y_derivs, t: float, x: float, K: int) -> FlatEval:
     """Partial sum of z(t,x) = sum_k y^(k)(t) x^{2k}/(2k)! up to K terms.
 
-    The last-term magnitude (relative) serves as tail proxy; terms that stop
-    decreasing at the cutoff raise the divergence flag (|x| beyond the
-    Gevrey radius of the target).
+    ``y_derivs`` is the target's derivative table (``Signal.derivs``).  The
+    last-term magnitude (relative) serves as tail proxy; terms that stop
+    decreasing at the cutoff raise the divergence flag (|x| beyond the Gevrey
+    radius of the target).
     """
     if abs(x) > 1.0:
         raise ValueError("flat series is used for |x| <= 1")
     terms = []
-    for k in range(K + 1):
-        yk = float(np.atleast_1d(y_provider(k, np.array([t])))[0])
+    for k, yk in enumerate(y_derivs(K, np.array([t]))[:, 0].tolist()):
         if x == 0.0:
             terms.append(yk if k == 0 else 0.0)
             continue
@@ -86,20 +86,22 @@ class ControlSynthesis:
     diverged: bool
 
 
-def flat_control(y_provider, t_grid, K: int) -> ControlSynthesis:
+def flat_control(y_derivs, t_grid, K: int) -> ControlSynthesis:
     """u(t) = sum_{k=1}^K y^(k)(t)/(2k-1)! on the grid (x-derivative at x=1).
 
+    ``y_derivs`` is the target's derivative table (``Signal.derivs``).
     Divergence of the terms at the cutoff is reported, not raised: for
     near-critical targets the synthesized control is still returned with its
     tail proxy and the experiment is treated as heuristic.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    Y = np.asarray(y_derivs(K, t_grid), dtype=float)
     u = np.zeros_like(t_grid)
     lastmag = np.zeros_like(t_grid)
     grow = 0
     tail = 0.0
     for k in range(1, K + 1):
-        term = np.asarray(y_provider(k, t_grid), dtype=float) * math.exp(-gammaln(2 * k))
+        term = Y[k] * math.exp(-gammaln(2 * k))
         u += term
         a = float(np.max(np.abs(term)))
         scale = float(np.max(np.abs(u))) + 1e-300
@@ -144,16 +146,15 @@ def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingRes
     The target must be flat at t = 0: derivatives up to order K+1 below
     1e-12 there (the compatibility condition for zero initial data).
     """
-    if y_target.deriv is None:
+    if y_target.derivs is None:
         raise ValueError("tracking needs a target with derivatives")
-    z = np.array([0.0])
-    flat0 = max(abs(float(np.atleast_1d(y_target.deriv(k, z))[0])) for k in range(K + 2))
+    flat0 = float(np.max(np.abs(y_target.derivs(K + 1, np.array([0.0])))))
     if flat0 > 1e-12:
         raise ValueError(f"target is not flat at t=0 (max |y^(k)(0)| = {flat0:.2e})")
     tgrid = cfg.time_grid()
-    synth = flat_control(y_target.deriv, tgrid, K)
+    synth = flat_control(y_target.derivs, tgrid, K)
     sim = simulate(synth.u, cfg)
-    yt = np.asarray(y_target.deriv(0, tgrid), dtype=float)
+    yt = np.asarray(y_target.derivs(0, tgrid)[0], dtype=float)
     err = float(np.max(np.abs(sim.y - yt)))
     return TrackingResult(sim, yt, err, synth, K)
 
@@ -169,9 +170,9 @@ def check_trackable_infinite(y: Signal, N: int) -> GevreyNormResult:
     is the Gevrey time norm of y' and shares its quadrature and convergence
     flag; any N >= 1 works.
     """
-    if y.deriv is None:
+    if y.derivs is None:
         raise ValueError("needs analytic derivatives")
-    yprime = Signal(y.grid, y.deriv(1, y.grid), deriv=lambda n, t: y.deriv(n + 1, t),
+    yprime = Signal(y.grid, y.derivs(1, y.grid)[1], derivs=lambda N, t: y.derivs(N + 1, t)[1:],
                     family="derivative")
     return gevrey_norm_time(yprime, GevreyParams(2.0, 1.0 / math.sqrt(2.0), -0.5), N)
 
@@ -214,7 +215,7 @@ def check_trackable_finite(y: Signal, N: int, K: int) -> Trackable2Result:
     """Finite-horizon trackability: regularity series plus terminal-state test."""
     cond13 = check_trackable_infinite(y, N)
     T = y.t1
-    a = [float(np.atleast_1d(y.deriv(k, np.array([T])))[0]) for k in range(K + 1)]
+    a = y.derivs(K, np.array([T]))[:, 0].tolist()
     seq = CoeffSeq.from_values(a, parity="even", name="terminal")
     even, deriv = terminal_state_report(seq)
     return Trackable2Result(cond13, even, deriv)

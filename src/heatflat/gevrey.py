@@ -6,8 +6,8 @@ The Hilbert norm of order s, radius R, exponent gamma is
     M_n = (ns)! / R^{ns} * (1+n)^(-s*gamma - 1/4),
 
 and its Fourier-side counterpart is the L2 norm against the weight
-(1+|xi|)^gamma exp(R |xi|^{1/s}).  Test signals carry closed-form n-th
-derivative providers; n-fold numerical differentiation is never used.
+(1+|xi|)^gamma exp(R |xi|^{1/s}).  Test signals carry closed-form derivative
+tables (all orders up to N in one call); numerical differentiation is never used.
 """
 
 from __future__ import annotations
@@ -57,15 +57,18 @@ class GevreyParams:
 
 @dataclass
 class Signal:
-    """A uniformly sampled signal with an optional analytic derivative provider.
+    """A uniformly sampled signal with an optional analytic derivative table.
 
-    ``deriv(n, t)`` must return the n-th derivative at the points ``t``
-    (vectorized).  ``deriv(0, .)`` is checked against ``values`` on the grid.
+    ``derivs(N, t)`` must return an (N+1, len t) array whose row n is the n-th
+    derivative at the points ``t``: one call yields every order up to N, so a
+    provider shares the work of the lower orders (recurrences, Leibniz
+    factors) instead of redoing it per order.  Row 0 of ``derivs(0, grid)`` is
+    checked against ``values`` on the grid.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    deriv: object = None  # callable (n, t_array) -> array
+    derivs: object = None  # callable (N, t_array) -> (N+1, len t) array
     compact_support: bool = False
     family: str = "raw"
     params: dict = field(default_factory=dict)
@@ -81,11 +84,15 @@ class Signal:
             raise ValueError("grid must be uniform to a few ulps of its largest value")
         if self.values.shape != self.grid.shape:
             raise ValueError("values must match grid shape")
-        if self.deriv is not None:
-            v0 = np.asarray(self.deriv(0, self.grid))
+        if self.derivs is not None:
+            v0 = self.derivs(0, self.grid)[0]
             scale = max(np.max(np.abs(self.values)), 1e-300)
             if np.max(np.abs(v0 - self.values)) > 1e-10 * scale:
-                raise ValueError("deriv(0, .) disagrees with sampled values beyond 1e-10")
+                raise ValueError("derivs(0, .)[0] disagrees with sampled values beyond 1e-10")
+
+    def deriv(self, n: int, t) -> np.ndarray:
+        """The n-th derivative alone: row n of the table up to order n."""
+        return self.derivs(n, t)[n]
 
     @property
     def step(self) -> float:
@@ -100,14 +107,12 @@ class Signal:
         return float(self.grid[-1])
 
     def __add__(self, other: "Signal") -> "Signal":
-        if len(self.grid) != len(other.grid) or np.max(np.abs(self.grid - other.grid)) > 1e-12:
-            raise ValueError("signals must share a grid to be added")
-        da, db = self.deriv, other.deriv
-        dsum = (lambda n, t: da(n, t) + db(n, t)) if (da and db) else None
+        _same_grid(self, other)
+        da, db = self.derivs, other.derivs
         return Signal(
             self.grid,
             self.values + other.values,
-            deriv=dsum,
+            derivs=(lambda N, t: da(N, t) + db(N, t)) if (da and db) else None,
             compact_support=self.compact_support and other.compact_support,
             family="sum",
             params={"terms": [self.descriptor(), other.descriptor()]},
@@ -131,24 +136,28 @@ class Signal:
             json.dump(self.descriptor(), f, indent=1)
 
 
-def _leibniz(da, db, n: int, t):
-    """n-th derivative of a product, sum_j C(n, j) da(j, t) db(n - j, t)."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for j in range(n + 1):
-        out = out + comb(n, j) * da(j, t) * db(n - j, t)
+def _same_grid(a: Signal, b: Signal) -> None:
+    if len(a.grid) != len(b.grid) or np.max(np.abs(a.grid - b.grid)) > 1e-12:
+        raise ValueError("signals must share a grid")
+
+
+def _leibniz(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Derivative table of a product: row n is sum_j C(n, j) A[j] B[n - j], in increasing j."""
+    out = np.zeros_like(A)
+    for n in range(len(A)):
+        for j in range(n + 1):
+            out[n] += comb(n, j) * A[j] * B[n - j]
     return out
 
 
 def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
-    """Pointwise product with a Leibniz-rule derivative provider."""
-    if len(a.grid) != len(b.grid) or np.max(np.abs(a.grid - b.grid)) > 1e-12:
-        raise ValueError("signals must share a grid")
-    da, db = a.deriv, b.deriv
+    """Pointwise product with a Leibniz-rule derivative table."""
+    _same_grid(a, b)
+    da, db = a.derivs, b.derivs
     return Signal(
         a.grid,
         a.values * b.values,
-        deriv=(lambda n, t: _leibniz(da, db, n, t)) if (da and db) else None,
+        derivs=(lambda N, t: _leibniz(da(N, t), db(N, t))) if (da and db) else None,
         compact_support=a.compact_support or b.compact_support,
         family=family,
         params={"factors": [a.descriptor(), b.descriptor()]},
@@ -191,30 +200,41 @@ def weight_seq(p: GevreyParams, N: int) -> WeightSeq:
 # ---------------------------------------------------------------------------
 
 def _log_l2_norm(f, a: float, b: float, rtol: float = 1e-8, m0: int = 513, mmax: int = 32769):
-    """log of the L2 norm of f over [a, b]; composite Simpson with halving.
+    """log of the L2 norms of the rows of f over [a, b]; composite Simpson with halving.
 
-    Returns (log_norm, converged).  Scaled so arbitrarily large derivative
-    values stay in range.
+    ``f(t)`` returns one row per function on the nodes ``t`` (or a single 1-D
+    row).  A row takes its value at the first level where it moves by less
+    than rtol/2 from the level before, or -inf once it vanishes on the nodes.
+    Returns (log_norms shaped like one column of f(t), every row converged).
+    Scaled so arbitrarily large derivative values stay in range.
     """
-    prev = None
+    out = None  # NaN marks a row not yet settled
     m = m0
     while m <= mmax:
         t = np.linspace(a, b, m)
-        v = np.asarray(f(t), dtype=np.longdouble)
-        mx = np.max(np.abs(v))
-        if mx == 0.0:
-            return -math.inf, True
+        rows = np.asarray(f(t))
+        shape, rows = rows.shape[:-1], rows.reshape(-1, m)
+        if out is None:
+            out, prev = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
         w = np.ones(m, dtype=np.longdouble)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         h = (b - a) / (m - 1)
-        integral = float(np.log(np.sum(w * (v / mx) ** 2)) + np.log(h / 3.0))
-        log_norm = float(np.log(mx)) + 0.5 * integral
-        if prev is not None and abs(log_norm - prev) < 0.5 * rtol:
-            return log_norm, True
-        prev = log_norm
+        for i in np.flatnonzero(np.isnan(out)):
+            v = rows[i].astype(np.longdouble)
+            mx = np.max(np.abs(v))
+            if mx == 0.0:
+                out[i] = -math.inf
+                continue
+            integral = float(np.log(np.sum(w * (v / mx) ** 2)) + np.log(h / 3.0))
+            log_norm = float(np.log(mx)) + 0.5 * integral
+            if abs(log_norm - prev[i]) < 0.5 * rtol:  # never on the first level
+                out[i] = log_norm
+            prev[i] = log_norm
+        if not np.isnan(out).any():
+            return out.reshape(shape), True
         m = 2 * m - 1
-    return prev, False
+    return np.where(np.isnan(out), prev, out).reshape(shape), False
 
 
 @dataclass(frozen=True)
@@ -236,19 +256,13 @@ def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int) -> GevreyNormResult:
     after the first when N < 5) decay geometrically, each at most 0.95 times
     its predecessor, or are below 1e-14 of the total.
     """
-    if sig.deriv is None:
+    if sig.derivs is None:
         raise ValueError("gevrey_norm_time requires a signal with a derivative provider")
     if N < 1:
         raise ValueError("N must be >= 1")
     logM = _log_Mn(p, np.arange(N + 1, dtype=float))
-    incs = np.empty(N + 1)
-    quad_ok = True
-    for n in range(N + 1):
-        log_norm, ok = _log_l2_norm(lambda t, n=n: sig.deriv(n, t), sig.t0, sig.t1)
-        quad_ok = quad_ok and ok
-        incs[n] = 0.0 if log_norm == -math.inf else math.exp(
-            min(2.0 * (log_norm - logM[n]), 700.0)
-        )
+    log_norms, quad_ok = _log_l2_norm(lambda t: sig.derivs(N, t), sig.t0, sig.t1)
+    incs = np.array([math.exp(min(2.0 * (ln - lm), 700.0)) for ln, lm in zip(log_norms, logM)])
     partial = np.cumsum(incs)
     total = partial[-1]
     tail = incs[-6:]
@@ -313,54 +327,43 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
 # Analytic test signals
 # ---------------------------------------------------------------------------
 
-class _OneSidedBump:
-    """Derivatives of f(t) = exp(-t^-g) for t > 0 (0 for t <= 0).
+def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
+    """Derivative table of f(t) = exp(-t^-g) for t > 0 (0 for t <= 0).
 
     f^(n)(t) = f(t) * t^-n * D_n(u), u = t^-g, with polynomial coefficients
     obeying d[n+1,m] = -(m g + n) d[n,m] + g d[n,m-1].  Evaluation is done in
-    extended precision; the alternating D_n(u) loses digits at large n.
+    extended precision, 2048 points at a time to bound the (n+1) x points
+    table of terms; the alternating D_n(u) loses digits at large n.
     """
-
-    def __init__(self, g: float):
-        self.g = float(g)
-        d0 = np.zeros(1, dtype=np.longdouble)
-        d0[0] = 1.0
-        self._d = (d0,)
-
-    def _coeffs(self, n: int) -> np.ndarray:
-        # extend into a fresh tuple and swap atomically: concurrent readers
-        # only ever see a complete table
-        if len(self._d) <= n:
-            d = list(self._d)
-            while len(d) <= n:
-                k = len(d) - 1
-                cur = d[k]
-                nxt = np.zeros(k + 2, dtype=np.longdouble)
-                m = np.arange(k + 1)
-                nxt[: k + 1] += -(m * self.g + k) * cur
-                nxt[1 : k + 2] += self.g * cur
-                d.append(nxt)
-            self._d = tuple(d)
-        return self._d[n]
-
-    def __call__(self, n: int, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.longdouble)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        pos = t > 0
-        if pos.any():
-            tp = t[pos]
-            d = self._coeffs(n)
-            m = np.arange(n + 1)
-            # one (n+1) x points table, updated in place to bound peak memory
-            terms = np.outer(-(m * self.g + n), np.log(tp))
+    g, t = float(g), np.asarray(t, dtype=np.longdouble)
+    out = np.zeros((N + 1, len(t)))
+    d = [np.ones(1, dtype=np.longdouble)]
+    for k in range(N):
+        nxt = np.zeros(k + 2, dtype=np.longdouble)
+        nxt[: k + 1] += -(np.arange(k + 1) * g + k) * d[k]
+        nxt[1:] += g * d[k]
+        d.append(nxt)
+    pos = np.flatnonzero(t > 0)
+    for i in range(0, len(pos), 2048):
+        idx = pos[i : i + 2048]
+        logt, f = np.log(t[idx]), np.exp(-t[idx] ** -g)
+        for n in range(N + 1):
+            terms = np.outer(-(np.arange(n + 1) * g + n), logt)
             np.exp(terms, out=terms)
-            terms *= d[:, None]
-            vals = terms.sum(axis=0)
-            out[pos] = vals * np.exp(-tp ** -self.g)
-        out = out.astype(np.float64)
-        return out[0] if scalar else out
+            terms *= d[n][:, None]
+            out[n, idx] = terms.sum(axis=0) * f
+    return out
+
+
+def _bump_pair(g: float, a: float, b: float, N: int, t) -> np.ndarray:
+    """Derivative table of f(t - a) * f(b - t), f the one-sided bump; zero outside (a, b)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((N + 1, len(t)))
+    inside = (t > a) & (t < b)
+    right = _one_sided_bump(g, N, b - t[inside])
+    right[1::2] *= -1.0  # chain rule of the reflection
+    out[:, inside] = _leibniz(_one_sided_bump(g, N, t[inside] - a), right)
+    return out
 
 
 def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
@@ -372,16 +375,18 @@ def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
     """
     if not gamma_exp > 0:
         raise ValueError("gamma_exp must be > 0")
-    base = _OneSidedBump(gamma_exp)
     s = float(t_scale)
 
-    def deriv(n, t):
-        return base(n, np.asarray(t, dtype=float) / s) / s**n
+    def derivs(N, t):
+        tab = _one_sided_bump(gamma_exp, N, np.asarray(t, dtype=float) / s)
+        for n in range(1, N + 1):
+            tab[n] /= s**n  # the Python power: s ** arange(N + 1) differs in the last ulp
+        return tab
 
     if grid is None:
         grid = np.linspace(-0.5 * s, 4.0 * s, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, deriv(0, grid), deriv=deriv, compact_support=False,
+    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=False,
                   family="bump_gevrey", params={"gamma_exp": gamma_exp, "t_scale": s})
 
 
@@ -392,19 +397,17 @@ def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
     Product of two one-sided bumps, normalized to unit peak; Gevrey of order
     1 + 1/gamma_exp.
     """
-    base = _OneSidedBump(gamma_exp)
     a = center - halfwidth
     b = center + halfwidth
-    peak = float(base(0, np.array([halfwidth]))[0]) ** 2
+    peak = float(_one_sided_bump(gamma_exp, 0, np.array([halfwidth]))[0, 0]) ** 2
 
-    def deriv(n, t):
-        return _leibniz(lambda j, u: base(j, u - a),
-                        lambda j, u: (-1.0) ** j * base(j, b - u), n, t) / peak
+    def derivs(N, t):
+        return _bump_pair(gamma_exp, a, b, N, t) / peak
 
     if grid is None:
         grid = np.linspace(a - halfwidth, b + halfwidth, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, deriv(0, grid), deriv=deriv, compact_support=True,
+    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=True,
                   family="two_sided_bump",
                   params={"center": center, "halfwidth": halfwidth, "gamma_exp": gamma_exp})
 
@@ -413,21 +416,18 @@ def gaussian_signal(center: float = 0.0, sigma: float = 1.0,
                     grid: np.ndarray = None, npts: int = 2049) -> Signal:
     """Gaussian exp(-(t-c)^2 / (2 sigma^2)) with Hermite-recurrence derivatives."""
 
-    def derivs_upto(nmax, t):
+    def derivs(N, t):
         x = (np.asarray(t, dtype=float) - center)
         f0 = np.exp(-(x**2) / (2.0 * sigma**2))
         out = [f0, -(x / sigma**2) * f0]
-        for n in range(1, nmax):
+        for n in range(1, N):
             out.append(-(x / sigma**2) * out[n] - (n / sigma**2) * out[n - 1])
-        return out
-
-    def deriv(n, t):
-        return derivs_upto(max(n, 1), t)[n]
+        return np.array(out[: N + 1])
 
     if grid is None:
         grid = np.linspace(center - 8.7 * sigma, center + 8.7 * sigma, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, deriv(0, grid), deriv=deriv, compact_support=False,
+    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=False,
                   family="gaussian", params={"center": center, "sigma": sigma})
 
 
@@ -445,19 +445,13 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
     if not (1.0 < order_s < 2.0):
         raise ValueError("order_s must lie in (1, 2)")
     g = 1.0 / (order_s - 1.0)
-    base = _OneSidedBump(g)
     w = 0.5 * (t_b - t_a)
-    c = 0.5 * (t_a + t_b)
-
-    def rho_deriv(n, t):
-        return _leibniz(lambda j, u: base(j, u - t_a),
-                        lambda j, u: (-1.0) ** j * base(j, t_b - u), n, t)
 
     # cumulative integral of rho over [t_a, t_b]: composite Simpson on pairs
     # of subintervals, then a spline through the even-node values
     mdense = 8193
     td = np.linspace(t_a, t_b, mdense)
-    rd = rho_deriv(0, td)
+    rd = _bump_pair(g, t_a, t_b, 0, td)[0]
     h = td[1] - td[0]
     cum_even = np.concatenate(
         [[0.0], np.cumsum((rd[0:-2:2] + 4.0 * rd[1:-1:2] + rd[2::2]) * (h / 3.0))]
@@ -465,20 +459,19 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
     Z = cum_even[-1]
     chi_spl = CubicSpline(td[::2], 1.0 - cum_even / Z)
 
-    def deriv(n, t):
+    def derivs(N, t):
         t = np.asarray(t, dtype=float)
-        if n == 0:
-            out = np.ones_like(t)
-            inside = (t > t_a) & (t < t_b)
-            out[t >= t_b] = 0.0
-            out[inside] = chi_spl(t[inside])
-            return out
-        return -rho_deriv(n - 1, t) / Z
+        out = np.ones((N + 1, len(t)))
+        inside = (t > t_a) & (t < t_b)
+        out[0][t >= t_b] = 0.0
+        out[0][inside] = chi_spl(t[inside])
+        out[1:] = -_bump_pair(g, t_a, t_b, N - 1, t) / Z  # empty when N = 0
+        return out
 
     if grid is None:
         grid = np.linspace(t_a - w, t_b + w, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, deriv(0, grid), deriv=deriv, compact_support=False,
+    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=False,
                   family="gevrey_cutoff",
                   params={"t_a": t_a, "t_b": t_b, "order_s": order_s})
 

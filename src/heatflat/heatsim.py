@@ -212,8 +212,8 @@ def simulate(u, cfg: SimConfig) -> SimResult:
     """
     tgrid = cfg.time_grid()
     nt = len(tgrid)
-    if hasattr(u, "deriv") and u.deriv is not None:
-        uval = np.asarray(u.deriv(0, tgrid), dtype=float)
+    if getattr(u, "derivs", None) is not None:
+        uval = np.asarray(u.derivs(0, tgrid)[0], dtype=float)
     elif hasattr(u, "values"):
         if len(u.values) < nt:
             raise ValueError("control signal shorter than the simulation grid")

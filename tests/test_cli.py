@@ -45,6 +45,15 @@ class TestCli:
         assert (tmp_path / "a" / "kernel_check.csv").read_bytes() == \
                (tmp_path / "b" / "kernel_check.csv").read_bytes()
 
+    def test_plancherel_ratio_rerun_identical(self, tmp_path):
+        # the time norms sum each derivative table in a fixed order
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "N": 4}))
+        for d in ("a", "b"):
+            run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path / d)])
+        assert (tmp_path / "a" / "plancherel_ratio.csv").read_bytes() == \
+               (tmp_path / "b" / "plancherel_ratio.csv").read_bytes()
+
     def test_track_zero_target(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"schema": 1, "target": "zero", "K_low": 0}))
@@ -79,6 +88,10 @@ class TestCli:
          "unknown sequences ['foo']; allowed: ['geometric', 'sharp_radius']"),
         ("laplace-discrete", {"n_quadratic": [-5]}, "discrete Laplace requires n >= 2"),
         ("kernel-check", {"n_points": 0}, "n_points must be at least 2"),
+        ("theta-identity", {"cases": [[100, 2.0]]},
+         "cases entries must be [n, a, b] triples, got [[100, 2.0]]"),
+        ("kernel-check", {"t_min": 1e-4},
+         "t_min must be at least 3.51e-4, where k(t) leaves the normal float range, got 0.0001"),
     ])
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
         cmd, values, msg = cfg

@@ -26,20 +26,23 @@ from heatflat.heatsim import SimConfig
 from heatflat.holo import CoeffSeq
 
 
+def zeros(N, t):
+    return np.zeros((N + 1, len(t)))
+
+
 def zero_signal(grid):
-    return Signal(grid, np.zeros_like(grid),
-                  deriv=lambda n, t: np.zeros_like(np.asarray(t, dtype=float)))
+    return Signal(grid, np.zeros_like(grid), derivs=zeros)
 
 
 class TestFlatState:
     def test_zero(self):
-        r = flat_state(lambda n, t: np.zeros_like(np.asarray(t, dtype=float)), 0.3, 0.5, 10)
+        r = flat_state(zeros, 0.3, 0.5, 10)
         assert r.value == 0.0
 
     def test_x0_reproduces_target(self):
         y = bump_gevrey(1.0)
         for t in (0.3, 0.7, 1.5):
-            r = flat_state(y.deriv, t, 0.0, 8)
+            r = flat_state(y.derivs, t, 0.0, 8)
             assert r.value == pytest.approx(float(y.deriv(0, np.array([t]))[0]), abs=1e-15)
 
     def test_geometric_term_decay(self):
@@ -47,9 +50,10 @@ class TestFlatState:
         # decay with exact ratio (x/rho)^2
         rho = 0.8
 
-        def provider(k, t):
-            return np.full_like(np.asarray(t, dtype=float),
-                                math.exp(gammaln(2 * k + 1) - 2 * k * math.log(rho)))
+        def provider(N, t):
+            return np.array([np.full_like(np.asarray(t, dtype=float),
+                                          math.exp(gammaln(2 * k + 1) - 2 * k * math.log(rho)))
+                             for k in range(N + 1)])
 
         for x in (0.2, 0.5):
             terms = []
@@ -70,14 +74,15 @@ class TestFlatState:
 class TestFlatControl:
     def test_zero(self):
         grid = np.linspace(0, 1, 101)
-        syn = flat_control(lambda n, t: np.zeros_like(np.asarray(t, dtype=float)), grid, 10)
+        syn = flat_control(zeros, grid, 10)
         assert np.all(syn.u == 0.0)
 
     def test_single_term_probe(self):
         # formal y with y^(1) = 1, all other orders 0: u = 1/1! = 1
-        def provider(k, t):
-            tt = np.asarray(t, dtype=float)
-            return np.ones_like(tt) if k == 1 else np.zeros_like(tt)
+        def provider(N, t):
+            tab = zeros(N, t)
+            tab[1] = 1.0
+            return tab
 
         syn = flat_control(provider, np.linspace(0, 1, 11), 6)
         assert np.allclose(syn.u, 1.0)
@@ -87,9 +92,9 @@ class TestFlatControl:
         y1 = bump_gevrey(1.5, t_scale=0.3, grid=grid)
         y2 = bump_gevrey(2.0, t_scale=0.5, grid=grid)
         a, b = 0.7, -1.3
-        mix = lambda n, t: a * y1.deriv(n, t) + b * y2.deriv(n, t)
+        mix = lambda N, t: a * y1.derivs(N, t) + b * y2.derivs(N, t)
         u_mix = flat_control(mix, grid, 12).u
-        u_sep = a * flat_control(y1.deriv, grid, 12).u + b * flat_control(y2.deriv, grid, 12).u
+        u_sep = a * flat_control(y1.derivs, grid, 12).u + b * flat_control(y2.derivs, grid, 12).u
         assert np.max(np.abs(u_mix - u_sep)) <= 1e-12 * max(1.0, np.abs(u_sep).max())
 
 

@@ -72,7 +72,7 @@ class TestSignal:
     def test_deriv_consistency_checked(self):
         g = np.linspace(0, 1, 11)
         with pytest.raises(ValueError):
-            Signal(g, np.zeros(11), deriv=lambda n, t: np.ones_like(np.asarray(t)))
+            Signal(g, np.zeros(11), derivs=lambda N, t: np.ones((N + 1, len(t))))
 
     def test_csv_json_round_trip(self, tmp_path):
         sig = gaussian_signal(0.5, 1.0, npts=257)
@@ -95,10 +95,55 @@ class TestSignal:
         assert np.allclose(s.deriv(2, t), a.deriv(2, t) + b.deriv(2, t), rtol=1e-13)
 
 
+def _families():
+    grid = np.linspace(-6.0, 6.0, 1025)
+    g = gaussian_signal(0.3, 0.9, grid=grid)
+    b = two_sided_bump(0.5, 2.0, 1.5, grid=grid)
+    chi = gevrey_cutoff(1.0, 3.0, 1.5, grid=grid)
+    return {"gaussian": g, "one_sided_bump": bump_gevrey(1.5, t_scale=0.4, grid=grid),
+            "two_sided_bump": b, "cutoff": chi, "sum": g + b, "product": product_signal(chi, g)}
+
+
+class TestDerivativeTable:
+    @pytest.mark.parametrize("family", ["gaussian", "one_sided_bump", "two_sided_bump",
+                                        "cutoff", "sum", "product"])
+    def test_rows_do_not_depend_on_table_size(self, family):
+        sig = _families()[family]
+        t = np.concatenate([sig.grid[::7], [-1.5, 0.0, 1.0, 2.5, 3.0]])
+        N = 14
+        tab = sig.derivs(N, t)
+        assert tab.shape == (N + 1, len(t))
+        for n in range(N + 1):
+            row = sig.derivs(n, t)[n]
+            assert np.array_equal(tab[n], row) and np.array_equal(sig.deriv(n, t), row)
+
+    def test_bump_rows_against_mpmath(self):
+        # the alternating polynomial D_n(u) cancels as n grows: 1.5e-8 relative
+        # at n = 30, t = 0.3, gamma_exp = 1.5; elsewhere far below
+        for g in (1.0, 1.5):
+            ts = np.array([0.3, 0.7, 1.5])
+            tab = bump_gevrey(g).derivs(30, ts)
+            for i, t in enumerate(ts):
+                with mp.workdps(80):
+                    want = [float(w) for w in mp.diffs(lambda x: mp.exp(-x ** (-g)),
+                                                       mp.mpf(float(t)), 30)]
+                assert np.all(np.abs(tab[:, i] - want) <= 3e-8 * np.abs(want))
+
+    def test_one_table_per_quadrature_level(self):
+        sig = two_sided_bump(0.0, 3.0, 1.5)
+        orders = []
+        counted = Signal(sig.grid, sig.values,
+                         derivs=lambda N, t: orders.append(N) or sig.derivs(N, t))
+        orders.clear()
+        r = gevrey_norm_time(counted, P2, 16)
+        assert 1 <= len(orders) <= 7 and set(orders) == {16}
+        assert np.array_equal(r.increments, gevrey_norm_time(sig, P2, 16).increments)
+
+
 class TestGevreyNormTime:
     def test_zero_signal(self):
         g = np.linspace(0, 1, 65)
-        z = Signal(g, np.zeros(65), deriv=lambda n, t: np.zeros_like(np.asarray(t, dtype=float)))
+        z = Signal(g, np.zeros(65), derivs=lambda N, t: np.zeros((N + 1, len(t))))
         r = gevrey_norm_time(z, P2, 8)
         assert r.total == 0.0 and r.converged
 
@@ -136,7 +181,8 @@ class TestGevreyNormTime:
         psi = Signal(
             phi.grid / Rs,
             phi.values,
-            deriv=lambda n, t: phi.deriv(n, np.asarray(t) * Rs) * Rs**n,
+            derivs=lambda N, t: phi.derivs(N, np.asarray(t) * Rs)
+            * np.array([Rs**n for n in range(N + 1)])[:, None],
             family="dilated",
         )
         n1 = gevrey_norm_time(psi, GevreyParams(s, 1.0, gamma), 10).total
@@ -168,7 +214,7 @@ class TestWeightedFourierNorm:
 
     def test_leaky_signal_rejected(self):
         g = np.linspace(-2, 2, 257)
-        sig = Signal(g, np.exp(-g**2 / 2), deriv=None)
+        sig = Signal(g, np.exp(-g**2 / 2), derivs=None)
         with pytest.raises(ValueError):
             weighted_fourier_norm(sig, P2)
 
@@ -278,7 +324,8 @@ class TestFourierDecayFit:
         scaled = Signal(
             grid,
             sig.deriv(0, grid / eps) / eps,
-            deriv=lambda n, t: sig.deriv(n, np.asarray(t) / eps) / eps ** (n + 1),
+            derivs=lambda N, t: sig.derivs(N, np.asarray(t) / eps)
+            / np.array([eps ** (n + 1) for n in range(N + 1)])[:, None],
             compact_support=True,
         )
         fit = fourier_decay_fit(scaled, 2.0)
