@@ -124,7 +124,13 @@ def _kernel_eigen_small_t(ti: float, k_est: float) -> float:
     # lie below 10^-dps.  The alternating sum is twice the even-j Gaussian sum
     # minus the full one; the guard digits cover their ~1/sqrt(pi t) size and
     # the ~2 log10(2 jmax) digits each loses to the gauss_sum recurrence.
-    dps = 20 + max(0, int(-math.log10(max(k_est, 1e-300))))
+    # Where the float estimate underflows, k ~ 2 e^{-1/(4t)} / sqrt(pi t) sets
+    # the size; below half the least subnormal k(t) rounds to 0.0.
+    log10_k = (math.log10(k_est) if k_est >= 1e-300 else
+               (math.log(2.0 / math.sqrt(math.pi * ti)) - 0.25 / ti) / math.log(10.0))
+    if log10_k < -324.5:
+        return 0.0
+    dps = 20 + max(0, int(-log10_k))
     jmax = int(math.sqrt(dps * math.log(10) / (math.pi**2 * ti))) + 1
     with mp.workdps(dps + 5 + int(2 * math.log10(2 * jmax + 1))):
         c = mp.pi**2 * mp.mpf(ti)
@@ -139,7 +145,8 @@ def kernel_k(t, rep: str = "auto"):
     from the Poisson summation formula, "auto" picks poisson for t < 1/pi and
     eigen otherwise.  Both representations carry tail bounds below 1e-14; the
     eigen branch switches to extended precision where the alternating sum
-    cancels (k(t) -> 0 as t -> 0+).
+    cancels (k(t) -> 0 as t -> 0+) and returns k(t) rounded to float: a
+    subnormal below t ~ 3.5e-4 and 0.0 below t ~ 3.3e-4.
     """
     if rep not in ("eigen", "poisson", "auto"):
         raise ValueError(f"unknown representation {rep!r}")
@@ -205,10 +212,11 @@ def simulate(u, cfg: SimConfig) -> SimResult:
 
     Per-mode integration is exact for the linear interpolant of ``u`` on the
     time grid.  Modes beyond J are closed quasi-statically (they relax within
-    a single step once lambda_{J+1} dt >~ 35): their aggregate contribution to
-    y and z is the closed-form steady profile driven by u and its slope.
-    With the closure active, J is no longer accuracy-limiting; without it the
-    reported tail bound ~ 2 max|u| sum_{j>J} 1/lambda_j applies.
+    a single step once lambda_{J+1} dt >= 35): their aggregate contribution to
+    y and z is the closed-form steady profile driven by u and its slope.  J is
+    raised to the least value that meets the condition, so the closure is
+    always active, J is not accuracy-limiting and the reported tail bound is
+    max|u| exp(-lambda_{J+1} dt).
     """
     tgrid = cfg.time_grid()
     nt = len(tgrid)
@@ -223,7 +231,8 @@ def simulate(u, cfg: SimConfig) -> SimResult:
         if len(uval) != nt:
             raise ValueError(f"control array must have length {nt}")
 
-    J, dt = cfg.J, cfg.dt
+    dt = cfg.dt
+    J = max(cfg.J, math.ceil(math.sqrt(35.0 / dt) / math.pi) - 1)
     j = np.arange(0, J + 1)
     lam = (j * math.pi) ** 2
     ej1 = np.where(j == 0, 1.0, math.sqrt(2.0) * (-1.0) ** j)
@@ -234,7 +243,6 @@ def simulate(u, cfg: SimConfig) -> SimResult:
     I1 = np.where(lam > 0, (dt + np.expm1(-lam * dt) / lam_safe) / lam_safe, 0.5 * dt * dt)
 
     lamJ1 = ((J + 1) * math.pi) ** 2
-    closure_active = lamJ1 * dt >= 35.0
     # tail sums at x = 0: 2 sum_{j>J} (-1)^j / lam_j^p
     T1 = 2.0 / math.pi**2 * (-(math.pi**2) / 12.0 - _alt_zeta_partial(J, 2))
     T2 = 2.0 / math.pi**4 * (-7.0 * math.pi**4 / 720.0 - _alt_zeta_partial(J, 4))
@@ -263,20 +271,12 @@ def simulate(u, cfg: SimConfig) -> SimResult:
         a = uval[m]
         b = (uval[m + 1] - uval[m]) / dt
         c = c * E + ej1 * (a * I0 + b * I1)
-        y[m + 1] = float(c @ ej0)
-        if closure_active:
-            y[m + 1] += uval[m + 1] * T1 - b * T2
+        y[m + 1] = float(c @ ej0) + (uval[m + 1] * T1 - b * T2)
         if store_state:
-            z[m + 1] = c @ ejx
-            if closure_active:
-                z[m + 1] += uval[m + 1] * P1 - b * P2
+            z[m + 1] = c @ ejx + (uval[m + 1] * P1 - b * P2)
 
     umax = float(np.max(np.abs(uval))) if nt else 0.0
-    if closure_active:
-        tail_bound = umax * math.exp(-lamJ1 * dt)
-    else:
-        tail_bound = umax * 2.0 / (math.pi**2 * max(J, 1))
-    return SimResult(tgrid, y, uval, x, z, closure_active, tail_bound)
+    return SimResult(tgrid, y, uval, x, z, True, umax * math.exp(-lamJ1 * dt))
 
 
 # ---------------------------------------------------------------------------

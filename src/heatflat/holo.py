@@ -12,9 +12,10 @@ Membership in A^2 is undecidable from finite data; the judgment calls are:
 
 * quadrature in rotated coordinates (tensor Gauss-Legendre, the square maps
   to an axis-aligned one),
-* evaluation by the raw Taylor series inside its disc of convergence and by
-  a scaled diagonal Pade continuation beyond it (the disc need not cover
-  Omega even for genuine A^2 members), cross-validated at two orders,
+* evaluation by the raw Taylor series inside its disc of convergence (Horner,
+  cut where a majorant tail falls below 1e-17) and by a scaled diagonal Pade
+  continuation beyond it (the disc need not cover Omega even for genuine A^2
+  members), cross-validated at two orders,
 * divergence when a validated singularity of the continuation sits strictly
   inside Omega (guard band 0.005 in the |Re|+|Im| gauge), or when the
   series itself certifiably diverges at quadrature nodes and no validated
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import toeplitz
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
@@ -232,46 +232,43 @@ def _series_coeffs_g(c: CoeffSeq):
     return lg, c.phase.copy()
 
 
-def _raw_eval(lg, ph, w, kmax=None, stop_rtol=1e-15):
-    """Partial sums of g(w) = sum exp(lg_k) ph_k w^k, with divergence marks.
+def _raw_eval(lg, ph, w, kmax=None):
+    """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by Horner's rule.
 
-    Returns (values, tail_proxy_per_node, diverged_mask).
+    Returns (values, tail_proxy_per_node, diverged_mask).  When max|w| < 1 the
+    sum stops where the majorant tail sum_{j>=n} |b_j| max|w|^j falls below
+    1e-17 of its largest term.  A node is dead when a term exceeds 1e100 and
+    growing when each of its last 26 finite terms exceeds the one before by
+    1 + 1e-12: two thresholds on log|w| set once from lg.  Values at diverged
+    nodes may be non-finite.
     """
     w = np.asarray(w, dtype=complex)
     K = len(lg) if kmax is None else min(kmax, len(lg))
-    acc = np.zeros_like(w)
-    wp = np.ones_like(w)
-    last = np.zeros(w.shape)
-    grow = np.zeros(w.shape, dtype=int)
-    dead = np.zeros(w.shape, dtype=bool)
-    small_runs = 0
-    for k in range(K):
-        if np.isfinite(lg[k]):
-            term = math.exp(min(lg[k], 690.0)) * ph[k] * wp
-            acc += np.where(dead, 0.0, term)
-            a = np.abs(term)
-            grow = np.where(a > last * (1 + 1e-12), grow + 1, 0)
-            last = a
-            dead |= a > 1e100
-            if dead.all():
-                break
-            if k > 20 and np.all((a <= np.maximum(np.abs(acc), 1.0) * stop_rtol) | dead):
-                small_runs += 1
-                if small_runs >= 3:
-                    break
-            else:
-                small_runs = 0
-        wp = wp * w
-        wp = np.where(np.isfinite(wp), wp, 1e150)  # overflowed nodes are dead anyway
-    diverged = dead | ((grow > 25) & (last > np.maximum(np.abs(acc), 1.0)))
-    tail = last / np.maximum(np.abs(acc), 1e-300)
+    k = np.flatnonzero(np.isfinite(lg[:K]))
+    b = np.zeros(K, dtype=complex)
+    b[k] = np.exp(np.minimum(lg[k], 690.0)) * ph[k]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logb, logw = np.log(np.abs(b[k])), np.log(np.abs(w))
+        dead = logw > np.min((math.log(1e100) - logb[k > 0]) / k[k > 0], initial=math.inf)
+        dead |= bool(len(k) and k[0] == 0 and logb[0] > math.log(1e100))
+        # the first finite term grows from a zero term at k = -1
+        kg, logb_g = np.append(-1, k)[-27:], np.append(-math.inf, logb)[-27:]
+        grow_at = (np.max((math.log1p(1e-12) - np.diff(logb_g)) / np.diff(kg))
+                   if len(kg) == 27 else math.inf)
+        last = np.abs(b[k[-1]]) * np.abs(w) ** k[-1] if len(k) else np.zeros(w.shape)
+        m = float(np.max(np.abs(w), initial=0.0))
+        t = np.abs(b) * m ** np.arange(K)
+        small = np.cumsum(t[::-1])[::-1] < 1e-17 * np.max(t, initial=0.0)
+        acc = np.polyval(b[:np.argmax(small) if m < 1.0 and small.any() else K][::-1], w)
+        diverged = dead | ((logw > grow_at) & (last > np.maximum(np.abs(acc), 1.0)))
+        tail = last / np.maximum(np.abs(acc), 1e-300)
     return acc, tail, diverged
 
 
 class _Pade:
     def __init__(self, b: np.ndarray, m: int):
         self.m = m
-        C = toeplitz(b[m: 2 * m], b[m:0:-1])  # C[i-1, j-1] = b[m+i-j], i, j = 1..m
+        C = b[m + np.subtract.outer(np.arange(m), np.arange(m))]  # C[i, j] = b[m+i-j]
         rhs = -b[m + 1: 2 * m + 1]
         qt, *_ = np.linalg.lstsq(C, rhs, rcond=1e-13)
         self.q = np.concatenate([[1.0 + 0j], qt])
@@ -335,7 +332,8 @@ class SeriesEvaluator:
         lb = self.lb[: 2 * m2 + 1]
         b = np.where(np.isfinite(lb), np.exp(np.minimum(lb, 690.0)), 0.0) * self.ph[: 2 * m2 + 1]
         # effective numerical rank caps the useful order (exact rational inputs)
-        sv = np.linalg.svd(toeplitz(b[m2: 2 * m2], b[m2:0:-1]), compute_uv=False)
+        sv = np.linalg.svd(b[m2 + np.subtract.outer(np.arange(m2), np.arange(m2))],
+                           compute_uv=False)
         rank = int(np.sum(sv > 1e-12 * sv[0])) if sv[0] > 0 else 0
         if rank < m2:
             m2 = max(rank, 1)
@@ -370,7 +368,8 @@ class SeriesEvaluator:
         return float(np.min(np.abs(zp.real) + np.abs(zp.imag)))
 
     def values(self, zeta):
-        """f_1 at the given points; returns (values, unresolved_mask, raw_diverged_mask)."""
+        """f_1 at the given points; returns (values, unresolved_mask, raw_diverged_mask).
+        Values at raw-diverged points may be non-finite."""
         zeta = np.asarray(zeta, dtype=complex)
         v = zeta * zeta / self.unit
         vals = np.empty_like(v)
@@ -398,10 +397,10 @@ class SeriesEvaluator:
 
 
 def eval_series(c: CoeffSeq, zeta: complex, R_scale: float, K: int = None) -> EvalResult:
-    """Log-domain partial sum of the coefficient series at one point of Omega.
+    """Partial sum of the coefficient series at one point of Omega.
 
-    Raw Taylor evaluation with a last-term tail proxy; the diverged flag marks
-    term growth at the cutoff (|zeta| beyond the scaled Gevrey radius).
+    Raw Taylor sum with a last-term tail proxy.  A diverged result (|zeta| past
+    the scaled Gevrey radius) may carry a non-finite value.
     """
     if OmegaDomain.l1(zeta) > 1.0 + 1e-12:
         raise ValueError("zeta lies outside the closed tilted square")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ class TestCli:
         assert run(["track", "--config", str(cfgp), "--out", str(tmp_path),
                     "--assert"]) == 0
         assert "track: PASS" in capsys.readouterr().out
+
+    def test_track_refines_below_the_closure_threshold(self, tmp_path, capsys):
+        # below dt = 2.13e-4 the tail closure needs more than the default
+        # J = 128 modes; J is raised, so refining dt keeps lowering the error
+        errors = []
+        for dt in (2e-4, 1e-4):
+            cfgp = tmp_path / "cfg.json"
+            cfgp.write_text(json.dumps({"schema": 1, "dt": dt}))
+            assert run(["track", "--config", str(cfgp), "--out", str(tmp_path),
+                        "--assert"]) == 0
+            out = capsys.readouterr().out
+            assert "track: PASS" in out
+            errors.append(float(re.search(r"max tracking error (\S+) ", out).group(1)))
+        assert errors[0] >= 3.0 * errors[1]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from heatflat.heatsim import (
     DIR_DIR,
@@ -54,6 +55,16 @@ class TestKernel:
             ref = [float(2 * mp.fsum(mp.exp(-(m + mp.mpf(0.5)) ** 2 / ti) for m in range(5))
                          / mp.sqrt(mp.pi * ti)) for ti in t]
         assert np.max(np.abs(e - ref) / ref) < 1e-13
+
+    def test_eigen_below_normal_range_against_mpmath_images(self):
+        # below t ~ 3.5e-4 k(t) is subnormal or rounds to zero: the eigen sum
+        # must give the image series rounded to float, never a negative value
+        t = np.geomspace(1e-4, 3.6e-4, 40)
+        e = kernel_k(t, "eigen")
+        with mp.workdps(30):
+            ref = [float(2 * mp.fsum(mp.exp(-(m + mp.mpf(0.5)) ** 2 / ti) for m in range(5))
+                         / mp.sqrt(mp.pi * ti)) for ti in t]
+        assert np.array_equal(e, ref)
 
     def test_auto_matches_branches(self):
         for t in (0.05, 0.31, 0.33, 2.0):
@@ -131,10 +142,18 @@ class TestSimulate:
         assert abs(res.z[-1, -1] - want) < 1e-9
 
     def test_closure_flag_and_tail(self):
+        # J = 8 is raised to the closure floor (J+1)^2 pi^2 dt >= 35, so the
+        # step response is int_0^t k exactly: each image charge a contributes
+        # 2 (2 sqrt(t/pi) e^{-a^2/t} - 2a erfc(a/sqrt t)); a >= 2.5 is below 1e-270
         cfg = SimConfig(J=8, dt=1e-5, T=0.01)
         res = simulate(np.ones(len(cfg.time_grid())), cfg)
-        assert not res.closure_active
-        assert res.tail_bound > 1e-4  # J too small is flagged by the estimate
+        assert res.closure_active
+        assert res.tail_bound <= math.exp(-35.0)
+        a = np.arange(3) + 0.5
+        t = res.t[1:, None]
+        want = 2.0 * (2.0 * np.sqrt(t / np.pi) * np.exp(-a**2 / t)
+                      - 2.0 * a * erfc(a / np.sqrt(t))).sum(axis=1)
+        assert np.max(np.abs(res.y[1:] - want)) < 1e-15
 
     def test_csv(self, tmp_path):
         cfg = SimConfig(J=16, dt=1e-2, T=0.1, x_grid=(0.0, 1.0))

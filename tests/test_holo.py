@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -9,6 +10,8 @@ from heatflat.numkit import polylog
 from heatflat.holo import (
     CoeffSeq,
     OmegaDomain,
+    _raw_eval,
+    _series_coeffs_g,
     bergman_norm_estimate,
     borel_range_test,
     interpolation_counterexample,
@@ -95,6 +98,73 @@ class TestEvalSeries:
         for R, zeta in ((0.5, 0.6 + 0.3j), (0.9, -0.2 + 0.5j), (1.3, 0.3 - 0.2j)):
             want = eval_series(seq, R * zeta, 1.0).value
             assert abs(eval_series(seq, zeta, R).value - want) <= 1e-12 * abs(want)
+
+
+# sequences with the radius r of g(w) = sum b_k w^k and a direction in which
+# the terms b_k w^k alternate in sign; the tests work in v = w / r, with the
+# coefficients b_k r^k normalized as SeriesEvaluator does
+RAW_SEQS = {
+    "geometric": (CoeffSeq.geometric(1.0, 900), 0.5, -1.0),  # b_k = 2^k
+    "sharp_radius": (CoeffSeq.sharp_radius(900), 0.25, 1j),  # b_k = (4i)^k / sqrt(k)
+    "polylog": (CoeffSeq.polylog_seq(-0.5, 900), 0.5, -1.0),  # b_k = 2^k sqrt(k)
+}
+RAW_ANGLES = np.exp(2j * np.pi * (np.arange(5) + 0.17) / 5)
+
+
+def _normalized(name):
+    seq, r, alternating = RAW_SEQS[name]
+    lg, ph = _series_coeffs_g(seq)
+    return lg + np.arange(len(lg)) * math.log(r), ph, alternating
+
+
+class TestRawEval:
+    @pytest.mark.parametrize("name", RAW_SEQS)
+    def test_against_mpmath_termwise_sum(self, name):
+        lb, ph, _ = _normalized(name)
+        v = np.concatenate([rho * RAW_ANGLES for rho in (0.3, 0.85, 0.95)])
+        vals, _, div = _raw_eval(lb, ph, v)
+        assert not div.any()
+        with mp.workdps(30):
+            for vi, got in zip(v, vals):
+                ref, vk = mp.mpc(0), mp.mpc(1)
+                for l, p in zip(lb, ph):
+                    if np.isfinite(l):
+                        ref += mp.exp(l) * mp.mpc(complex(p)) * vk
+                    vk *= complex(vi)
+                assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
+
+    @pytest.mark.parametrize("name", RAW_SEQS)
+    def test_diverged_beyond_the_radius_only(self, name):
+        lb, ph, alternating = _normalized(name)
+        inside = np.concatenate([rho * RAW_ANGLES for rho in (0.3, 0.85, 0.95)])
+        outside = np.concatenate([rho * RAW_ANGLES for rho in (1.5, 2.0)])
+        assert not _raw_eval(lb, ph, inside)[2].any()
+        assert _raw_eval(lb, ph, outside, kmax=700)[2].all()  # terms past 1e100
+        # terms below 1e100 that grow to the end and outweigh the partial sum
+        assert _raw_eval(lb, ph, np.array([1.1 * alternating]))[2].all()
+
+
+# classes of the parent implementation on a slice of the R-scan battery
+# (letters c/d/u = convergent/divergent/undecided at R = 0.5, 0.6, 1.0, 1.1)
+PINNED_R = (0.5, 0.6, 1.0, 1.1)
+PINNED = {
+    "geometric(2.0)": (lambda: CoeffSeq.geometric(2.0, 700), {"even": "uddd", "odd": "cddd"}),
+    "geometric(-0.5)": (lambda: CoeffSeq.geometric(-0.5, 700), {"even": "ccud", "odd": "cccd"}),
+    "polylog(-0.5)": (lambda: CoeffSeq.polylog_seq(-0.5, 900), {"even": "ccdd", "odd": "ccdd"}),
+    "sharp_radius": (lambda: CoeffSeq.sharp_radius(700), {"even": "ccdd", "odd": "ccdd"}),
+}
+CLASS_OF = {"c": "convergent", "d": "divergent", "u": "undecided"}
+
+
+@pytest.mark.parametrize("name, parity, i", [
+    (name, parity, i) for name in PINNED for parity in ("even", "odd")
+    for i in range(len(PINNED_R))])
+def test_pinned_battery_class(name, parity, i):
+    make, classes = PINNED[name]
+    base = make()
+    rep = bergman_norm_estimate(CoeffSeq(base.log_mag, base.phase, parity), PINNED_R[i])
+    assert rep.classification == CLASS_OF[classes[parity][i]]
+    assert len(rep.margins) == 5
 
 
 class TestBergmanNormEstimate:
