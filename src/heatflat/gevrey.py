@@ -330,10 +330,10 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
 def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
     """Derivative table of f(t) = exp(-t^-g) for t > 0 (0 for t <= 0).
 
-    f^(n)(t) = f(t) * t^-n * D_n(u), u = t^-g, with polynomial coefficients
-    obeying d[n+1,m] = -(m g + n) d[n,m] + g d[n,m-1].  Evaluation is done in
-    extended precision, 2048 points at a time to bound the (n+1) x points
-    table of terms; the alternating D_n(u) loses digits at large n.
+    f^(n) = f t^-n D_n(u), u = t^-g, d[n+1,m] = -(m g + n) d[n,m] + g d[n,m-1]:
+    in long double, one Horner pass in u times exp(-n log t - u) per row (the
+    alternating D_n(u) loses digits at large n).  Rows stay 0.0 where the bound
+    max_n sum_m |d[n,m]| max(u, 1)^(N(1+1/g)) e^-u underflows float64.
     """
     g, t = float(g), np.asarray(t, dtype=np.longdouble)
     out = np.zeros((N + 1, len(t)))
@@ -344,14 +344,14 @@ def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
         nxt[1:] += g * d[k]
         d.append(nxt)
     pos = np.flatnonzero(t > 0)
-    for i in range(0, len(pos), 2048):
-        idx = pos[i : i + 2048]
-        logt, f = np.log(t[idx]), np.exp(-t[idx] ** -g)
-        for n in range(N + 1):
-            terms = np.outer(-(np.arange(n + 1) * g + n), logt)
-            np.exp(terms, out=terms)
-            terms *= d[n][:, None]
-            out[n, idx] = terms.sum(axis=0) * f
+    logt = np.log(t[pos])
+    with np.errstate(over="ignore"):  # u = inf only where the bound drops the point
+        u = np.exp(-g * logt)
+    live = (math.log(max(float(np.sum(np.abs(c))) for c in d)) - u
+            + N * (1.0 + 1.0 / g) * np.maximum(-g * logt, 0.0) > -745.2)  # e^-745.2 < 2^-1075
+    pos, logt, u = pos[live], logt[live], u[live]
+    for n in range(N + 1):
+        out[n, pos] = np.polyval(d[n][::-1], u) * np.exp(-n * logt - u)
     return out
 
 

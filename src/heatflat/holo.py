@@ -232,6 +232,23 @@ def _series_coeffs_g(c: CoeffSeq):
     return lg, c.phase.copy()
 
 
+def _radius_units(lg):
+    """(log_r, lb, unit): the log radius r of g and its coefficients in units of r.
+
+    log r is minus the median tail increment of log|g_k| (inf, i.e. entire,
+    below 8 finite terms).  lb_k = lg_k + k log(unit), where unit is r
+    clamped to e^(+-700) so that it stays finite for extreme sequences; the
+    series is then evaluated at v = w / unit.
+    """
+    idx = np.flatnonzero(np.isfinite(lg))
+    log_r = math.inf
+    if len(idx) >= 8:
+        ks = idx[-min(60, len(idx) // 2):]
+        log_r = -float(np.median(np.diff(lg[ks]) / np.diff(ks)))
+    log_unit = min(max(log_r, -700.0), 700.0) if math.isfinite(log_r) else 0.0
+    return log_r, lg + np.arange(len(lg)) * log_unit, math.exp(log_unit)
+
+
 def _raw_eval(lg, ph, w, kmax=None):
     """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by Horner's rule.
 
@@ -239,8 +256,9 @@ def _raw_eval(lg, ph, w, kmax=None):
     sum stops where the majorant tail sum_{j>=n} |b_j| max|w|^j falls below
     1e-17 of its largest term.  A node is dead when a term exceeds 1e100 and
     growing when each of its last 26 finite terms exceeds the one before by
-    1 + 1e-12: two thresholds on log|w| set once from lg.  Values at diverged
-    nodes may be non-finite.
+    1 + 1e-12: two thresholds on log|w| set once from lg.  A node is diverged
+    when either holds, whatever the sign pattern of the terms; values at
+    diverged nodes may be non-finite.
     """
     w = np.asarray(w, dtype=complex)
     K = len(lg) if kmax is None else min(kmax, len(lg))
@@ -260,7 +278,7 @@ def _raw_eval(lg, ph, w, kmax=None):
         t = np.abs(b) * m ** np.arange(K)
         small = np.cumsum(t[::-1])[::-1] < 1e-17 * np.max(t, initial=0.0)
         acc = np.polyval(b[:np.argmax(small) if m < 1.0 and small.any() else K][::-1], w)
-        diverged = dead | ((logw > grow_at) & (last > np.maximum(np.abs(acc), 1.0)))
+        diverged = dead | (logw > grow_at)
         tail = last / np.maximum(np.abs(acc), 1e-300)
     return acc, tail, diverged
 
@@ -304,17 +322,8 @@ class SeriesEvaluator:
     def __init__(self, c: CoeffSeq):
         lg, self.ph = _series_coeffs_g(c)
         self.odd = c.parity == "odd"
-        # radius of g from the median tail increment of log|g_k|; entire below 8 terms
-        idx = np.flatnonzero(np.isfinite(lg))
-        self.n_finite = len(idx)
-        self.log_r = math.inf
-        if self.n_finite >= 8:
-            ks = idx[-min(60, self.n_finite // 2):]
-            self.log_r = -float(np.median(np.diff(lg[ks]) / np.diff(ks)))
-        # clamped so that exp(log_unit) stays finite for extreme sequences
-        log_unit = min(max(self.log_r, -700.0), 700.0) if math.isfinite(self.log_r) else 0.0
-        self.lb = lg + np.arange(len(lg)) * log_unit
-        self.unit = math.exp(log_unit)
+        self.n_finite = int(np.count_nonzero(np.isfinite(lg)))
+        self.log_r, self.lb, self.unit = _radius_units(lg)
         self._build_pade()
 
     def _build_pade(self):
@@ -399,14 +408,16 @@ class SeriesEvaluator:
 def eval_series(c: CoeffSeq, zeta: complex, R_scale: float, K: int = None) -> EvalResult:
     """Partial sum of the coefficient series at one point of Omega.
 
-    Raw Taylor sum with a last-term tail proxy.  A diverged result (|zeta| past
-    the scaled Gevrey radius) may carry a non-finite value.
+    Raw Taylor sum with a last-term tail proxy, in units of the estimated
+    radius of g as in SeriesEvaluator.  A diverged result (|zeta| past the
+    scaled Gevrey radius) may carry a non-finite value.
     """
     if OmegaDomain.l1(zeta) > 1.0 + 1e-12:
         raise ValueError("zeta lies outside the closed tilted square")
     lg, ph = _series_coeffs_g(c)
+    _, lb, unit = _radius_units(lg)
     z = R_scale * complex(zeta)
-    vals, tail, div = _raw_eval(lg, ph, np.array([z * z]), kmax=K)
+    vals, tail, div = _raw_eval(lb, ph, np.array([z * z / unit]), kmax=K)
     v = vals[0] * z if c.parity == "odd" else vals[0]
     return EvalResult(complex(v), float(tail[0]), bool(div[0]))
 

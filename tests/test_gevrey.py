@@ -117,17 +117,36 @@ class TestDerivativeTable:
             row = sig.derivs(n, t)[n]
             assert np.array_equal(tab[n], row) and np.array_equal(sig.deriv(n, t), row)
 
+    @staticmethod
+    def _mp_bump_rows(g, t, N):
+        with mp.workdps(80):
+            return np.array([float(w) for w in mp.diffs(lambda x: mp.exp(-x ** (-g)),
+                                                        mp.mpf(float(t)), N)])
+
     def test_bump_rows_against_mpmath(self):
-        # the alternating polynomial D_n(u) cancels as n grows: 1.5e-8 relative
-        # at n = 30, t = 0.3, gamma_exp = 1.5; elsewhere far below
+        # the alternating polynomial D_n(u) cancels as n grows: 1.2e-9 relative
+        # at n = 30, gamma_exp = 1.5; elsewhere far below
         for g in (1.0, 1.5):
             ts = np.array([0.3, 0.7, 1.5])
             tab = bump_gevrey(g).derivs(30, ts)
             for i, t in enumerate(ts):
-                with mp.workdps(80):
-                    want = [float(w) for w in mp.diffs(lambda x: mp.exp(-x ** (-g)),
-                                                       mp.mpf(float(t)), 30)]
-                assert np.all(np.abs(tab[:, i] - want) <= 3e-8 * np.abs(want))
+                want = self._mp_bump_rows(g, t, 30)
+                assert np.all(np.abs(tab[:, i] - want) <= 5e-9 * np.abs(want))
+
+    def test_bump_rows_against_mpmath_small_t(self):
+        # large u = t^-g: 4.8e-8 relative at worst (n <= 25)
+        ts = np.array([0.1, 0.135, 0.185, 0.3])
+        tab = bump_gevrey(1.5).derivs(25, ts)
+        for i, t in enumerate(ts):
+            want = self._mp_bump_rows(1.5, t, 25)
+            assert np.all(np.abs(tab[:, i] - want) <= 1e-7 * np.abs(want))
+
+    def test_bump_rows_vanish_where_they_underflow(self):
+        # f^(n)(t) = exp(-t^-g) * (...) is far below the float64 range here
+        ts = np.array([1e-300, 1e-200, 1e-80, 1e-20])
+        for sig in (bump_gevrey(1.5), bump_gevrey(1.5, t_scale=0.2)):
+            tab = sig.derivs(30, ts)
+            assert np.array_equal(tab, np.zeros_like(tab))
 
     def test_one_table_per_quadrature_level(self):
         sig = two_sided_bump(0.0, 3.0, 1.5)

@@ -86,6 +86,32 @@ class TestEvalSeries:
         r = eval_series(seq, 0.999, 1.0)  # singularity at 1/sqrt2 < 0.999
         assert r.diverged
 
+    @staticmethod
+    def _mp_sum(seq, zeta):
+        lg, ph = _series_coeffs_g(seq)
+        with mp.workdps(40):
+            w, ref = mp.mpc(zeta) ** 2, mp.mpc(0)
+            for k in np.flatnonzero(np.isfinite(lg)):
+                ref += mp.exp(lg[k]) * mp.mpc(complex(ph[k])) * w ** int(k)
+            return complex(ref)
+
+    def test_coefficients_past_e690_inside_the_radius(self):
+        # b_k = 4^k i^k / sqrt(k) exceeds e^690 from k = 498 on; |w| = 0.99 r
+        seq = CoeffSeq.sharp_radius(700)
+        r = eval_series(seq, 0.4975j, 1.0)
+        want = self._mp_sum(seq, 0.4975j)
+        assert not r.diverged and abs(r.value - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("N", [700, 1200])
+    def test_same_sign_divergence(self, N):
+        # ratio 1.125 beyond the radius 1/sqrt2, every term below 1e100 and of
+        # one sign: the partial sum outweighs the last term, yet it diverges
+        seq = CoeffSeq.geometric(1.0, N)
+        r = eval_series(seq, 0.75, 1.0)
+        assert r.diverged
+        want = self._mp_sum(seq, 0.75)
+        assert abs(r.value - want) <= 1e-12 * abs(want)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             eval_series(CoeffSeq.from_values([1.0]), 0.9 + 0.2j, 1.0)
