@@ -221,6 +221,8 @@ def run_loss_table(cfg, out):
 
 
 def run_fourier_decay(cfg, out):
+    if not all(g > 0 for g in cfg["gamma_exps"]):
+        raise ValueError(f"gamma_exps entries must be > 0, got {cfg['gamma_exps']}")
     rows = []
     ok = True
     for gamma_exp in cfg["gamma_exps"]:

@@ -397,9 +397,16 @@ def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
     Product of two one-sided bumps, normalized to unit peak; Gevrey of order
     1 + 1/gamma_exp.
     """
+    if not gamma_exp > 0:
+        raise ValueError("gamma_exp must be > 0")
+    if not halfwidth > 0:
+        raise ValueError("halfwidth must be > 0")
     a = center - halfwidth
     b = center + halfwidth
     peak = float(_one_sided_bump(gamma_exp, 0, np.array([halfwidth]))[0, 0]) ** 2
+    if not peak > 0:
+        raise ValueError(f"the bump's peak exp(-2 halfwidth^-gamma_exp) underflows to 0 "
+                         f"(halfwidth = {halfwidth:g}, gamma_exp = {gamma_exp:g})")
 
     def derivs(N, t):
         return _bump_pair(gamma_exp, a, b, N, t) / peak
@@ -457,6 +464,9 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
         [[0.0], np.cumsum((rd[0:-2:2] + 4.0 * rd[1:-1:2] + rd[2::2]) * (h / 3.0))]
     )
     Z = cum_even[-1]
+    if not Z > 0:
+        raise ValueError(f"order_s = {order_s:g} is too close to 1: its bump underflows "
+                         f"to 0 over the whole support [{t_a:g}, {t_b:g}]")
     chi_spl = CubicSpline(td[::2], 1.0 - cum_even / Z)
 
     def derivs(N, t):

@@ -7,6 +7,9 @@ quadrature of |f_R|^2 over the exhaustion Omega_eps = (1-eps) Omega, with a
 three-way classification: convergent / divergent / undecided.  Since
 f_R(zeta) = f_1(R zeta), one evaluator of f_1 per sequence serves every R:
 the scale multiplies the quadrature nodes and divides the singularity gauge.
+The evaluator sets up the coefficient terms of the raw series once, and since
+the quadrature grid is point-symmetric and |f_1| is even, each node pair
++-zeta is evaluated once.
 
 Membership in A^2 is undecidable from finite data; the judgment calls are:
 
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .numkit import LogScalar
@@ -249,36 +251,64 @@ def _radius_units(lg):
     return log_r, lg + np.arange(len(lg)) * log_unit, math.exp(log_unit)
 
 
-def _raw_eval(lg, ph, w, kmax=None):
-    """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by Horner's rule.
+def _raw_terms(lg, ph, kmax=None):
+    """Coefficient part of _raw_eval, set up once per coefficient sequence.
 
-    Returns (values, tail_proxy_per_node, diverged_mask).  When max|w| < 1 the
-    sum stops where the majorant tail sum_{j>=n} |b_j| max|w|^j falls below
-    1e-17 of its largest term.  A node is dead when a term exceeds 1e100 and
-    growing when each of its last 26 finite terms exceeds the one before by
-    1 + 1e-12: two thresholds on log|w| set once from lg.  A node is diverged
-    when either holds, whatever the sign pattern of the terms; values at
-    diverged nodes may be non-finite.
+    Returns (b, |b|, dead_at, grow_at, k_last): the terms b_k = exp(lg_k) ph_k
+    of g(w) = sum b_k w^k (k < kmax), the two divergence thresholds on log|w|
+    and the index of the last finite term (-1 if none).  A node is dead when
+    a term exceeds 1e100, log|w| > dead_at; dead_at = -inf marks every node
+    dead (b_0 itself past 1e100).  A node is growing when each of the last 26
+    finite terms exceeds the one before by 1 + 1e-12, log|w| > grow_at.
     """
-    w = np.asarray(w, dtype=complex)
     K = len(lg) if kmax is None else min(kmax, len(lg))
     k = np.flatnonzero(np.isfinite(lg[:K]))
     b = np.zeros(K, dtype=complex)
     b[k] = np.exp(np.minimum(lg[k], 690.0)) * ph[k]
+    absb = np.abs(b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logb, logw = np.log(np.abs(b[k])), np.log(np.abs(w))
-        dead = logw > np.min((math.log(1e100) - logb[k > 0]) / k[k > 0], initial=math.inf)
-        dead |= bool(len(k) and k[0] == 0 and logb[0] > math.log(1e100))
+        logb = np.log(absb[k])
+        dead_at = np.min((math.log(1e100) - logb[k > 0]) / k[k > 0], initial=math.inf)
+        if len(k) and k[0] == 0 and logb[0] > math.log(1e100):
+            dead_at = -math.inf
         # the first finite term grows from a zero term at k = -1
         kg, logb_g = np.append(-1, k)[-27:], np.append(-math.inf, logb)[-27:]
         grow_at = (np.max((math.log1p(1e-12) - np.diff(logb_g)) / np.diff(kg))
                    if len(kg) == 27 else math.inf)
-        last = np.abs(b[k[-1]]) * np.abs(w) ** k[-1] if len(k) else np.zeros(w.shape)
-        m = float(np.max(np.abs(w), initial=0.0))
-        t = np.abs(b) * m ** np.arange(K)
+    return b, absb, dead_at, grow_at, (k[-1] if len(k) else -1)
+
+
+def _raw_sum(terms, w):
+    """Per-point part of _raw_eval: (values, diverged_mask) of g at w.
+
+    When max|w| < 1 the Horner sum stops where the majorant tail
+    sum_{j>=n} |b_j| max|w|^j falls below 1e-17 of its largest term.  A node
+    is diverged when it is dead or growing (see _raw_terms), whatever the
+    sign pattern of the terms; values at diverged nodes may be non-finite.
+    """
+    b, absb, dead_at, grow_at, _ = terms
+    w = np.asarray(w, dtype=complex)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        absw = np.abs(w)
+        logw = np.log(absw)
+        m = float(np.max(absw, initial=0.0))
+        t = absb * m ** np.arange(len(b))
         small = np.cumsum(t[::-1])[::-1] < 1e-17 * np.max(t, initial=0.0)
-        acc = np.polyval(b[:np.argmax(small) if m < 1.0 and small.any() else K][::-1], w)
-        diverged = dead | (logw > grow_at)
+        acc = np.polyval(b[:np.argmax(small) if m < 1.0 and small.any() else len(b)][::-1], w)
+    diverged = (logw > dead_at) | (dead_at == -math.inf) | (logw > grow_at)
+    return acc, diverged
+
+
+def _raw_eval(lg, ph, w, kmax=None):
+    """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by Horner's rule.
+
+    Returns (values, tail_proxy_per_node, diverged_mask); the tail proxy is
+    the last finite term over the sum.  See _raw_terms and _raw_sum.
+    """
+    _, absb, _, _, k_last = terms = _raw_terms(lg, ph, kmax)
+    acc, diverged = _raw_sum(terms, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = absb[k_last] * np.abs(w) ** k_last if k_last >= 0 else np.zeros(acc.shape)
         tail = last / np.maximum(np.abs(acc), 1e-300)
     return acc, tail, diverged
 
@@ -314,7 +344,8 @@ class _Pade:
 class SeriesEvaluator:
     """Evaluates the unscaled series f_1; the scale R is applied as f_1(R zeta).
 
-    Built once per sequence.  The coefficients of g are normalized by its
+    Built once per sequence, with the coefficient terms of the raw series
+    (_raw_terms) set up once.  The coefficients of g are normalized by its
     estimated radius r, lb_k = lg_k + k log r: the raw series (inside 0.85 r),
     both Pade fits and their validation ring work in v = w / r.
     """
@@ -324,6 +355,7 @@ class SeriesEvaluator:
         self.odd = c.parity == "odd"
         self.n_finite = int(np.count_nonzero(np.isfinite(lg)))
         self.log_r, self.lb, self.unit = _radius_units(lg)
+        self.terms = _raw_terms(self.lb, self.ph)
         self._build_pade()
 
     def _build_pade(self):
@@ -355,7 +387,7 @@ class SeriesEvaluator:
         # validation ring well inside the disc
         ang = 2 * np.pi * (np.arange(17) + 0.31) / 17
         ring = 0.75 * np.exp(1j * ang)
-        raw, _, _ = _raw_eval(self.lb, self.ph, ring)
+        raw, _ = _raw_sum(self.terms, ring)
         scale = np.max(np.abs(raw)) + 1e-300
         ok_ring = np.max(np.abs(self.pade_hi(ring) - raw)) <= 1e-7 * scale
         # stable singularities: poles agreeing between the two orders
@@ -389,7 +421,7 @@ class SeriesEvaluator:
         else:
             inner = np.ones(v.shape, dtype=bool)
         if inner.any():
-            vals[inner], _, rawdiv[inner] = _raw_eval(self.lb, self.ph, v[inner])
+            vals[inner], rawdiv[inner] = _raw_sum(self.terms, v[inner])
         outer = ~inner
         if outer.any():
             if self.pade_valid:
@@ -399,7 +431,7 @@ class SeriesEvaluator:
                 scale = np.maximum(np.abs(bb), 1e-300)
                 unresolved[outer] = np.abs(a - bb) > 1e-5 * scale
             else:
-                vals[outer], _, rawdiv[outer] = _raw_eval(self.lb, self.ph, v[outer])
+                vals[outer], rawdiv[outer] = _raw_sum(self.terms, v[outer])
         if self.odd:
             vals = vals * zeta
         return vals, unresolved, rawdiv
@@ -451,13 +483,22 @@ class BergmanReport:
 
 
 def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int):
+    """Quadrature of |f_R|^2 over Omega_eps, each node pair +-zeta evaluated once.
+
+    The grid is point-symmetric (zeta[::-1] == -zeta, W[::-1] == W) and
+    |f_1(-zeta)| = |f_1(zeta)| for either parity, so the first half of the
+    grid (with the centre node when n is odd) is evaluated and mirrored back
+    into grid order: the sum runs in the same order as over the full grid.
+    """
     zeta, W = OmegaDomain.quad_nodes(eps, n)
-    vals, unresolved, rawdiv = ev.values(R * zeta)
+    h = len(zeta) // 2
+    vals, unresolved, rawdiv = ev.values(R * zeta[:len(zeta) - h])
+    mirror = lambda a: np.concatenate([a, a[:h][::-1]])
     if rawdiv.any():
-        return None, "raw-divergence", float(np.mean(rawdiv))
+        return None, "raw-divergence", float(np.mean(mirror(rawdiv)))
     if unresolved.any():
-        return None, "continuation-disagreement", float(np.mean(unresolved))
-    return float(np.sum(W * np.abs(vals) ** 2)), "", 0.0
+        return None, "continuation-disagreement", float(np.mean(mirror(unresolved)))
+    return float(np.sum(W * mirror(np.abs(vals) ** 2))), "", 0.0
 
 
 def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
@@ -696,6 +737,17 @@ def loss_factors(s_grid):
 
 
 def loss_crossover(bracket=(3.0, 4.0), xtol: float = 1e-10) -> float:
-    """Root of cos(pi/2s) = exp(-1/(es)) between s = 3 and s = 4."""
+    """Root of cos(pi/2s) = exp(-1/(es)) between s = 3 and s = 4, by bisection
+    to within xtol."""
     f = lambda s: math.exp(-1.0 / (math.e * s)) - math.cos(math.pi / (2.0 * s))
-    return float(brentq(f, bracket[0], bracket[1], xtol=xtol))
+    lo, hi = map(float, bracket)
+    sign_lo = f(lo) > 0
+    if sign_lo == (f(hi) > 0):
+        raise ValueError("the bracket must enclose a sign change")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > 0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

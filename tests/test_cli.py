@@ -107,6 +107,12 @@ class TestCli:
          "cases entries must be [n, a, b] triples, got [[100, 2.0]]"),
         ("kernel-check", {"t_min": 1e-4},
          "t_min must be at least 3.51e-4, where k(t) leaves the normal float range, got 0.0001"),
+        ("fourier-decay", {"gamma_exps": [0.0]}, "gamma_exps entries must be > 0, got [0.0]"),
+        ("fourier-decay", {"gamma_exps": [-1.0]}, "gamma_exps entries must be > 0, got [-1.0]"),
+        ("fourier-decay", {"halfwidth": 0.0}, "halfwidth must be > 0"),
+        ("fourier-decay", {"gamma_exps": [10.0], "halfwidth": 0.5},
+         "the bump's peak exp(-2 halfwidth^-gamma_exp) underflows to 0 "
+         "(halfwidth = 0.5, gamma_exp = 10)"),
     ])
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
         cmd, values, msg = cfg

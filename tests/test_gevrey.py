@@ -287,6 +287,9 @@ class TestBumpGevrey:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
             bump_gevrey(0.0)
+        for gamma_exp in (0.0, -1.0):
+            with pytest.raises(ValueError, match="gamma_exp must be > 0"):
+                two_sided_bump(0.0, 1.0, gamma_exp)
 
 
 class TestGevreyCutoff:
@@ -320,6 +323,12 @@ class TestGevreyCutoff:
             gevrey_cutoff(1.0, 0.5, 1.5)
         with pytest.raises(ValueError):
             gevrey_cutoff(0.0, 1.0, 2.5)
+        # order 1.1: exp(-(1/2)^-10)^2 = e^-2048 at the centre, 0.0 everywhere
+        with pytest.raises(ValueError, match="order_s = 1.1 .* underflows"):
+            gevrey_cutoff(0.0, 1.0, 1.1)
+        chi = gevrey_cutoff(0.0, 1.0, 1.2)
+        v = chi.deriv(0, np.array([-0.1, 0.5, 1.1]))
+        assert v[0] == 1.0 and 0.0 < v[1] < 1.0 and v[2] == 0.0
 
 
 class TestFourierDecayFit:

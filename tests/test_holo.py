@@ -1,15 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.optimize import brentq
 
+import heatflat
+from heatflat import holo
 from heatflat.numkit import polylog
 from heatflat.holo import (
     CoeffSeq,
     OmegaDomain,
+    SeriesEvaluator,
+    _margin_norm,
     _raw_eval,
     _series_coeffs_g,
     bergman_norm_estimate,
@@ -34,6 +42,14 @@ class TestOmegaDomain:
         for eps in (0.2, 0.05):
             _, w = OmegaDomain.quad_nodes(eps, 64)
             assert abs(w.sum() - 2.0 * (1 - eps) ** 2) < 1e-12
+
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_grid_is_point_symmetric(self, n):
+        # _margin_norm evaluates one node of each pair +-zeta
+        for eps in (0.3, 0.2, 0.1, 0.05, 0.025, 0.0125):
+            zeta, w = OmegaDomain.quad_nodes(eps, n)
+            assert np.array_equal(zeta[::-1], -zeta)
+            assert np.array_equal(w[::-1], w)
 
 
 class TestCoeffSeq:
@@ -191,6 +207,54 @@ def test_pinned_battery_class(name, parity, i):
     rep = bergman_norm_estimate(CoeffSeq(base.log_mag, base.phase, parity), PINNED_R[i])
     assert rep.classification == CLASS_OF[classes[parity][i]]
     assert len(rep.margins) == 5
+
+
+def _full_grid_norm(ev, R, eps, n):
+    """_margin_norm by a sum over every node of the grid."""
+    zeta, W = OmegaDomain.quad_nodes(eps, n)
+    vals, unresolved, rawdiv = ev.values(R * zeta)
+    if rawdiv.any():
+        return None, "raw-divergence", float(np.mean(rawdiv))
+    if unresolved.any():
+        return None, "continuation-disagreement", float(np.mean(unresolved))
+    return float(np.sum(W * np.abs(vals) ** 2)), "", 0.0
+
+
+class TestMarginNorm:
+    # (sequence, R, kind of nodes): Horner inside 0.85 r only; Pade nodes
+    # beyond it; no Pade fit (30 terms) and the raw series diverging outside
+    CASES = [
+        (lambda: CoeffSeq.geometric(1.0, 700), 0.5, "inner"),
+        (lambda: CoeffSeq.geometric(1.0, 700), 1.0, "pade"),
+        (lambda: CoeffSeq.sharp_radius(700), 0.6, "pade"),
+        (lambda: CoeffSeq.geometric(1.0, 30), 1.0, "raw-divergent"),
+    ]
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_half_grid_equals_full_grid_sum(self, case, parity):
+        make, R, kind = self.CASES[case]
+        base = make()
+        ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
+        for eps in (0.05, 0.0125):
+            for n in (64, 96, 33):  # 33: an odd grid with a centre node
+                zeta, _ = OmegaDomain.quad_nodes(eps, n)
+                outer = np.abs((R * zeta) ** 2 / ev.unit) > 0.85
+                assert outer.any() == (kind != "inner")
+                assert ev.pade_valid == (kind != "raw-divergent")
+                got = _margin_norm(ev, R, eps, n)
+                assert (got[1] == "raw-divergence") == (kind == "raw-divergent")
+                assert got == _full_grid_norm(ev, R, eps, n)
+
+    def test_coefficient_terms_set_up_once_per_evaluator(self, monkeypatch):
+        calls = []
+        raw_terms = holo._raw_terms
+        monkeypatch.setattr(holo, "_raw_terms", lambda *a: calls.append(a) or raw_terms(*a))
+        ev = SeriesEvaluator(CoeffSeq.sharp_radius(700))
+        assert len(calls) == 1 and ev.pade_valid
+        for R in (0.3, 0.6, 0.68):
+            holo._classify(ev, R, holo.DEFAULT_MARGINS, 64)
+        assert len(calls) == 1
 
 
 class TestBergmanNormEstimate:
@@ -356,6 +420,19 @@ class TestLossFactors:
         assert 3.0 < c < 4.0
         f = math.exp(-1.0 / (math.e * c)) - math.cos(math.pi / (2 * c))
         assert abs(f) < 1e-9
+
+    def test_crossover_agrees_with_brentq(self):
+        f = lambda s: math.exp(-1.0 / (math.e * s)) - math.cos(math.pi / (2.0 * s))
+        assert abs(loss_crossover() - brentq(f, 3.0, 4.0, xtol=1e-10)) <= 1e-10
+        with pytest.raises(ValueError):
+            loss_crossover((4.0, 5.0))
+
+    def test_holo_does_not_import_scipy_optimize(self):
+        src = os.path.dirname(os.path.dirname(heatflat.__file__))
+        code = "import sys, heatflat.holo; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.strip() == "False"
 
     def test_rho_increasing_to_1_gamma_above_1(self):
         s = np.linspace(1.01, 400.0, 300)
