@@ -124,6 +124,10 @@ def run_plancherel_ratio(cfg, out):
 
 
 def run_an_asymptotics(cfg, out):
+    if cfg["n_max"] < 1:
+        raise ValueError(f"n_max must be at least 1, got {cfg['n_max']}")
+    if not 1 <= cfg["n_min"] <= cfg["n_max"]:
+        raise ValueError(f"n_min must lie in [1, n_max = {cfg['n_max']}], got {cfg['n_min']}")
     p = gevrey.GevreyParams(cfg["s"], 1.0, cfg["gamma"])
     alpha, beta = plancherel.varpi_params(p)
     N = int(cfg["n_max"])

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
 from .numkit import LogScalar, write_csv
@@ -296,6 +295,8 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
     truncated.  The signal must be compactly supported inside the grid or
     decay below 1e-14 (relative) at the grid ends.
     """
+    from scipy.interpolate import CubicSpline  # lazily: plancherel-ratio alone needs it
+
     vmax = np.max(np.abs(sig.values))
     if vmax == 0.0:
         return 0.0
@@ -447,6 +448,8 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
     exact (chi^(n) = -rho^(n-1)/Z), chi itself interpolates a dense cumulative
     Simpson table by cubic spline.
     """
+    from scipy.interpolate import CubicSpline  # lazily: no subcommand calls this function
+
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
     if not (1.0 < order_s < 2.0):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
 
 from .numkit import gauss_sum, write_csv
 
@@ -169,6 +168,8 @@ def kernel_k(t, rep: str = "auto"):
 def kernel_laplace_quadrature(s: float, t_split: float = 3.0, jtail: int = 8) -> float:
     """Numerical Laplace transform of k: adaptive quadrature on [0, t_split]
     plus the analytic integral of the eigen tail beyond it."""
+    from scipy.integrate import quad  # lazily: no subcommand calls this function
+
     val, _ = quad(lambda t: math.exp(-s * t) * kernel_k(t, "auto"), 0.0, t_split,
                   epsabs=1e-12, epsrel=1e-12, limit=400)
     # beyond t_split: k(t) = 1 + 2 sum (-1)^j e^{-lam_j t}, integrate exactly

@@ -9,14 +9,18 @@ f_R(zeta) = f_1(R zeta), one evaluator of f_1 per sequence serves every R:
 the scale multiplies the quadrature nodes and divides the singularity gauge.
 The evaluator sets up the coefficient terms of the raw series once, and since
 the quadrature grid is point-symmetric and |f_1| is even, each node pair
-+-zeta is evaluated once.
++-zeta is evaluated once.  The raw series is summed by blocked Horner
+(_poly_eval) under one majorant cutoff per call: per chunk of at most 512
+nodes, one complex matrix product evaluates every block of about sqrt(K)
+coefficients and Horner in x^L joins the blocks.  The short Pade
+polynomials keep plain Horner.
 
 Membership in A^2 is undecidable from finite data; the judgment calls are:
 
 * quadrature in rotated coordinates (tensor Gauss-Legendre, the square maps
   to an axis-aligned one),
-* evaluation by the raw Taylor series inside its disc of convergence (Horner,
-  cut where a majorant tail falls below 1e-17) and by a scaled diagonal Pade
+* evaluation by the raw Taylor series inside its disc of convergence (cut
+  where a majorant tail falls below 1e-17) and by a scaled diagonal Pade
   continuation beyond it (the disc need not cover Omega even for genuine A^2
   members), cross-validated at two orders,
 * divergence when a validated singularity of the continuation sits strictly
@@ -278,13 +282,69 @@ def _raw_terms(lg, ph, kmax=None):
     return b, absb, dead_at, grow_at, (k[-1] if len(k) else -1)
 
 
+_BLOCK = 24         # at most this many coefficients per block of _poly_eval
+_MIN_BLOCKED = 64   # shorter polynomials, the Pade fits among them, take plain Horner
+_CHUNK = 512        # nodes per chunk: the power table stays under 0.2 MB
+_ALIGN = 16         # chunks are zero-padded to a multiple of this many nodes
+
+
+def _poly_eval(c, x):
+    """sum_k c_k x^k at the nodes x, by blocked Horner (Paterson-Stockmeyer).
+
+    The K coefficients form nb = ceil(K / L) blocks of L = min(_BLOCK,
+    isqrt(K)).  Per chunk of at most _CHUNK nodes, the powers x^0..x^(L-1)
+    form an (L, nodes) table, one complex matrix product C @ P evaluates
+    every block polynomial, and Horner in x^L over the blocks sums them.
+    A chunk is zero-padded to a multiple of _ALIGN columns, so that the BLAS
+    kernel treats each node alike: a node's value depends only on the node
+    and c, never on the chunk it falls in.
+
+    Below _MIN_BLOCKED coefficients it is Horner's rule, with the rounding of
+    np.polyval: a Pade quotient p/q near a pole magnifies any change of
+    rounding in q, and blocks would save little there.
+    """
+    x = np.asarray(x, dtype=complex)
+    K = len(c)
+    if K < _MIN_BLOCKED:
+        acc = np.zeros(x.shape, dtype=complex)
+        for ck in c[::-1]:
+            acc = acc * x + ck
+        return acc
+    L = min(_BLOCK, math.isqrt(K))
+    nb = -(-K // L)
+    C = np.zeros(nb * L, dtype=complex)
+    C[:K] = c
+    C = C.reshape(nb, L)
+    out = np.empty(x.shape, dtype=complex)
+    for s in range(0, len(x), _CHUNK):
+        xc = x[s:s + _CHUNK]
+        n = len(xc)
+        xp = np.zeros(-(-n // _ALIGN) * _ALIGN, dtype=complex)
+        xp[:n] = xc
+        P = np.empty((L, len(xp)), dtype=complex)
+        P[0] = 1.0
+        for j in range(1, L):
+            np.multiply(P[j - 1], xp, out=P[j])
+        xL = P[L - 1] * xp
+        B = C @ P
+        acc = B[-1]
+        for i in range(nb - 2, -1, -1):
+            acc *= xL
+            acc += B[i]
+        out[s:s + n] = acc[:n]
+    return out
+
+
 def _raw_sum(terms, w):
     """Per-point part of _raw_eval: (values, diverged_mask) of g at w.
 
-    When max|w| < 1 the Horner sum stops where the majorant tail
-    sum_{j>=n} |b_j| max|w|^j falls below 1e-17 of its largest term.  A node
-    is diverged when it is dead or growing (see _raw_terms), whatever the
-    sign pattern of the terms; values at diverged nodes may be non-finite.
+    When max|w| < 1 the sum stops where the majorant tail
+    sum_{j>=n} |b_j| max|w|^j falls below 1e-17 of its largest term: one
+    cutoff per call, so each node's value depends on the node and that
+    cutoff alone.  The terms are summed by blocked Horner (_poly_eval), over
+    chunks of at most _CHUNK nodes.  A node is diverged when it is dead or
+    growing (see _raw_terms), whatever the sign pattern of the terms; values
+    at diverged nodes may be non-finite.
     """
     b, absb, dead_at, grow_at, _ = terms
     w = np.asarray(w, dtype=complex)
@@ -294,7 +354,7 @@ def _raw_sum(terms, w):
         m = float(np.max(absw, initial=0.0))
         t = absb * m ** np.arange(len(b))
         small = np.cumsum(t[::-1])[::-1] < 1e-17 * np.max(t, initial=0.0)
-        acc = np.polyval(b[:np.argmax(small) if m < 1.0 and small.any() else len(b)][::-1], w)
+        acc = _poly_eval(b[:np.argmax(small) if m < 1.0 and small.any() else len(b)], w)
     diverged = (logw > dead_at) | (dead_at == -math.inf) | (logw > grow_at)
     return acc, diverged
 
@@ -325,8 +385,7 @@ class _Pade:
         )
 
     def __call__(self, v):
-        v = np.asarray(v, dtype=complex)
-        return np.polyval(self.p[::-1], v) / np.polyval(self.q[::-1], v)
+        return _poly_eval(self.p, v) / _poly_eval(self.q, v)
 
     def poles(self):
         if self.m == 0:
@@ -437,18 +496,29 @@ class SeriesEvaluator:
         return vals, unresolved, rawdiv
 
 
+def _scale(R_scale) -> float:
+    R = float(R_scale)
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"R_scale must be finite and > 0, got {R_scale!r}")
+    return R
+
+
 def eval_series(c: CoeffSeq, zeta: complex, R_scale: float, K: int = None) -> EvalResult:
     """Partial sum of the coefficient series at one point of Omega.
 
-    Raw Taylor sum with a last-term tail proxy, in units of the estimated
-    radius of g as in SeriesEvaluator.  A diverged result (|zeta| past the
-    scaled Gevrey radius) may carry a non-finite value.
+    Raw Taylor sum of the first K terms (all by default) with a last-term
+    tail proxy, in units of the estimated radius of g as in SeriesEvaluator.
+    A diverged result (|zeta| past the scaled Gevrey radius) may carry a
+    non-finite value.
     """
     if OmegaDomain.l1(zeta) > 1.0 + 1e-12:
         raise ValueError("zeta lies outside the closed tilted square")
+    if K is not None and not K >= 1:
+        raise ValueError(f"K must be at least 1, got {K!r}")
+    R = _scale(R_scale)
     lg, ph = _series_coeffs_g(c)
     _, lb, unit = _radius_units(lg)
-    z = R_scale * complex(zeta)
+    z = R * complex(zeta)
     vals, tail, div = _raw_eval(lb, ph, np.array([z * z / unit]), kmax=K)
     v = vals[0] * z if c.parity == "odd" else vals[0]
     return EvalResult(complex(v), float(tail[0]), bool(div[0]))
@@ -513,10 +583,13 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
         margins[i] <= margins[i + 1] for i in range(len(margins) - 1)
     ):
         raise ValueError("margins must be a decreasing sequence inside (0, 0.5)")
+    R = _scale(R_scale)
+    if not (isinstance(nodes, (int, np.integer)) and nodes >= 8):
+        raise ValueError(f"nodes must be an integer >= 8, got {nodes!r}")
     if c.is_zero:
         return BergmanReport(margins, tuple(0.0 for _ in margins), "convergent",
                              0.0, math.inf, "zero sequence", 0.0)
-    return _classify(SeriesEvaluator(c), float(R_scale), margins, nodes)
+    return _classify(SeriesEvaluator(c), R, margins, nodes)
 
 
 def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> BergmanReport:

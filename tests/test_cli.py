@@ -110,6 +110,10 @@ class TestCli:
         ("fourier-decay", {"gamma_exps": [0.0]}, "gamma_exps entries must be > 0, got [0.0]"),
         ("fourier-decay", {"gamma_exps": [-1.0]}, "gamma_exps entries must be > 0, got [-1.0]"),
         ("fourier-decay", {"halfwidth": 0.0}, "halfwidth must be > 0"),
+        ("an-asymptotics", {"n_min": 10, "n_max": 5}, "n_min must lie in [1, n_max = 5], got 10"),
+        ("an-asymptotics", {"n_max": 1}, "n_min must lie in [1, n_max = 1], got 50"),
+        ("an-asymptotics", {"n_min": 0}, "n_min must lie in [1, n_max = 2000], got 0"),
+        ("an-asymptotics", {"n_max": 0}, "n_max must be at least 1, got 0"),
         ("fourier-decay", {"gamma_exps": [10.0], "halfwidth": 0.5},
          "the bump's peak exp(-2 halfwidth^-gamma_exp) underflows to 0 "
          "(halfwidth = 0.5, gamma_exp = 10)"),
@@ -175,3 +179,19 @@ def test_csv_format(tmp_path):
                                  "0.10000000000000001,0.29999999999999999,"
                                  "0.33333333333333331,2\n")
     assert read("rows.csv") == "name,n,x\na;b,3,-2.4999999999999999e-20\n"
+
+
+def test_cli_does_not_import_scipy_interpolate_or_integrate():
+    # CubicSpline and quad load inside the functions that use them
+    import os
+    import subprocess
+    import sys
+
+    import heatflat
+
+    src = os.path.dirname(os.path.dirname(heatflat.__file__))
+    code = ("import sys, heatflat.cli; "
+            "print('scipy.interpolate' in sys.modules, 'scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False False"

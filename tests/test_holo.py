@@ -132,6 +132,11 @@ class TestEvalSeries:
         with pytest.raises(ValueError):
             eval_series(CoeffSeq.from_values([1.0]), 0.9 + 0.2j, 1.0)
 
+    @pytest.mark.parametrize("K", [-5, 0])
+    def test_term_count_validation(self, K):
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            eval_series(CoeffSeq.geometric(1.0, 100), 0.3, 0.5, K=K)
+
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_scale_dilates_the_argument(self, parity):
         # f_R(zeta) = f_1(R zeta)
@@ -184,6 +189,90 @@ class TestRawEval:
         assert _raw_eval(lb, ph, outside, kmax=700)[2].all()  # terms past 1e100
         # terms below 1e100 that grow to the end and outweigh the partial sum
         assert _raw_eval(lb, ph, np.array([1.1 * alternating]))[2].all()
+
+
+class TestPolyEval:
+    # complex coefficients of modulus about 1 (radius 1) and nodes inside and
+    # beyond the unit disc; K straddles the block sizes, the node counts the chunk
+    KS = (1, holo._BLOCK - 1, holo._BLOCK, holo._BLOCK + 1, holo._MIN_BLOCKED - 1,
+          holo._MIN_BLOCKED, holo._BLOCK ** 2 + 1, 700)
+    NS = (0, 1, holo._CHUNK - 1, holo._CHUNK, holo._CHUNK + 1, 4608)
+
+    @staticmethod
+    def _case(K, n=4608):
+        rng = np.random.default_rng(K)
+        c = np.exp(2j * np.pi * rng.random(K)) * (0.5 + rng.random(K))
+        x = 1.5 * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+        return c, x
+
+    @pytest.mark.parametrize("K", KS)
+    def test_against_mpmath_termwise_sum(self, K):
+        c, x = self._case(K)
+        chunk = holo._CHUNK
+        idx = sorted({0, 1, 2, chunk - 2, chunk - 1, chunk, chunk + 1, 2 * chunk, 4607}
+                     | set(np.random.default_rng(0).integers(0, 4608, 12).tolist()))
+        with mp.workdps(30):
+            ref = {}
+            for i in idx:
+                s, xk = mp.mpc(0), mp.mpc(1)
+                for ck in c:
+                    s += mp.mpc(complex(ck)) * xk
+                    xk *= complex(x[i])
+                ref[i] = complex(s)
+        for n in self.NS:
+            got = holo._poly_eval(c, x[:n])
+            assert got.shape == (n,)
+            for i in (i for i in idx if i < n):
+                majorant = np.sum(np.abs(c) * np.abs(x[i]) ** np.arange(K))
+                assert abs(got[i] - ref[i]) <= 1e-13 * majorant, (n, i)
+
+    @pytest.mark.parametrize("K", [holo._MIN_BLOCKED, 237, 700])
+    def test_node_value_independent_of_its_chunk(self, K):
+        c, x = self._case(K)
+        x = x / 1.5  # inside the disc, where every value is finite
+        full = holo._poly_eval(c, x)
+        rng = np.random.default_rng(1)
+        for n in (3, 100, holo._CHUNK + 5, 3000):
+            sub = np.sort(rng.choice(len(x), n, replace=False))
+            assert np.array_equal(holo._poly_eval(c, x[sub]), full[sub])
+        for i in rng.choice(len(x), 40, replace=False):
+            assert np.array_equal(holo._poly_eval(c, x[i:i + 1]), full[i:i + 1])
+
+    def test_short_polynomials_round_as_polyval(self):
+        # the Pade numerator and denominator (at most 41 coefficients)
+        c, x = self._case(holo._MIN_BLOCKED - 1)
+        for K in (1, 9, 41, holo._MIN_BLOCKED - 1):
+            assert np.array_equal(holo._poly_eval(c[:K], x), np.polyval(c[:K][::-1], x))
+
+    def test_values_memory_on_the_half_grid(self):
+        # the power table of one chunk, not of every node at once: about 0.7 MB
+        # here, 2.2 MB with all 4608 nodes in one table
+        import tracemalloc
+
+        ev = SeriesEvaluator(CoeffSeq.geometric(1.0, 700))
+        zeta, _ = OmegaDomain.quad_nodes(0.0125, 96)
+        half = 0.6 * zeta[:len(zeta) // 2]  # |v| up to 0.84: inner nodes, about 240 terms
+        assert np.all(np.abs(half * half / ev.unit) <= 0.85)
+        ev.values(half)
+        tracemalloc.start()
+        try:
+            ev.values(half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_holo_never_calls_polyval(self, monkeypatch, parity):
+        def boom(*a, **k):
+            raise AssertionError("np.polyval called")
+
+        monkeypatch.setattr(np, "polyval", boom)
+        base = CoeffSeq.sharp_radius(700)
+        seq = CoeffSeq(base.log_mag, base.phase, parity)
+        for R in (0.5, 0.6, 0.75):  # inner nodes only; Pade nodes; a pole inside
+            bergman_norm_estimate(seq, R)
+        eval_series(seq, 0.3 + 0.2j, 0.6)
 
 
 # classes of the parent implementation on a slice of the R-scan battery
@@ -302,6 +391,16 @@ class TestBergmanNormEstimate:
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             bergman_norm_estimate(CoeffSeq.from_values([1.0]), 1.0, margins=(0.1, 0.2))
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+    def test_scale_validation(self, R):
+        with pytest.raises(ValueError, match="R_scale must be finite and > 0"):
+            bergman_norm_estimate(CoeffSeq.geometric(1.0, 100), R)
+
+    @pytest.mark.parametrize("nodes", [0, 1, 7])
+    def test_nodes_validation(self, nodes):
+        with pytest.raises(ValueError, match="nodes must be an integer >= 8"):
+            bergman_norm_estimate(CoeffSeq.geometric(1.0, 100), 0.5, nodes=nodes)
 
 
 class TestRadiusRa:
