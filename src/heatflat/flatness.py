@@ -92,10 +92,17 @@ def flat_control(y_derivs, t_grid, K: int) -> ControlSynthesis:
     ``y_derivs`` is the target's derivative table (``Signal.derivs``).
     Divergence of the terms at the cutoff is reported, not raised: for
     near-critical targets the synthesized control is still returned with its
-    tail proxy and the experiment is treated as heuristic.
+    tail proxy and the experiment is treated as heuristic.  A derivative row
+    that overflows float range raises ValueError naming K and that row.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    Y = np.asarray(y_derivs(K, t_grid), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
+        Y = np.asarray(y_derivs(K, t_grid), dtype=float)
+    bad = ~np.isfinite(Y[1:K + 1]).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        raise ValueError(f"flat control with K={K}: derivative row {k} of the target "
+                         f"is not finite; lower K below {k}")
     u = np.zeros_like(t_grid)
     lastmag = np.zeros_like(t_grid)
     grow = 0

@@ -117,6 +117,8 @@ class TestCli:
         ("fourier-decay", {"gamma_exps": [10.0], "halfwidth": 0.5},
          "the bump's peak exp(-2 halfwidth^-gamma_exp) underflows to 0 "
          "(halfwidth = 0.5, gamma_exp = 10)"),
+        ("track", {"K": 100},
+         "flat control with K=100: derivative row 85 of the target is not finite"),
     ])
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
         cmd, values, msg = cfg

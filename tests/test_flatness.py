@@ -97,6 +97,14 @@ class TestFlatControl:
         u_sep = a * flat_control(y1.derivs, grid, 12).u + b * flat_control(y2.derivs, grid, 12).u
         assert np.max(np.abs(u_mix - u_sep)) <= 1e-12 * max(1.0, np.abs(u_sep).max())
 
+    def test_overflowing_row_is_a_clean_error(self):
+        # rows >= 85 of this bump's table exceed float range near t = 0.01
+        grid = SimConfig(dt=1e-3).time_grid()
+        y = bump_gevrey(1.5, t_scale=0.2, grid=grid)
+        with pytest.raises(ValueError, match=r"K=100: derivative row 85 "):
+            flat_control(y.derivs, grid, 100)
+        assert np.all(np.isfinite(flat_control(y.derivs, grid, 84).u))
+
 
 class TestTracking:
     def test_zero_target(self):
@@ -125,6 +133,16 @@ class TestTracking:
             cfg = SimConfig(J=128, dt=dt, T=1.0)
             errs.append(tracking_experiment(y_of(cfg.time_grid()), cfg, K).max_error)
         assert errs[0] >= errs[1] >= errs[2] * 0.999
+
+    def test_second_order_in_dt(self):
+        # the piecewise-linear control gives an O(dt^2) error: each halving
+        # of dt divides it by about 4.0
+        errs = []
+        for dt in (1e-3, 5e-4, 2.5e-4):
+            cfg = SimConfig(J=128, dt=dt, T=1.0)
+            y = bump_gevrey(1.5, t_scale=0.2, grid=cfg.time_grid())
+            errs.append(tracking_experiment(y, cfg, K=25).max_error)
+        assert errs[0] >= 3.5 * errs[1] and errs[1] >= 3.5 * errs[2]
 
     def test_csv(self, tmp_path):
         cfg = SimConfig(J=32, dt=1e-2, T=0.2)

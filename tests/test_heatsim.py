@@ -79,7 +79,64 @@ class TestKernel:
             kernel_k(1.0, "fourier")
 
 
+def _sequential(u, cfg):
+    """Reference: the per-step recurrence c_{m+1} = E c_m + f_m run as a loop,
+    with the output taken as the state at x = 0 (returns y and z).  The mode
+    data are float64 as in simulate; the decay factors and the running sums are long double, so the reference
+    carries neither the float64 rounding of a 3000-step sum nor that of
+    E = exp(-lam dt), which the sum amplifies by 1 / (lam dt) in the slow modes."""
+    dt = cfg.dt
+    J = max(cfg.J, math.ceil(math.sqrt(35.0 / dt) / math.pi) - 1)
+    j = np.arange(1, J + 1)
+    lam = np.concatenate(([0.0], (j * np.pi) ** 2))
+    x = np.concatenate(([0.0], cfg.x_grid))
+    cos = np.cos(np.outer(j * np.pi, x))
+    ex = np.vstack((np.ones(len(x)), math.sqrt(2.0) * cos))  # e_j(x)
+    e1 = np.concatenate(([1.0], math.sqrt(2.0) * (-1.0) ** j))  # e_j(1)
+    alt = 2.0 * (-1.0) ** j[:, None] * cos
+    tail1 = 0.5 * (x**2 - 1.0 / 3.0) - (alt / lam[1:, None]).sum(axis=0)
+    tail2 = -(x**4) / 24.0 + x**2 / 12.0 - 7.0 / 360.0 - (alt / lam[1:, None] ** 2).sum(axis=0)
+    em1 = np.expm1(-lam[1:] * dt)
+    I0 = np.concatenate(([dt], -em1 / lam[1:]))
+    I1 = np.concatenate(([0.5 * dt * dt], (dt + em1 / lam[1:]) / lam[1:]))
+    E = np.exp(-lam.astype(np.longdouble) * dt)
+    c = np.zeros(J + 1, dtype=np.longdouble)
+    out = np.zeros((len(u), len(x)), dtype=np.longdouble)
+    for m in range(len(u) - 1):
+        b = (u[m + 1] - u[m]) / dt
+        c = c * E + e1 * (u[m] * I0 + b * I1)
+        out[m + 1] = c @ ex + u[m + 1] * tail1 - b * tail2
+    out = out.astype(float)
+    return out[:, 0], out[:, 1:]
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("J, dt, T", [
+        (128, 1e-3, 0.193),  # 193 steps: a full block, then 65 = 2^6 + 1
+        (128, 2.5e-4, 0.3),
+        (128, 1e-4, 0.3),
+        (128, 1e-3, 1e-3),  # one step
+        (8, 1e-5, 0.01),  # J raised to the closure floor
+    ])
+    def test_scan_matches_sequential_recurrence(self, J, dt, T):
+        cfg = SimConfig(J=J, dt=dt, T=T, x_grid=(0.0, 0.3, 1.0))
+        t = cfg.time_grid()
+        u = np.sin(9.0 * t) + 40.0 * t**2 + 0.3
+        res = simulate(u, cfg)
+        y, z = _sequential(u, cfg)
+        # y = z(t, 0) stays near 0 on the short horizons (k is flat at 0+),
+        # so the bound is relative to the largest state value
+        scale = max(np.max(np.abs(y)), np.max(np.abs(z)))
+        assert np.max(np.abs(res.y - y)) <= 1e-13 * scale
+        assert np.max(np.abs(res.z - z)) <= 1e-13 * scale
+
+    def test_control_not_finite_rejected(self):
+        cfg = SimConfig(J=32, dt=1e-3, T=0.1)
+        u = np.ones(len(cfg.time_grid()))
+        u[7] = np.nan
+        with pytest.raises(ValueError, match=r"not finite at index 7 \(t=0\.007\)"):
+            simulate(u, cfg)
+
     def test_zero_control(self):
         cfg = SimConfig(J=64, dt=1e-3, T=0.5, x_grid=(0.0, 0.5, 1.0))
         res = simulate(np.zeros(len(cfg.time_grid())), cfg)
