@@ -179,7 +179,7 @@ def check_trackable_infinite(y: Signal, N: int) -> GevreyNormResult:
     """
     if y.derivs is None:
         raise ValueError("needs analytic derivatives")
-    yprime = Signal(y.grid, y.derivs(1, y.grid)[1], derivs=lambda N, t: y.derivs(N + 1, t)[1:],
+    yprime = Signal(y.grid, None, derivs=lambda N, t: y.derivs(N + 1, t)[1:],
                     family="derivative")
     return gevrey_norm_time(yprime, GevreyParams(2.0, 1.0 / math.sqrt(2.0), -0.5), N)
 

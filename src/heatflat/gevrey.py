@@ -12,6 +12,7 @@ tables (all orders up to N in one call); numerical differentiation is never used
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,14 +21,11 @@ from math import comb
 import numpy as np
 from scipy.special import gammaln
 
-from .numkit import LogScalar, write_csv
+from .numkit import write_csv
 
 __all__ = [
     "GevreyParams",
     "Signal",
-    "WeightSeq",
-    "weight_Mn",
-    "weight_seq",
     "gevrey_norm_time",
     "weighted_fourier_norm",
     "bump_gevrey",
@@ -61,12 +59,17 @@ class Signal:
     ``derivs(N, t)`` must return an (N+1, len t) array whose row n is the n-th
     derivative at the points ``t``: one call yields every order up to N, so a
     provider shares the work of the lower orders (recurrences, Leibniz
-    factors) instead of redoing it per order.  Row 0 of ``derivs(0, grid)`` is
-    checked against ``values`` on the grid.
+    factors) instead of redoing it per order.  A provider is pointwise:
+    column j of ``derivs(N, t)`` depends on ``t[j]`` alone, bit for bit, so a
+    table on a subset of the points is the same subset of the table's columns
+    (the norm quadrature relies on this to evaluate every node once).
+
+    ``values`` may be None when ``derivs`` is given: it is then row 0 of
+    ``derivs(0, grid)``.  Otherwise that row is checked against ``values``.
     """
 
     grid: np.ndarray
-    values: np.ndarray
+    values: np.ndarray = None  # None: row 0 of derivs(0, grid)
     derivs: object = None  # callable (N, t_array) -> (N+1, len t) array
     compact_support: bool = False
     family: str = "raw"
@@ -74,13 +77,18 @@ class Signal:
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values)
         if self.grid.ndim != 1 or len(self.grid) < 2:
             raise ValueError("grid must be 1-D with at least two points")
         # spacings of a uniform grid differ only by the rounding of its values
         h = np.diff(self.grid)
         if np.any(np.abs(h - h[0]) > 8.0 * np.finfo(float).eps * np.max(np.abs(self.grid))):
             raise ValueError("grid must be uniform to a few ulps of its largest value")
+        if self.values is None:
+            if self.derivs is None:
+                raise ValueError("a signal needs values or a derivative provider")
+            self.values = self.derivs(0, self.grid)[0]
+            return
+        self.values = np.asarray(self.values)
         if self.values.shape != self.grid.shape:
             raise ValueError("values must match grid shape")
         if self.derivs is not None:
@@ -167,31 +175,13 @@ def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
 # Weight sequence M_n
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSeq:
-    logM: np.ndarray
-
-    def __len__(self):
-        return len(self.logM)
-
-
-def weight_Mn(p: GevreyParams, n: int) -> LogScalar:
-    """M_n = (ns)!/R^{ns} (1+n)^{-s gamma - 1/4} as a LogScalar."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return LogScalar(float(_log_Mn(p, np.array([n], dtype=float))[0]))
-
-
 def _log_Mn(p: GevreyParams, n: np.ndarray) -> np.ndarray:
+    """log M_n = log[(ns)!/R^{ns} (1+n)^{-s gamma - 1/4}] at the orders n."""
     return (
         gammaln(n * p.s + 1.0)
         - n * p.s * math.log(p.R)
         - (p.s * p.gamma + 0.25) * np.log1p(n)
     )
-
-
-def weight_seq(p: GevreyParams, N: int) -> WeightSeq:
-    return WeightSeq(_log_Mn(p, np.arange(N + 1, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +192,32 @@ def _log_l2_norm(f, a: float, b: float, rtol: float = 1e-8, m0: int = 513, mmax:
     """log of the L2 norms of the rows of f over [a, b]; composite Simpson with halving.
 
     ``f(t)`` returns one row per function on the nodes ``t`` (or a single 1-D
-    row).  A row takes its value at the first level where it moves by less
-    than rtol/2 from the level before, or -inf once it vanishes on the nodes.
+    row), and must be pointwise (column j depends on t[j] alone, as a
+    ``Signal.derivs`` is).  Every node is evaluated once: the first level
+    takes ``f`` on linspace(a, b, m0); each later level of m = 2m' - 1 nodes
+    takes it only on the new odd nodes linspace(a, b, m)[1::2] and
+    interleaves them with the rows it has.  The even nodes of that level are
+    the previous level's nodes bit for bit, since linspace(a, b, 2m' - 1)[::2]
+    == linspace(a, b, m') (the step halves exactly), so each level's rows are
+    those of a fresh table on its own nodes.
+
+    A row takes its value at the first level where it moves by less than
+    rtol/2 from the level before, or -inf once it vanishes on the nodes.
     Returns (log_norms shaped like one column of f(t), every row converged).
     Scaled so arbitrarily large derivative values stay in range.
     """
     out = None  # NaN marks a row not yet settled
     m = m0
     while m <= mmax:
-        t = np.linspace(a, b, m)
-        rows = np.asarray(f(t))
-        shape, rows = rows.shape[:-1], rows.reshape(-1, m)
         if out is None:
+            rows = np.asarray(f(np.linspace(a, b, m)))
+            shape, rows = rows.shape[:-1], rows.reshape(-1, m)
             out, prev = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+        else:
+            odd = np.asarray(f(np.linspace(a, b, m)[1::2])).reshape(len(rows), -1)
+            both = np.empty((len(rows), m), dtype=np.result_type(rows, odd))
+            both[:, ::2], both[:, 1::2] = rows, odd
+            rows = both
         w = np.ones(m, dtype=np.longdouble)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -328,27 +331,37 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
 # Analytic test signals
 # ---------------------------------------------------------------------------
 
-def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
-    """Derivative table of f(t) = exp(-t^-g) for t > 0 (0 for t <= 0).
-
-    f^(n) = f t^-n D_n(u), u = t^-g, d[n+1,m] = -(m g + n) d[n,m] + g d[n,m-1]:
-    in long double, one Horner pass in u times exp(-n log t - u) per row (the
-    alternating D_n(u) loses digits at large n).  Rows stay 0.0 where the bound
-    max_n sum_m |d[n,m]| max(u, 1)^(N(1+1/g)) e^-u underflows float64.
-    """
-    g, t = float(g), np.asarray(t, dtype=np.longdouble)
-    out = np.zeros((N + 1, len(t)))
+@functools.lru_cache(maxsize=64)
+def _bump_coeffs(g: float, N: int):
+    """Coefficients d[n] (read-only, long double) of D_n(u) for n <= N, and
+    log max_n sum_m |d[n, m]|; d[n+1, m] = -(m g + n) d[n, m] + g d[n, m-1]."""
     d = [np.ones(1, dtype=np.longdouble)]
     for k in range(N):
         nxt = np.zeros(k + 2, dtype=np.longdouble)
         nxt[: k + 1] += -(np.arange(k + 1) * g + k) * d[k]
         nxt[1:] += g * d[k]
         d.append(nxt)
+    for c in d:
+        c.flags.writeable = False
+    return tuple(d), math.log(max(float(np.sum(np.abs(c))) for c in d))
+
+
+def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
+    """Derivative table of f(t) = exp(-t^-g) for t > 0 (0 for t <= 0).
+
+    f^(n) = f t^-n D_n(u), u = t^-g, with the coefficients of ``_bump_coeffs``:
+    in long double, one Horner pass in u times exp(-n log t - u) per row (the
+    alternating D_n(u) loses digits at large n).  Rows stay 0.0 where the bound
+    max_n sum_m |d[n,m]| max(u, 1)^(N(1+1/g)) e^-u underflows float64.
+    """
+    g, t = float(g), np.asarray(t, dtype=np.longdouble)
+    out = np.zeros((N + 1, len(t)))
+    d, log_dsum = _bump_coeffs(g, N)
     pos = np.flatnonzero(t > 0)
     logt = np.log(t[pos])
     with np.errstate(over="ignore"):  # u = inf only where the bound drops the point
         u = np.exp(-g * logt)
-    live = (math.log(max(float(np.sum(np.abs(c))) for c in d)) - u
+    live = (log_dsum - u
             + N * (1.0 + 1.0 / g) * np.maximum(-g * logt, 0.0) > -745.2)  # e^-745.2 < 2^-1075
     pos, logt, u = pos[live], logt[live], u[live]
     for n in range(N + 1):
@@ -387,7 +400,7 @@ def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
     if grid is None:
         grid = np.linspace(-0.5 * s, 4.0 * s, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=False,
+    return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="bump_gevrey", params={"gamma_exp": gamma_exp, "t_scale": s})
 
 
@@ -415,7 +428,7 @@ def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
     if grid is None:
         grid = np.linspace(a - halfwidth, b + halfwidth, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=True,
+    return Signal(grid, None, derivs=derivs, compact_support=True,
                   family="two_sided_bump",
                   params={"center": center, "halfwidth": halfwidth, "gamma_exp": gamma_exp})
 
@@ -435,7 +448,7 @@ def gaussian_signal(center: float = 0.0, sigma: float = 1.0,
     if grid is None:
         grid = np.linspace(center - 8.7 * sigma, center + 8.7 * sigma, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=False,
+    return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="gaussian", params={"center": center, "sigma": sigma})
 
 
@@ -484,7 +497,7 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
     if grid is None:
         grid = np.linspace(t_a - w, t_b + w, npts)
     grid = np.asarray(grid, dtype=float)
-    return Signal(grid, derivs(0, grid)[0], derivs=derivs, compact_support=False,
+    return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="gevrey_cutoff",
                   params={"t_a": t_a, "t_b": t_b, "order_s": order_s})
 

@@ -11,6 +11,8 @@ so concurrent callers of the mpmath-backed paths should serialize.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -359,10 +361,23 @@ def theta_gauss_sum(n: int, a: float, b: float) -> ThetaResult:
 # Result files
 # ---------------------------------------------------------------------------
 
+_NUMBER = (int, float, np.floating)  # written as %.17g; anything else by str
+
+
+@functools.lru_cache(maxsize=128)
+def _line_format(types: tuple) -> str:
+    return ",".join("%.17g" if issubclass(t, _NUMBER) else "%s" for t in types) + "\n"
+
+
 def write_csv(path, header, rows) -> None:
-    """Header line, then one line per row: numbers as repr-exact ``.17g``, the rest by str."""
+    """Header line, then one line per row: numbers as repr-exact ``.17g``, the rest by str.
+
+    Each block of up to 256 rows is formatted by one %-format, built from
+    each row's value types.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(f"{float(v):.17g}" if isinstance(v, (int, float, np.floating))
-                             else str(v) for v in row) + "\n")
+        while block := [tuple(r) for r in itertools.islice(rows, 256)]:
+            fmt = "".join([_line_format(tuple(map(type, r))) for r in block])
+            f.write(fmt % tuple([v for r in block for v in r]))

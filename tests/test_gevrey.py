@@ -7,10 +7,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from heatflat import cli, flatness
 from heatflat.gevrey import (
     DecayFit,
     GevreyParams,
     Signal,
+    _log_l2_norm,
+    _log_Mn,
     bump_gevrey,
     fourier_decay_fit,
     gaussian_signal,
@@ -18,8 +21,6 @@ from heatflat.gevrey import (
     gevrey_norm_time,
     product_signal,
     two_sided_bump,
-    weight_Mn,
-    weight_seq,
     weighted_fourier_norm,
 )
 from heatflat.heatsim import SimConfig
@@ -29,26 +30,26 @@ P2 = GevreyParams(2.0, 0.5, 0.0)
 
 class TestWeightMn:
     def test_M0_unit(self):
-        assert abs(weight_Mn(GevreyParams(2, 1, 0), 0).value() - 1.0) < 1e-15
+        assert abs(math.exp(_log_Mn(GevreyParams(2, 1, 0), np.array([0.0]))[0]) - 1.0) < 1e-15
 
     def test_M1_highprec_oracle(self):
         # (s=2, R=1, gamma=0, n=1): 2! * 2^(-1/4)
         with mp.workdps(40):
             want = float(mp.gamma(3) * mp.mpf(2) ** mp.mpf("-0.25"))
-        got = weight_Mn(GevreyParams(2, 1, 0), 1).value()
+        got = math.exp(_log_Mn(GevreyParams(2, 1, 0), np.array([1.0]))[0])
         assert abs(got - want) < 1e-14
         assert abs(got - 1.6817928305074290) < 1e-12
 
     def test_index_bridge(self):
         # M_k at (2, 1/sqrt2, -1/2) equals (2k)! 2^k (1+k)^{3/4} exactly
         p = GevreyParams(2.0, 1.0 / math.sqrt(2.0), -0.5)
+        logM = _log_Mn(p, np.arange(51, dtype=float))
         for k in range(0, 51):
-            lhs = weight_Mn(p, k).log_mag
             rhs = gammaln(2 * k + 1) + k * math.log(2.0) + 0.75 * math.log1p(k)
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+            assert abs(logM[k] - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
     def test_log_convexity_gamma0(self):
-        logM = weight_seq(GevreyParams(2.0, 1.0, 0.0), 102).logM
+        logM = _log_Mn(GevreyParams(2.0, 1.0, 0.0), np.arange(103, dtype=float))
         for n in range(2, 101):
             assert logM[n + 1] + logM[n - 1] >= 2 * logM[n] - 1e-9
 
@@ -73,6 +74,14 @@ class TestSignal:
         g = np.linspace(0, 1, 11)
         with pytest.raises(ValueError):
             Signal(g, np.zeros(11), derivs=lambda N, t: np.ones((N + 1, len(t))))
+
+    def test_values_default_to_row_zero(self):
+        g = np.linspace(0, 1, 11)
+        calls = []
+        sig = Signal(g, derivs=lambda N, t: calls.append(N) or np.ones((N + 1, len(t))) * t)
+        assert calls == [0] and np.array_equal(sig.values, g)
+        with pytest.raises(ValueError, match="values or a derivative provider"):
+            Signal(g)
 
     def test_csv_json_round_trip(self, tmp_path):
         sig = gaussian_signal(0.5, 1.0, npts=257)
@@ -104,7 +113,106 @@ def _families():
             "two_sided_bump": b, "cutoff": chi, "sum": g + b, "product": product_signal(chi, g)}
 
 
+def _fresh_node_ladder(f, a, b, rtol=1e-8, m0=513, mmax=32769):
+    """The quadrature before nesting: a whole new table at every Simpson level."""
+    out = None
+    m = m0
+    while m <= mmax:
+        t = np.linspace(a, b, m)
+        rows = np.asarray(f(t))
+        shape, rows = rows.shape[:-1], rows.reshape(-1, m)
+        if out is None:
+            out, prev = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+        w = np.ones(m, dtype=np.longdouble)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        h = (b - a) / (m - 1)
+        for i in np.flatnonzero(np.isnan(out)):
+            v = rows[i].astype(np.longdouble)
+            mx = np.max(np.abs(v))
+            if mx == 0.0:
+                out[i] = -math.inf
+                continue
+            integral = float(np.log(np.sum(w * (v / mx) ** 2)) + np.log(h / 3.0))
+            log_norm = float(np.log(mx)) + 0.5 * integral
+            if abs(log_norm - prev[i]) < 0.5 * rtol:
+                out[i] = log_norm
+            prev[i] = log_norm
+        if not np.isnan(out).any():
+            return out.reshape(shape), True
+        m = 2 * m - 1
+    return np.where(np.isnan(out), prev, out).reshape(shape), False
+
+
+class TestNestedLadder:
+    """The nested Simpson ladder of _log_l2_norm against the fresh-node ladder."""
+
+    @staticmethod
+    def _check(f, a, b, **kw):
+        seen = []
+        got = _log_l2_norm(lambda t: seen.append(t) or f(t), a, b, **kw)
+        want = _fresh_node_ladder(f, a, b, **kw)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        # every node of the last level exactly once
+        m = (kw.get("m0", 513) - 1) * 2 ** (len(seen) - 1) + 1
+        nodes = np.concatenate(seen)
+        assert len(nodes) == m
+        assert np.array_equal(np.sort(nodes), np.linspace(a, b, m))
+        return got
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_plancherel_ratio_family(self, k):
+        sig = cli._ratio_family()[k]
+        self._check(lambda t: sig.derivs(8, t), sig.t0, sig.t1)
+
+    def test_one_sided_bump(self):
+        sig = bump_gevrey(1.5, 0.2)
+        log_norms, ok = self._check(lambda t: sig.derivs(17, t), sig.t0, sig.t1)
+        assert ok and log_norms.shape == (18,)
+
+    def test_vanishing_row(self):
+        sig = gaussian_signal(0.0, 1.0)
+        log_norms, ok = self._check(
+            lambda t: np.vstack([sig.derivs(3, t), np.zeros_like(t)]), sig.t0, sig.t1)
+        assert ok and log_norms[-1] == -math.inf and np.all(np.isfinite(log_norms[:-1]))
+
+    def test_single_row(self):
+        sig = gaussian_signal(0.0, 1.0)
+        log_norm, ok = self._check(lambda t: sig.deriv(2, t), sig.t0, sig.t1)
+        assert ok and np.ndim(log_norm) == 0
+
+    def test_unconverged_at_mmax(self):
+        # a jump at an irrational point: Simpson converges only like 1/m
+        f = lambda t: np.vstack([np.where(t < 1.0 / math.sqrt(2.0), 1.0, 2.0), np.cos(t)])
+        log_norms, ok = self._check(f, 0.0, 2.0, m0=9, mmax=4097)
+        assert not ok and np.all(np.isfinite(log_norms))
+
+    @pytest.mark.parametrize("m0", [513, 9])
+    def test_linspace_nesting(self, m0):
+        # the even nodes of each level are the previous level's nodes, bit for bit
+        sigs = cli._ratio_family() + [bump_gevrey(1.5, 0.2), *_families().values()]
+        ends = {(s.t0, s.t1) for s in sigs} | {(0.0, 2.0), (-0.1, 0.8), (-0.5 * 0.3, 4.0 * 0.3)}
+        for a, b in ends:
+            m = m0
+            while 2 * m - 1 <= 32769:
+                assert np.array_equal(np.linspace(a, b, 2 * m - 1)[::2], np.linspace(a, b, m))
+                m = 2 * m - 1
+
+
 class TestDerivativeTable:
+    @pytest.mark.parametrize("family", ["gaussian", "one_sided_bump", "two_sided_bump",
+                                        "cutoff", "sum", "product", "yprime"])
+    def test_providers_are_pointwise(self, family, monkeypatch):
+        fams = _families()
+        held = []  # the y' signal that check_trackable_infinite builds
+        monkeypatch.setattr(flatness, "gevrey_norm_time", lambda sig, p, N: held.append(sig))
+        flatness.check_trackable_infinite(fams["one_sided_bump"], 1)
+        sig = held[0] if family == "yprime" else fams[family]
+        for m in (513, 1025):
+            t = np.linspace(sig.t0, sig.t1, m)
+            assert np.array_equal(sig.derivs(12, t)[:, ::2], sig.derivs(12, t[::2]))
+            assert np.array_equal(sig.derivs(12, t)[:, 1::2], sig.derivs(12, t[1::2]))
+
     @pytest.mark.parametrize("family", ["gaussian", "one_sided_bump", "two_sided_bump",
                                         "cutoff", "sum", "product"])
     def test_rows_do_not_depend_on_table_size(self, family):

@@ -15,6 +15,7 @@ from heatflat.numkit import (
     mittag_type_imaginary,
     polylog,
     theta_gauss_sum,
+    write_csv,
 )
 
 
@@ -230,3 +231,23 @@ def test_gauss_sum_matches_termwise_exp():
             c, kc = mp.mpf(c), mp.mpf(kc)
             want = mp.fsum(mp.exp(-c * (k - kc) ** 2) for k in range(lo, hi + 1))
             assert abs(gauss_sum(c, kc, lo, hi) / want - 1) < mp.mpf(10) ** -45
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # the block %-format gives the bytes of formatting each value on its own
+    def per_value(header, rows):
+        return ",".join(header) + "\n" + "".join(
+            ",".join(f"{float(v):.17g}" if isinstance(v, (int, float, np.floating)) else str(v)
+                     for v in row) + "\n" for row in rows)
+
+    vals = [-0.0, math.nan, math.inf, -math.inf, 1e-320, True, False, 7, -(2**60),
+            np.int64(-3), np.float64(1.0 / 3.0), np.float32(0.1), np.bool_(True), "a;b", "",
+            None]
+    rows = [tuple(vals[i:i + 4]) for i in range(0, len(vals), 4)]
+    rows += [(v,) for v in vals] + [(1.5, "x"), ("x", 1.5), ()]
+    rows *= 20  # several blocks
+    header = ["c0", "c1", "c2", "c3"]
+    write_csv(tmp_path / "block.csv", header, iter(rows))
+    assert (tmp_path / "block.csv").read_text() == per_value(header, rows)
+    write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_text() == "c0,c1,c2,c3\n"
