@@ -144,26 +144,39 @@ def run_an_asymptotics(cfg, out):
         f"(allowed {cfg['band_factor']:g})")
 
 
+def _log10_truncation_law(n: int) -> float:
+    """log10 of 2 e^{-n/4} / ((e - 1) sqrt(pi n)), the error of the quadratic case."""
+    return (math.log10(2.0) - n / (4.0 * math.log(10.0)) - math.log10(math.e - 1.0)
+            - 0.5 * math.log10(math.pi * n))
+
+
 def run_laplace_discrete(cfg, out):
+    # 40 digits below the truncation error
+    dps = {n: int(0.25 * n / math.log(10)) + 40 for n in cfg["n_quadratic"]}
+    for n, d in dps.items():
+        if d > numkit.MAX_DPS:
+            raise ValueError(f"n_quadratic entry {n} needs {d} digits of working precision, "
+                             f"above the cap of {numkit.MAX_DPS}")
     rows = []
     ok = True
     log_rels = []
     for n in cfg["n_quadratic"]:
-        dps = int(0.25 * n / math.log(10)) + 40
-        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, int(n), dps=dps)
+        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, int(n), dps=dps[n])
         log_rels.append(r.log10_rel_err)
-        rows.append(("quadratic", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err))
+        rows.append(("quadratic", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err,
+                     _log10_truncation_law(int(n))))
     ok = ok and log_rels[-1] < math.log10(cfg["threshold"])
     ok = ok and all(b < a for a, b in zip(log_rels, log_rels[1:]))
     alpha = cfg["alpha"]
     for n in cfg["n_logh"]:
         logh = lambda x: alpha * (x * math.log(x) + (1 - x) * math.log(1 - x)) if 0 < x < 1 else 0.0
         r = plancherel.discrete_laplace(logh, 4.0 * alpha, 0.5, int(n))
-        rows.append(("log_h", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err))
+        rows.append(("log_h", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err, ""))
         if n >= 2000:
             ok = ok and r.rel_err < 5e-2
     _write_csv(os.path.join(out, "laplace_discrete.csv"),
-               ["case", "n", "log_sum", "log_prediction", "rel_err", "log10_rel_err"], rows)
+               ["case", "n", "log_sum", "log_prediction", "rel_err", "log10_rel_err",
+                "log10_truncation_law"], rows)
     return ok, (f"quadratic log10 rel_err sequence {[round(l, 1) for l in log_rels]}, "
                 f"decreasing and below log10({cfg['threshold']:g})")
 
@@ -171,6 +184,8 @@ def run_laplace_discrete(cfg, out):
 def run_theta_identity(cfg, out):
     if any(len(case) != 3 for case in cfg["cases"]):
         raise ValueError(f"cases entries must be [n, a, b] triples, got {cfg['cases']}")
+    for n, a, _ in cfg["cases"]:  # every case's precision is checked before any sum runs
+        numkit.theta_dps(int(n), a)
     rows = []
     worst = 0.0
     for n, a, b in cfg["cases"]:

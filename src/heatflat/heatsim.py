@@ -121,8 +121,9 @@ def _kernel_eigen_small_t(ti: float, k_est: float) -> float:
     # alternating eigen sum cancels to ~k(t); extend precision to keep the
     # *relative* error of this representation below 1e-13.  Terms past jmax
     # lie below 10^-dps.  The alternating sum is twice the even-j Gaussian sum
-    # minus the full one; the guard digits cover their ~1/sqrt(pi t) size and
-    # the ~2 log10(2 jmax) digits each loses to the gauss_sum recurrence.
+    # minus the full one; the guard digits cover their ~1/sqrt(pi t) size.
+    # gauss_sum is good to about one unit of the working precision, so the
+    # further 2 log10(2 jmax + 1) digits are spare margin.
     # Where the float estimate underflows, k ~ 2 e^{-1/(4t)} / sqrt(pi t) sets
     # the size; below half the least subnormal k(t) rounds to 0.0.
     log10_k = (math.log10(k_est) if k_est >= 1e-300 else

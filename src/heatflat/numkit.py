@@ -28,6 +28,8 @@ __all__ = [
     "mittag_type_imaginary",
     "polylog",
     "gauss_sum",
+    "MAX_DPS",
+    "theta_dps",
     "theta_gauss_sum",
     "ThetaResult",
     "MittagTypeFit",
@@ -35,6 +37,13 @@ __all__ = [
 ]
 
 _LN_MAX = math.log(np.finfo(float).max)  # ~709.78
+_GUARD_BITS = 64  # guard bits of gauss_sum's fixed-point walks
+
+# Largest working precision (decimal digits) the extended-precision sums may
+# ask for; the acceptance configs need at most 1126.  A laplace-discrete sum
+# at the cap (n ~ 91 000) takes under a minute, one at 10^5 digits
+# (n ~ 10^6) hours.
+MAX_DPS = 10_000
 
 
 class LogScalar:
@@ -289,24 +298,65 @@ def polylog(s: float, zeta: complex) -> complex:
 def gauss_sum(c, kc, k_lo: int, k_hi: int):
     """sum_{k=k_lo}^{k_hi} exp(-c (k - kc)^2) at the caller's mpmath precision.
 
-    The one extended-precision Gaussian-sum loop of the package.  Three
-    ``mp.exp`` calls set up the first term t, the first ratio
-    r = t_{k+1}/t_k = exp(-c (2 (k - kc) + 1)) and Q = r_{k+1}/r_k = exp(-2c);
-    each further term then costs two multiplications, t <- t r, r <- r Q.
-    Term m carries a relative rounding error of about m^2/2 units of the
-    working precision, so a sum of M terms loses about 2 log10 M digits.
+    The one extended-precision Gaussian-sum loop of the package.  The range
+    is split at kc: an up walk over k >= kc and a down walk over k < kc, along
+    each of which the terms only decrease when c > 0 (c <= 0 is summed
+    correctly too, without the savings).  Each walk (:func:`_walk`) runs in
+    Python integers, in fixed point scaled by its own first term, so a range
+    far out in the tail keeps full relative precision.  When 2 kc is an exact
+    integer the down walk's terms are the up walk's shifted by 0 or 1 places,
+    and its sum is taken from the up walk's running sums.
+
+    Error model (c > 0): a walk of M terms with P = prec + 64 fractional bits
+    is off by less than M^2/2 units of 2^-P of its first term, which is below
+    one unit of the working precision for M < 2^32; the first-term factor and
+    the final rounding add about one unit each.  So the sum is good to about
+    one unit in the last digit, whatever the number of terms.
     """
     c, kc = mp.mpf(c), mp.mpf(kc)
-    d = k_lo - kc
-    t = mp.exp(-c * d * d)
-    r = mp.exp(-c * (2 * d + 1))
-    q = mp.exp(-2 * c)
-    total = mp.mpf(0)
-    for _ in range(k_hi - k_lo + 1):
-        total += t
-        t *= r
-        r *= q
-    return total
+    ku = min(max(int(mp.ceil(kc)), k_lo), k_hi + 1)  # the up walk's first index
+    n_up, n_down = k_hi - ku + 1, ku - k_lo
+    p = mp.mp.prec + _GUARD_BITS
+    with mp.workprec(p):
+        d_up, d_down = ku - kc, kc - (ku - 1)  # both walks' first offsets, >= 0
+        shift = d_down - d_up
+        if n_up > 0 and n_down > 0 and mp.isint(shift):
+            j = int(shift)
+            s_up, s_j, s_jn = _walk(c, d_up, (n_up, j, j + n_down), p)
+            total = mp.exp(-c * d_up**2) * (s_up + s_jn - s_j)
+        else:
+            total = sum(mp.exp(-c * d**2) * _walk(c, d, (n,), p)[0]
+                        for d, n in ((d_up, n_up), (d_down, n_down)) if n > 0)
+        total = mp.ldexp(total, -p)
+    return +total
+
+
+def _walk(c, d0, stops, p):
+    """Running sums of t_m = exp(-c ((d0 + m)^2 - d0^2)), m = 0, 1, ..., d0 >= 0.
+
+    Returns, for each n in ``stops``, t_0 + ... + t_{n-1} as an integer
+    scaled by 2^p.  t, the ratio r = t_{m+1}/t_m = exp(-c (2 (d0 + m) + 1))
+    and q = r_{m+1}/r_m = exp(-2c) are fixed-point integers, r and q with w
+    fractional bits (w = p at first); each step is t <- t r, r <- r q.  For
+    c > 0 the terms only decrease, so once t's length plus 64 guard bits
+    falls more than 64 bits below w, r and q are cut to that length, which
+    keeps t r good to one unit and makes each later product cheaper.  The
+    walk stops at the last stop, or once t is 0.
+    """
+    r = int(mp.ldexp(mp.exp(-c * (2 * d0 + 1)), p))
+    q = int(mp.ldexp(mp.exp(-2 * c), p))
+    t, w, m, tot, sums = 1 << p, p, 0, 0, {}
+    for n in sorted(stops):
+        while m < n and t:
+            tot += t
+            t = t * r >> w
+            r = r * q >> w
+            m += 1
+            cut = w - t.bit_length() - _GUARD_BITS
+            if cut > _GUARD_BITS:
+                r, q, w = r >> cut, q >> cut, w - cut
+        sums[n] = tot
+    return [sums[n] for n in stops]
 
 
 @dataclass(frozen=True)
@@ -321,21 +371,31 @@ class ThetaResult:
     b: float
 
 
+def theta_dps(n: int, a: float) -> int:
+    """Working precision (decimal digits) of theta_gauss_sum(n, a, b): 40 digits
+    below the gap bound exp(-2 n pi^2 / a).  Raises ValueError above MAX_DPS."""
+    if n < 1:
+        raise ValueError("theta_gauss_sum requires n >= 1")
+    if not a > 0:
+        raise ValueError("theta_gauss_sum requires a > 0")
+    dps = int(2 * n * math.pi**2 / a / math.log(10)) + 40
+    if dps > MAX_DPS:
+        raise ValueError(f"the theta sum with n = {n}, a = {a:g} needs {dps} digits of "
+                         f"working precision, above the cap of {MAX_DPS}")
+    return dps
+
+
 def theta_gauss_sum(n: int, a: float, b: float) -> ThetaResult:
     """Bilateral sum S = sum_k exp[-n (a/2) (k/n - b)^2] against sqrt(2 n pi / a).
 
     The relative gap obeys |S/pred - 1| = O(exp(-2 n pi^2 / a)) uniformly in b.
     That bound is far below float resolution for moderate n, so the sum and
-    the gap are evaluated with :func:`gauss_sum` (c = a/(2n), kc = n b) at a
-    working precision matched to the bound; ``c_uniform`` reports
+    the gap are evaluated with :func:`gauss_sum` (c = a/(2n), kc = n b) at the
+    working precision :func:`theta_dps`; ``c_uniform`` reports
     gap / exp(-2 n pi^2 / a).
     """
-    if n < 1:
-        raise ValueError("theta_gauss_sum requires n >= 1")
-    if not a > 0:
-        raise ValueError("theta_gauss_sum requires a > 0")
+    dps = theta_dps(n, a)
     log10_bound = -2 * n * math.pi**2 / a / math.log(10)
-    dps = int(-log10_bound) + 40
     with mp.workdps(dps):
         an, bn = mp.mpf(a), mp.mpf(b)
         halfw = int(math.sqrt(2 * n * (dps + 20) * math.log(10) / a)) + 2

@@ -76,6 +76,18 @@ class TestCli:
             errors.append(float(re.search(r"max tracking error (\S+) ", out).group(1)))
         assert errors[0] >= 3.0 * errors[1]
 
+    def test_laplace_discrete_truncation_law_column(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "n_quadratic": [100, 400], "n_logh": [500]}))
+        assert run(["laplace-discrete", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "laplace_discrete.csv").read_text().splitlines()
+        assert lines[0].endswith(",log10_rel_err,log10_truncation_law")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["quadratic", "quadratic", "log_h"]
+        for r in rows[:2]:  # the error follows the law 2 e^{-n/4} / ((e - 1) sqrt(pi n))
+            assert abs(float(r[5]) - float(r[6])) < 0.2
+        assert rows[2][6] == ""
+
     def test_unknown_key_rejected(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"schema": 1, "bogus": 5}))
@@ -119,6 +131,12 @@ class TestCli:
          "(halfwidth = 0.5, gamma_exp = 10)"),
         ("track", {"K": 100},
          "flat control with K=100: derivative row 85 of the target is not finite"),
+        ("theta-identity", {"cases": [[100, 2.0, 0.5], [1, 1e-5, 0.0]]},
+         "the theta sum with n = 1, a = 1e-05 needs 857302 digits of working precision, "
+         "above the cap of 10000"),
+        ("laplace-discrete", {"n_quadratic": [100, 1000000]},
+         "n_quadratic entry 1000000 needs 108613 digits of working precision, "
+         "above the cap of 10000"),
     ])
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
         cmd, values, msg = cfg

@@ -14,6 +14,7 @@ from heatflat.numkit import (
     mittag_leffler,
     mittag_type_imaginary,
     polylog,
+    theta_dps,
     theta_gauss_sum,
     write_csv,
 )
@@ -224,13 +225,45 @@ class TestThetaGaussSum:
 
 
 def test_gauss_sum_matches_termwise_exp():
-    # the two-multiplication recurrence against one mp.exp per term: a
-    # non-integer centre inside the range, a negative centre, a single term
+    # the fixed-point walks against one mp.exp per term: a non-integer centre
+    # inside the range, a negative centre, a single term; a range wholly in
+    # the tail (terms ~ 1e-695) and one wholly below the centre; integer and
+    # half-integer centres on asymmetric ranges (the down sum taken from the
+    # up walk, which runs past k_hi when the down side is longer); a centre
+    # with 2 kc not exact (the theta case n = 200, b = 0.7); a large c that
+    # leaves all but a few terms below 2^-P; k_lo = k_hi at the centre; c < 0
     with mp.workdps(50):
-        for c, kc, lo, hi in [(0.013, 3.7, -40, 60), (2.5, -0.3, -3, 4), (0.1, 0.0, 5, 5)]:
+        for c, kc, lo, hi in [(0.013, 3.7, -40, 60), (2.5, -0.3, -3, 4), (0.1, 0.0, 5, 5),
+                              (1.0, 0.0, 40, 50), (0.05, 10.3, -30, 2),
+                              (0.02, 7.0, -20, 60), (0.02, 7.0, -60, 20),
+                              (0.02, 7.5, -3, 60), (0.02, -7.5, -60, 3),
+                              (3.0 / 400, 200 * mp.mpf(0.7), 100, 180),
+                              (300.0, 0.2, -10, 10), (0.2, 2.0, 2, 2), (-0.01, 2.5, -30, 10)]:
             c, kc = mp.mpf(c), mp.mpf(kc)
             want = mp.fsum(mp.exp(-c * (k - kc) ** 2) for k in range(lo, hi + 1))
             assert abs(gauss_sum(c, kc, lo, hi) / want - 1) < mp.mpf(10) ** -45
+        assert gauss_sum(0.3, 4.0, 8, 7) == 0  # empty range
+
+
+@pytest.mark.parametrize("kind, n, a, b", [
+    ("laplace", 5000, 2.0, 0.5), ("theta", 100, 2.0, 0.5), ("theta", 50, 1.0, 0.25),
+    ("theta", 200, 3.0, 0.7)])
+def test_gauss_sum_loses_at_most_two_digits(kind, n, a, b):
+    # the workloads' sums, c = a/(2n) and kc = n b, at their working precision
+    # against the same sums at 2 dps + 50 digits: discrete Laplace for
+    # u = (x - 1/2)^2 over [0, n], theta over k0 +- halfw as in theta_gauss_sum
+    if kind == "laplace":
+        dps, lo, hi = int(0.25 * n / math.log(10)) + 40, 0, n
+    else:
+        dps = theta_dps(n, a)
+        halfw = int(math.sqrt(2 * n * (dps + 20) * math.log(10) / a)) + 2
+        lo, hi = round(n * b) - halfw, round(n * b) + halfw
+    sums = []
+    for prec in (dps, 2 * dps + 50):
+        with mp.workdps(prec):
+            sums.append(gauss_sum(mp.mpf(a) / (2 * n), n * mp.mpf(b), lo, hi))
+    with mp.workdps(2 * dps + 50):
+        assert abs(sums[0] / sums[1] - 1) <= mp.mpf(10) ** (2 - dps)
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
