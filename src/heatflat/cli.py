@@ -3,7 +3,8 @@
 Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert] [--seed N]
 
 Each subcommand reads an optional JSON config ({"schema": 1, ...}; unknown
-keys and values or list entries of the wrong type are rejected), writes
+keys, values or list entries of the wrong type, and fractional numbers where
+the default is an integer are rejected), writes
 CSV/JSON results with 17 significant digits, and -- with --assert -- exits
 nonzero when its acceptance threshold is violated; a value out of range ends
 in an ERROR line and exit code 2.
@@ -33,6 +34,10 @@ def _kind(v) -> str:
     return "string" if isinstance(v, str) else type(v).__name__
 
 
+def _integral(v) -> bool:
+    return isinstance(v, int) or float(v).is_integer()
+
+
 def _load_config(path, defaults: dict, name: str) -> dict:
     cfg = dict(defaults)
     if path is not None:
@@ -50,6 +55,15 @@ def _load_config(path, defaults: dict, name: str) -> dict:
             if _kind(user[k]) != _kind(defaults[k]):
                 raise SystemExit(f"{name}: config key {k!r} must be a {_kind(defaults[k])}, "
                                  f"not a {_kind(user[k])}")
+            # integer keys, and the all-integer lists n_quadratic and n_logh, take
+            # integral values only, and integral floats such as 25.0 become ints
+            d, v = defaults[k], user[k]
+            if isinstance(d, int) or (isinstance(d, list) and all(isinstance(x, int) for x in d)):
+                bad = [x for x in (v if isinstance(v, list) else [v]) if not _integral(x)]
+                if bad:
+                    raise SystemExit(f"{name}: config key {k!r} takes integers only, "
+                                     f"got {bad[0]!r}")
+                user[k] = [int(x) for x in v] if isinstance(v, list) else int(v)
         cfg.update({k: v for k, v in user.items() if k != "schema"})
     return cfg
 
@@ -184,12 +198,16 @@ def run_laplace_discrete(cfg, out):
 def run_theta_identity(cfg, out):
     if any(len(case) != 3 for case in cfg["cases"]):
         raise ValueError(f"cases entries must be [n, a, b] triples, got {cfg['cases']}")
-    for n, a, _ in cfg["cases"]:  # every case's precision is checked before any sum runs
-        numkit.theta_dps(int(n), a)
+    for n, _, _ in cfg["cases"]:
+        if not _integral(n):
+            raise ValueError(f"cases entries need an integer n, got {n!r}")
+    cases = [(int(n), a, b) for n, a, b in cfg["cases"]]
+    for n, a, _ in cases:  # every case's precision is checked before any sum runs
+        numkit.theta_dps(n, a)
     rows = []
     worst = 0.0
-    for n, a, b in cfg["cases"]:
-        r = numkit.theta_gauss_sum(int(n), a, b)
+    for n, a, b in cases:
+        r = numkit.theta_gauss_sum(n, a, b)
         rows.append((n, a, b, r.sum, r.predicted, r.log10_gap, r.log10_bound, r.c_uniform))
         worst = max(worst, r.c_uniform)
     _write_csv(os.path.join(out, "theta_identity.csv"),

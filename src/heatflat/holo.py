@@ -32,6 +32,12 @@ Membership in A^2 is undecidable from finite data; the judgment calls are:
   all validated singularities lie strictly outside the closed square
   (holomorphic on a neighborhood of the closure), or when margin-norm
   increments decay geometrically (ratio <= 0.7).
+
+radius_Ra reads only the class of each scale, so it decides each one from
+the evidence its rule reads (_scale_class): the coefficients alone for a
+validated singularity inside Omega (no quadrature), whether the margins
+resolve at 64 nodes for an entire-type series or singularities certified
+outside, and the full report's norm trend only for the rest.
 """
 
 from __future__ import annotations
@@ -592,13 +598,25 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
     return _classify(SeriesEvaluator(c), R, margins, nodes)
 
 
-def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> BergmanReport:
-    """Bergman report of f_R(zeta) = f_1(R zeta) from the evaluator of f_1."""
+def _coeff_evidence(ev: SeriesEvaluator, R: float):
+    """The coefficient-only evidence on f_R: (entire, pade_valid, l1sing, certified_outside).
+
+    None of it needs quadrature; _classify and _scale_class both read it.
+    """
     # tail increments of log|g_R| below -25: superexponential decay, effectively
     # entire on our domain, so the continuation and its singularities play no part
     entire = ev.log_r - 2.0 * math.log(R) > 25.0
     pade_valid = ev.pade_valid and not entire
     l1sing = math.inf if entire else ev.singularity_l1() / R
+    # all validated singularities strictly outside the closed square
+    certified_outside = (pade_valid and len(ev.singularities) > 0
+                         and l1sing >= 1.0 + _POLE_GUARD)
+    return entire, pade_valid, l1sing, certified_outside
+
+
+def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> BergmanReport:
+    """Bergman report of f_R(zeta) = f_1(R zeta) from the evaluator of f_1."""
+    entire, pade_valid, l1sing, certified_outside = _coeff_evidence(ev, R)
 
     norms = []
     notes = ""
@@ -631,13 +649,9 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> Berg
     eps_arr = np.array(margins[: len(norms)])
     n_arr = np.array(norms)
     slope = float(np.polyfit(np.log(1.0 / eps_arr[-3:]), np.log(np.maximum(n_arr[-3:], 1e-300)), 1)[0])
-    certified_outside = (pade_valid and len(ev.singularities) > 0
-                         and l1sing >= 1.0 + _POLE_GUARD)
     if entire or certified_outside:
-        # entire-type coefficient decay, or all validated singularities
-        # strictly outside the closed square: holomorphic on a neighborhood
-        # of the closure, hence a member even while the margin norms are
-        # still climbing toward their limit
+        # holomorphic on a neighborhood of the closure, hence a member even
+        # while the margin norms are still climbing toward their limit
         cls = "convergent"
     elif slope >= 0.5:
         cls = "divergent"
@@ -661,16 +675,60 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> Berg
 # Interpolation radius
 # ---------------------------------------------------------------------------
 
+def _scale_class(ev: SeriesEvaluator, R: float) -> str:
+    """_classify(ev, R, DEFAULT_MARGINS, 64).classification from the evidence
+    its rule for this scale reads.
+
+    A validated singularity inside Omega decides "divergent" with no
+    quadrature.  For an entire-type series, or one whose singularities are
+    certified outside the closed square, the norms never set the class, only
+    whether the margins resolve at 64 nodes (the 3/2-node refinement cannot
+    change that): raw divergence without a valid Pade fit is divergent, and
+    otherwise the class is convergent when at least three margins resolve
+    before the first that does not.  With a valid fit no margin can make it
+    divergent, so three margins suffice; an entire-type series has no fit and
+    walks all five.  Any other scale (a singularity in the guard band, or
+    none validated) goes through the slope and increment rules of the full
+    report.
+    """
+    entire, pade_valid, l1sing, certified_outside = _coeff_evidence(ev, R)
+    if l1sing <= 1.0 - _POLE_GUARD:
+        return "divergent"
+    if not (entire or certified_outside):
+        return _classify(ev, R, DEFAULT_MARGINS, 64).classification
+    resolved = 0
+    for eps in DEFAULT_MARGINS if entire else DEFAULT_MARGINS[:3]:
+        val, why, _ = _margin_norm(ev, R, eps, 64)
+        if val is None:
+            if why == "raw-divergence" and not pade_valid:
+                return "divergent"
+            break
+        resolved += 1
+    return "convergent" if resolved >= 3 else "undecided"
+
+
+_R_START = 0.05  # first scale of the upward scan in radius_Ra
+
+
 def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
     """Bracket of R_a = sup{ R : the scaled series lies in A^2(Omega) }.
 
-    One evaluator serves every R and each distinct R is classified once.  One
-    bisection runs for the supremum of certified-convergent R and again for the
-    infimum of certified-divergent R; undecided classifications widen the
-    bracket instead of being guessed.  Returns (R_lo, R_hi) or "unbounded".
+    One evaluator serves every R and each distinct R is classified once, by
+    _scale_class: a validated singularity inside Omega decides a scale with
+    no quadrature, an entire-type series or certified-outside singularities
+    leave only whether the margins resolve at 64 nodes, and only the other
+    scales (a singularity in the guard band, or none validated) take the full
+    report's norm trend.  The scan doubles R from
+    0.05 up to R_max.  One bisection runs for the supremum of
+    certified-convergent R and again for the infimum of certified-divergent
+    R; undecided classifications widen the bracket instead of being guessed.
+    Returns (R_lo, R_hi) or "unbounded".
     """
     if not tol > 1e-4:
         raise ValueError("tol must exceed 1e-4")
+    if not (math.isfinite(R_max) and R_max >= _R_START):
+        raise ValueError(f"R_max must be finite and at least {_R_START}, "
+                         f"where the scan starts, got {R_max!r}")
     if c.is_zero:
         return "unbounded"
     ev = SeriesEvaluator(c)
@@ -678,13 +736,13 @@ def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
 
     def cls(R):
         if R not in memo:
-            memo[R] = _classify(ev, R, DEFAULT_MARGINS, 64).classification
+            memo[R] = _scale_class(ev, R)
         return memo[R]
 
     # initial bracket
     R_div = None
     R_conv = None
-    R = 0.05
+    R = _R_START
     while R <= R_max:
         k = cls(R)
         if k == "convergent":

@@ -108,6 +108,45 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"'{key}' must be a {kind}"):
             run([cmd, "--config", str(cfgp), "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("cmd, key, value, bad", [
+        ("track", "K", 25.7, "25.7"),
+        ("track", "K_low", 10.5, "10.5"),
+        ("an-asymptotics", "n_max", 2000.5, "2000.5"),
+        ("plancherel-ratio", "N", 8.5, "8.5"),
+        ("kernel-check", "n_points", float("nan"), "nan"),
+        ("laplace-discrete", "n_quadratic", [100.7, 1000], "100.7"),
+        ("laplace-discrete", "n_logh", [500, 2000.25], "2000.25"),
+    ])
+    def test_fractional_integer_value_rejected(self, tmp_path, cmd, key, value, bad):
+        # such a value would be computed at int(value) but written as given
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, key: value}))
+        with pytest.raises(SystemExit, match=f"^{cmd}: config key '{key}' takes integers "
+                                             f"only, got {bad}$"):
+            run([cmd, "--config", str(cfgp), "--out", str(tmp_path)])
+
+    def test_integral_float_accepted_as_int(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "n_points": 50.0}))
+        assert run(["kernel-check", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 0
+        assert len((tmp_path / "kernel_check.csv").read_text().splitlines()) == 51
+        cfgp.write_text(json.dumps({"schema": 1, "K": 25.0, "K_low": 10.0}))
+        assert run(["track", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+        assert "; K=10 -> K=25 error shrink" in capsys.readouterr().out
+        cfgp.write_text(json.dumps({"schema": 1, "cases": [[100.0, 2.0, 0.5]]}))
+        assert run(["theta-identity", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "theta_identity.csv").read_text().splitlines()
+        assert lines[1].startswith("100,2,0.5,")
+
+    def test_theta_identity_fractional_n_is_clean_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "cases": [[100, 2.0, 0.5], [100.5, 2.0, 0.5]]}))
+        assert run(["theta-identity", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == (
+            "theta-identity: ERROR: cases entries need an integer n, got 100.5\n")
+        assert not (tmp_path / "theta_identity.csv").exists()
+
     @pytest.mark.parametrize("cfg", [
         ("track", {"dt": 0.0}, "SimConfig requires"),
         ("track", {"dt": 0.3}, "SimConfig requires"),

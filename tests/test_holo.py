@@ -298,6 +298,50 @@ def test_pinned_battery_class(name, parity, i):
     assert len(rep.margins) == 5
 
 
+# the R-scan battery: 9 sequences x 2 parities x 11 R
+BATTERY = {
+    "geometric(1.0)": lambda: CoeffSeq.geometric(1.0, 700),
+    "geometric(2.0)": lambda: CoeffSeq.geometric(2.0, 700),
+    "geometric(-0.5)": lambda: CoeffSeq.geometric(-0.5, 700),
+    "polylog(-0.5)": lambda: CoeffSeq.polylog_seq(-0.5, 700),
+    "polylog(0.5)": lambda: CoeffSeq.polylog_seq(0.5, 700),
+    "polylog(2.0)": lambda: CoeffSeq.polylog_seq(2.0, 700),
+    "sharp_radius": lambda: CoeffSeq.sharp_radius(700),
+    "factorial_pair": lambda: CoeffSeq.factorial_pair(700),
+    "constant3": lambda: CoeffSeq.from_values([1.0, 1.0, 1.0]),
+}
+BATTERY_R = (0.05, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.9, 1.0, 1.1)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_scale_class_equals_full_report_class(name, parity):
+    base = BATTERY[name]()
+    ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
+    for R in BATTERY_R:
+        want = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64).classification
+        assert holo._scale_class(ev, R) == want, R
+
+
+@pytest.mark.parametrize("parity, a1, R, first_unresolved", [
+    ("even", 1e100 / 0.93, 1.0, 3),
+    ("odd", 1e100 / 0.5, 1.05, 4),
+    ("even", 1e100 / 0.5, 0.9, 0),
+])
+def test_scale_class_entire_raw_divergence(parity, a1, R, first_unresolved):
+    # three terms: entire-type, no Pade fit; a_1 near 1e100 kills the nodes
+    # with |zeta^2| past a threshold, so raw divergence shows first at the
+    # given margin and, even after three resolved margins, decides the class
+    ev = SeriesEvaluator(CoeffSeq.from_values([1.0, a1, 1.0], parity))
+    entire, pade_valid, _, _ = holo._coeff_evidence(ev, R)
+    assert entire and not pade_valid
+    rep = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64)
+    assert len(rep.margins) == first_unresolved
+    assert rep.classification == "divergent"
+    assert holo._scale_class(ev, R) == "divergent"
+    assert holo._scale_class(ev, 0.5) == "convergent"
+
+
 def _full_grid_norm(ev, R, eps, n):
     """_margin_norm by a sum over every node of the grid."""
     zeta, W = OmegaDomain.quad_nodes(eps, n)
@@ -423,15 +467,25 @@ class TestRadiusRa:
         from heatflat import holo
 
         builds, scales = [], []
-        make, classify = holo.SeriesEvaluator, holo._classify
+        make, classify = holo.SeriesEvaluator, holo._scale_class
         monkeypatch.setattr(holo, "SeriesEvaluator",
                             lambda *a: builds.append(a) or make(*a))
-        monkeypatch.setattr(holo, "_classify",
-                            lambda ev, R, *a: scales.append(R) or classify(ev, R, *a))
+        monkeypatch.setattr(holo, "_scale_class",
+                            lambda ev, R: scales.append(R) or classify(ev, R))
         lo, hi = radius_Ra(CoeffSeq.geometric(1.0, 300), tol=0.02)
         assert INV_SQRT2 - 0.02 <= lo <= hi <= INV_SQRT2 + 0.02
         assert len(builds) == 1
         assert len(scales) == len(set(scales)) > 5
+
+    @pytest.mark.parametrize("R_max", [0.01, 0.049, math.nan, math.inf])
+    def test_R_max_validated(self, R_max):
+        # the scan starts at R = 0.05: below it nothing would be classified
+        with pytest.raises(ValueError, match="R_max must be finite and at least 0.05"):
+            radius_Ra(CoeffSeq.geometric(1.0, 300), 0.01, R_max=R_max)
+
+    def test_R_max_at_the_first_scale(self):
+        # geometric(1) is convergent at R = 0.05, the only scale scanned
+        assert radius_Ra(CoeffSeq.geometric(1.0, 300), 0.01, R_max=0.05) == "unbounded"
 
     def test_bracket_classifications_consistent(self):
         seq = CoeffSeq.geometric(1.0, 700)
