@@ -2,7 +2,7 @@
 
 Modules
 -------
-numkit      log-scaled arithmetic, Mittag-Leffler, polylogarithm, theta sums
+numkit      Mittag-Leffler, polylogarithm, theta sums, the CSV writer
 gevrey      Gevrey weight sequences, time/Fourier norms, test signals
 plancherel  Mittag-Leffler weight expansion, A_n asymptotics, discrete Laplace
 heatsim     spectral heat simulator, kernel k(t), transfer catalogue

@@ -51,8 +51,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from .numkit import LogScalar
-
 __all__ = [
     "OmegaDomain",
     "CoeffSeq",
@@ -133,11 +131,6 @@ class CoeffSeq:
         return len(self.log_mag)
 
     @property
-    def entries(self):
-        return [LogScalar(float(l), complex(p) if p.imag else float(p.real))
-                for l, p in zip(self.log_mag, self.phase)]
-
-    @property
     def is_zero(self) -> bool:
         return bool(np.all(self.log_mag == -math.inf))
 
@@ -160,14 +153,21 @@ class CoeffSeq:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def from_logscalars(cls, entries, parity="even", name="custom") -> "CoeffSeq":
-        lm = np.array([e.log_mag for e in entries])
-        ph = np.array([complex(e.phase) for e in entries])
-        return cls(lm, ph, parity, name=name)
-
-    @classmethod
     def from_values(cls, values, parity="even", name="custom") -> "CoeffSeq":
-        return cls.from_logscalars([LogScalar.from_value(v) for v in values], parity, name)
+        """A value v becomes (log|v|, v/|v|), and 0 becomes (-inf, 1).
+
+        log|v| is taken by math.log one entry at a time: np.log can differ
+        from it in the last bit.
+        """
+        lm, ph = [], []
+        for v in values:
+            r = abs(v)
+            lm.append(math.log(r) if r else -math.inf)
+            if isinstance(v, complex):
+                ph.append(v / r if r else 1.0)
+            else:
+                ph.append(1.0 if v >= 0 else -1.0)
+        return cls(lm, ph, parity, name=name)
 
     @classmethod
     def geometric(cls, c: float = 1.0, N: int = 600) -> "CoeffSeq":
@@ -209,7 +209,11 @@ class CoeffSeq:
             obj = json.loads(obj)
         if isinstance(obj, dict):
             gen = obj["generator"]
-            N = int(obj.get("N", 600))
+            N = obj.get("N", 600)
+            if (isinstance(N, bool) or not isinstance(N, (int, float))
+                    or not (N >= 1 and N % 1 == 0)):
+                raise ValueError(f"N must be a positive integer, got {N!r}")
+            N = int(N)
             if gen in ("factorial_pair", "prop1"):  # second form: legacy alias
                 return cls.factorial_pair(N)
             if gen == "sharp_radius":
@@ -519,8 +523,11 @@ def eval_series(c: CoeffSeq, zeta: complex, R_scale: float, K: int = None) -> Ev
     """
     if OmegaDomain.l1(zeta) > 1.0 + 1e-12:
         raise ValueError("zeta lies outside the closed tilted square")
-    if K is not None and not K >= 1:
-        raise ValueError(f"K must be at least 1, got {K!r}")
+    if K is not None:
+        if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+            raise ValueError(f"K must be an integer, got {K!r}")
+        if K < 1:
+            raise ValueError(f"K must be at least 1, got {K!r}")
     R = _scale(R_scale)
     lg, ph = _series_coeffs_g(c)
     _, lb, unit = _radius_units(lg)

@@ -1,4 +1,4 @@
-"""Log-scaled arithmetic, special functions and the package's CSV writer.
+"""Log-domain special functions, extended-precision sums and the CSV writer.
 
 Everything factorial-sized in this package -- (2k)!, R^{ns}, Mittag-Leffler
 tails -- is carried as a natural-log magnitude plus a unit phase, so products
@@ -21,10 +21,9 @@ import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "LogScalar",
     "MLParams",
     "log_gamma",
-    "mittag_leffler",
+    "log_mittag_leffler",
     "mittag_type_imaginary",
     "polylog",
     "gauss_sum",
@@ -36,7 +35,6 @@ __all__ = [
     "write_csv",
 ]
 
-_LN_MAX = math.log(np.finfo(float).max)  # ~709.78
 _GUARD_BITS = 64  # guard bits of gauss_sum's fixed-point walks
 
 # Largest working precision (decimal digits) the extended-precision sums may
@@ -44,98 +42,6 @@ _GUARD_BITS = 64  # guard bits of gauss_sum's fixed-point walks
 # at the cap (n ~ 91 000) takes under a minute, one at 10^5 digits
 # (n ~ 10^6) hours.
 MAX_DPS = 10_000
-
-
-class LogScalar:
-    """A number stored as ``phase * exp(log_mag)``.
-
-    ``log_mag`` is the natural log of the absolute value (``-inf`` encodes
-    zero); ``phase`` is +-1 for real data or a unit complex number.
-    Multiplication adds log magnitudes exactly; addition uses the stable
-    log-sum trick.  Values created by :meth:`from_value` remember the original
-    float so the round trip is exact within float range.
-    """
-
-    __slots__ = ("log_mag", "phase", "_exact")
-
-    def __init__(self, log_mag: float, phase: complex = 1.0, _exact=None):
-        if log_mag == -math.inf:
-            phase = 1.0
-            _exact = 0.0
-        self.log_mag = float(log_mag)
-        self.phase = phase
-        self._exact = _exact
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def from_value(cls, x) -> "LogScalar":
-        if x == 0:
-            return cls(-math.inf)
-        if isinstance(x, complex):
-            r = abs(x)
-            return cls(math.log(r), x / r, _exact=x)
-        x = float(x)
-        return cls(math.log(abs(x)), 1.0 if x > 0 else -1.0, _exact=x)
-
-    @classmethod
-    def zero(cls) -> "LogScalar":
-        return cls(-math.inf)
-
-    # -- conversion --------------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == -math.inf
-
-    def value(self):
-        """Ordinary float/complex value (overflows to +-inf outside range)."""
-        if self._exact is not None:
-            return self._exact
-        if self.is_zero:
-            return 0.0
-        mag = math.inf if self.log_mag > _LN_MAX else math.exp(self.log_mag)
-        v = self.phase * mag
-        if isinstance(self.phase, complex):
-            return v
-        return float(v)
-
-    # -- arithmetic ---------------------------------------------------------
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        if self.is_zero or other.is_zero:
-            return LogScalar.zero()
-        exact = None
-        if self._exact is not None and other._exact is not None:
-            prod = self._exact * other._exact
-            if prod != 0 and abs(prod) != math.inf:
-                exact = prod
-        return LogScalar(self.log_mag + other.log_mag, self.phase * other.phase, _exact=exact)
-
-    def __neg__(self) -> "LogScalar":
-        if self.is_zero:
-            return self
-        exact = -self._exact if self._exact is not None else None
-        return LogScalar(self.log_mag, -self.phase, _exact=exact)
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.log_mag >= other.log_mag:
-            big, small = self, other
-        else:
-            big, small = other, self
-        # 1 + (p_small/p_big) e^{L_small - L_big}; exponent <= 0, no overflow
-        w = 1.0 + (small.phase / big.phase) * math.exp(small.log_mag - big.log_mag)
-        r = abs(w)
-        if r == 0.0:
-            return LogScalar.zero()
-        return LogScalar(big.log_mag + math.log(r), big.phase * (w / r) if isinstance(w, complex) else big.phase * (1.0 if w > 0 else -1.0))
-
-    def __sub__(self, other: "LogScalar") -> "LogScalar":
-        return self + (-other)
-
-    def __repr__(self):
-        return f"LogScalar(log_mag={self.log_mag!r}, phase={self.phase!r})"
 
 
 @dataclass(frozen=True)
@@ -186,19 +92,19 @@ def _ml_asymptotic_log(alpha: float, beta: float, x: float) -> float:
     return -math.log(alpha) + (1.0 - beta) / alpha * math.log(x) + x ** (1.0 / alpha)
 
 
-def mittag_leffler(p: MLParams, x: float, switch: float = 35.0) -> LogScalar:
-    """E_{alpha,beta}(x) for x >= 0 as a LogScalar.
+def log_mittag_leffler(p: MLParams, x: float, switch: float = 35.0) -> float:
+    """log E_{alpha,beta}(x) for x >= 0.
 
     The power series is summed in the log domain until the relative tail is
     below 1e-14; once x^{1/alpha} exceeds ``switch`` the dominant-exponential
     asymptotic form is used instead (the two branches agree to ~1e-12 near the
     default switch point, see the tests).
     """
-    if x < 0:
-        raise ValueError("mittag_leffler is implemented for x >= 0 only")
+    if not x >= 0:
+        raise ValueError(f"log_mittag_leffler requires x >= 0, got x = {x!r}")
     if x > 0 and x ** (1.0 / p.alpha) >= switch:
-        return LogScalar(_ml_asymptotic_log(p.alpha, p.beta, x))
-    return LogScalar(_ml_series_log(p.alpha, p.beta, x))
+        return _ml_asymptotic_log(p.alpha, p.beta, x)
+    return float(_ml_series_log(p.alpha, p.beta, x))
 
 
 @dataclass(frozen=True)

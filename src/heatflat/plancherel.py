@@ -74,8 +74,7 @@ def convolution_An(p: GevreyParams, N: int):
     """A_n = sum_{k<=n} a_k a_{n-k} for n <= N, by direct log-domain convolution.
 
     Positive terms, fixed-order summation; O(N^2), capped at N = 5000.
-    Returns the array of log A_n; wrap with :func:`an_entries` where LogScalar
-    values are wanted.
+    Returns the array of log A_n.
     """
     if N > 5000:
         raise ValueError("N capped at 5000 (documented; O(N^2) convolution)")
@@ -87,13 +86,6 @@ def convolution_An(p: GevreyParams, N: int):
         m = terms.max()
         logA[n] = m + math.log(np.exp(terms - m).sum())
     return logA
-
-
-def an_entries(logA) -> list:
-    """The convolution coefficients as positive LogScalar values."""
-    from .numkit import LogScalar
-
-    return [LogScalar(float(v)) for v in logA]
 
 
 @dataclass(frozen=True)
@@ -126,14 +118,6 @@ class LaplaceResult:
     log_prediction: float
     rel_err: float
     log10_rel_err: float  # resolves below float range in the dps mode
-
-    @property
-    def sum(self) -> float:
-        return math.exp(self.log_sum) if self.log_sum < 700 else math.inf
-
-    @property
-    def prediction(self) -> float:
-        return math.exp(self.log_prediction) if self.log_prediction < 700 else math.inf
 
 
 def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> LaplaceResult:

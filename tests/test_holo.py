@@ -56,20 +56,40 @@ class TestCoeffSeq:
     def test_json_entries(self):
         seq = CoeffSeq.from_json([{"log_mag": 0.0, "sign": 1}, {"log_mag": 1.0, "sign": -1}])
         assert len(seq) == 2
-        assert seq.entries[1].value() == pytest.approx(-math.e)
+        assert seq.phase[1].real * math.exp(seq.log_mag[1]) == pytest.approx(-math.e)
 
     def test_json_generators(self):
         for gen in ("factorial_pair", "prop1", "geometric(1.0)", "polylog(-0.5)"):
             seq = CoeffSeq.from_json(json.dumps({"generator": gen, "N": 50}))
             assert len(seq) == 50
 
+    @pytest.mark.parametrize("N", [700.7, -5, 0, True, float("inf")])
+    def test_json_generator_N_validated(self, N):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            CoeffSeq.from_json({"generator": "geometric(1.0)", "N": N})
+
+    def test_json_generator_integral_float_N(self):
+        assert len(CoeffSeq.from_json({"generator": "geometric(1.0)", "N": 50.0})) == 50
+
+    def test_from_values_bit_exact(self):
+        values = [1.0, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -2.5, 0.1, 3,
+                  math.pi, -1e-300, 3.0 - 4.0j, -1e-200 + 1e-200j, 0j]
+        seq = CoeffSeq.from_values(values)
+        for v, lm, ph in zip(values, seq.log_mag, seq.phase):
+            if v == 0:
+                assert lm == -math.inf and ph == 1.0
+            else:
+                assert lm == math.log(abs(v))
+                assert ph == v / abs(v)
+
     def test_growth_margin_finite(self):
         assert math.isfinite(CoeffSeq.geometric(1.0, 100).growth_margin())
 
     def test_shift(self):
         seq = CoeffSeq.from_values([1.0, 2.0, 3.0])
-        assert seq.shifted(1).entries[0].value() == pytest.approx(2.0)
-        assert seq.shifted(-1).entries[0].value() == 0.0
+        up, down = seq.shifted(1), seq.shifted(-1)
+        assert up.phase[0].real * math.exp(up.log_mag[0]) == pytest.approx(2.0)
+        assert down.phase[0].real * math.exp(down.log_mag[0]) == 0.0
 
 
 class TestEvalSeries:
@@ -135,6 +155,11 @@ class TestEvalSeries:
     @pytest.mark.parametrize("K", [-5, 0])
     def test_term_count_validation(self, K):
         with pytest.raises(ValueError, match="K must be at least 1"):
+            eval_series(CoeffSeq.geometric(1.0, 100), 0.3, 0.5, K=K)
+
+    @pytest.mark.parametrize("K", [2.5, True, 10.0])
+    def test_term_count_must_be_an_integer(self, K):
+        with pytest.raises(ValueError, match="K must be an integer"):
             eval_series(CoeffSeq.geometric(1.0, 100), 0.3, 0.5, K=K)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
