@@ -78,6 +78,8 @@ def run_kernel_check(cfg, out):
     if cfg["t_min"] < 3.51e-4:  # k(t) ~ 2 e^{-1/(4t)} / sqrt(pi t) falls below 2.2e-308 there
         raise ValueError(f"t_min must be at least 3.51e-4, where k(t) leaves the normal "
                          f"float range, got {cfg['t_min']:g}")
+    if not cfg["t_max"] > cfg["t_min"]:
+        raise ValueError(f"t_max must exceed t_min = {cfg['t_min']:g}, got {cfg['t_max']:g}")
     t = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["n_points"])
     ke = heatsim.kernel_k(t, "eigen")
     kp = heatsim.kernel_k(t, "poisson")
@@ -133,6 +135,10 @@ def run_plancherel_ratio(cfg, out):
                      tn.total, fn, fn / tn.total))
     _write_csv(os.path.join(out, "plancherel_ratio.csv"),
                ["signal", "time_norm", "fourier_norm", "ratio"], rows)
+    # max and min skip a NaN that does not come first, so check every row
+    bad = [r[0] for r in rows if not all(math.isfinite(v) for v in r[1:])]
+    if bad:
+        return False, f"non-finite norm or ratio for {', '.join(bad)}"
     chat = max(max(ratios), 1.0 / min(ratios))
     return chat <= cfg["c_hat"], f"ratio band needs C_hat = {chat:.2f} (allowed {cfg['c_hat']:g})"
 
@@ -140,6 +146,8 @@ def run_plancherel_ratio(cfg, out):
 def run_an_asymptotics(cfg, out):
     if cfg["n_max"] < 1:
         raise ValueError(f"n_max must be at least 1, got {cfg['n_max']}")
+    if cfg["n_max"] > plancherel.MAX_AN_TERMS:
+        raise ValueError(f"n_max must be at most {plancherel.MAX_AN_TERMS}, got {cfg['n_max']}")
     if not 1 <= cfg["n_min"] <= cfg["n_max"]:
         raise ValueError(f"n_min must lie in [1, n_max = {cfg['n_max']}], got {cfg['n_min']}")
     p = gevrey.GevreyParams(cfg["s"], 1.0, cfg["gamma"])
@@ -165,6 +173,8 @@ def _log10_truncation_law(n: int) -> float:
 
 
 def run_laplace_discrete(cfg, out):
+    if not cfg["threshold"] > 0:
+        raise ValueError(f"threshold must be > 0, got {cfg['threshold']:g}")
     # 40 digits below the truncation error
     dps = {n: int(0.25 * n / math.log(10)) + 40 for n in cfg["n_quadratic"]}
     for n, d in dps.items():
@@ -280,6 +290,8 @@ def run_fourier_decay(cfg, out):
 
 
 def run_mittag_type(cfg, out):
+    if cfg["n_points"] < 4:  # the type fit needs four points
+        raise ValueError(f"n_points must be at least 4, got {cfg['n_points']}")
     rows = []
     ok = True
     for beta in cfg["betas"]:

@@ -13,15 +13,12 @@ tables (all orders up to N in one call); numerical differentiation is never used
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 from scipy.special import gammaln
-
-from .numkit import write_csv
 
 __all__ = [
     "GevreyParams",
@@ -134,13 +131,6 @@ class Signal:
             "n": len(self.grid),
             "compact_support": self.compact_support,
         }
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["t", "value"], zip(self.grid, np.real(self.values)))
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.descriptor(), f, indent=1)
 
 
 def _same_grid(a: Signal, b: Signal) -> None:
@@ -309,9 +299,13 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
             raise ValueError("signal does not decay at grid ends; Fourier norm would leak")
     xi, F = _spectrum(sig, pad=8)
     F2 = F * F
-    logw2 = 2.0 * p.gamma * np.log1p(xi) + 2.0 * p.R * xi ** (1.0 / p.s)
+    with np.errstate(over="ignore"):
+        logw2 = 2.0 * p.gamma * np.log1p(xi) + 2.0 * p.R * xi ** (1.0 / p.s)
     logint = np.log(np.maximum(F2, 1e-300)) + logw2
     live = logint > logint.max() + math.log(1e-16)
+    if not live.any():  # the log weight overflows, or is too large to resolve the cut
+        raise ValueError(f"the weight e^(2 R xi^(1/s)) overflows on the frequency grid "
+                         f"at s = {p.s:g}, R = {p.R:g}")
     xi_hi = xi[np.where(live)[0][-1]]
     spline = CubicSpline(xi, F2)
     m = 8193

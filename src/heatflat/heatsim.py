@@ -13,14 +13,13 @@ the four boundary configurations plus interior-point observation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from .numkit import gauss_sum, write_csv
+from .numkit import gauss_sum
 
 __all__ = [
     "TransferKind",
@@ -85,16 +84,6 @@ class SimConfig:
 
     def time_grid(self) -> np.ndarray:
         return np.arange(0.0, self.T + 0.5 * self.dt, self.dt)
-
-    def to_json(self) -> str:
-        return json.dumps({"J": self.J, "dt": self.dt, "T": self.T,
-                           "x_grid": list(self.x_grid)})
-
-    @classmethod
-    def from_json(cls, s: str) -> "SimConfig":
-        d = json.loads(s)
-        return cls(J=int(d["J"]), dt=float(d["dt"]), T=float(d["T"]),
-                   x_grid=tuple(d.get("x_grid", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +183,6 @@ class SimResult:
     z: np.ndarray  # shape (nt, nx) or empty
     closure_active: bool
     tail_bound: float
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["t", "y"], zip(self.t, self.y))
-
-    def state_to_csv(self, path) -> None:
-        rows = ((t, x, self.z[i, j]) for i, t in enumerate(self.t)
-                for j, x in enumerate(self.x_grid))
-        write_csv(path, ["t", "x", "z"], rows)
 
 
 _SCAN_BLOCK = 128  # time steps per block of the prefix scan in simulate

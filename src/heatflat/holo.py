@@ -23,21 +23,10 @@ Membership in A^2 is undecidable from finite data; the judgment calls are:
   where a majorant tail falls below 1e-17) and by a scaled diagonal Pade
   continuation beyond it (the disc need not cover Omega even for genuine A^2
   members), cross-validated at two orders,
-* divergence when a validated singularity of the continuation sits strictly
-  inside Omega (guard band 0.005 in the |Re|+|Im| gauge), or when the
-  series itself certifiably diverges at quadrature nodes and no validated
-  continuation exists, or -- singularity location unresolved -- when the
-  per-margin norms grow with log-log slope >= 0.5 in 1/eps,
-* convergence when the coefficients certify an entire-type function, when
-  all validated singularities lie strictly outside the closed square
-  (holomorphic on a neighborhood of the closure), or when margin-norm
-  increments decay geometrically (ratio <= 0.7).
-
-radius_Ra reads only the class of each scale, so it decides each one from
-the evidence its rule reads (_scale_class): the coefficients alone for a
-validated singularity inside Omega (no quadrature), whether the margins
-resolve at 64 nodes for an entire-type series or singularities certified
-outside, and the full report's norm trend only for the rest.
+* a convergent / divergent / undecided rule over the coefficient evidence
+  (entire type, validated singularities) and the per-margin norms, stated
+  once in _classify; radius_Ra asks it for the class alone, which skips the
+  quadrature the coefficients make needless.
 """
 
 from __future__ import annotations
@@ -79,10 +68,6 @@ class OmegaDomain:
     def l1(zeta) -> np.ndarray:
         z = np.asarray(zeta, dtype=complex)
         return np.abs(z.real) + np.abs(z.imag)
-
-    @classmethod
-    def contains(cls, zeta, eps: float = 0.0) -> np.ndarray:
-        return cls.l1(zeta) < 1.0 - eps
 
     @staticmethod
     @functools.lru_cache(maxsize=32)
@@ -142,14 +127,6 @@ class CoeffSeq:
             lm = np.concatenate([np.full(-p, -math.inf), self.log_mag])
             ph = np.concatenate([np.ones(-p, dtype=complex), self.phase])
         return CoeffSeq(lm, ph, self.parity, name=f"{self.name}[shift {p}]", params=self.params)
-
-    def growth_margin(self) -> float:
-        """max_k (log|a_k| - log(2k)!)/(1+k); finite for well-posed inputs."""
-        k = np.arange(len(self))
-        fac = gammaln(2 * k + 1) if self.parity == "even" else gammaln(2 * k + 2)
-        d = self.log_mag - fac
-        good = np.isfinite(d)
-        return float(np.max(d[good] / (1.0 + k[good]))) if good.any() else -math.inf
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -225,8 +202,15 @@ class CoeffSeq:
                 s = float(gen[len("polylog("):-1]) if "(" in gen else float(obj.get("s", 0.5))
                 return cls.polylog_seq(s, N)
             raise ValueError(f"unknown generator {gen!r}")
-        lm = np.array([e["log_mag"] for e in obj], dtype=float)
-        ph = np.array([e.get("sign", 1) for e in obj], dtype=complex)
+        lm, ph = [], []
+        for i, e in enumerate(obj):
+            if "log_mag" not in e:
+                raise ValueError(f"entry {i} has no 'log_mag'")
+            sign = e.get("sign", 1)
+            if isinstance(sign, bool) or sign not in (1, -1):
+                raise ValueError(f"entry {i}: 'sign' must be +1 or -1, got {sign!r}")
+            lm.append(e["log_mag"])
+            ph.append(sign)
         return cls(lm, ph, "even", name="json")
 
 
@@ -588,7 +572,7 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
                           nodes: int = 64) -> BergmanReport:
     """Per-margin A^2(Omega_eps) norms of the scaled series plus a trend class.
 
-    See the module docstring for the decision rules.  Norms are quadrature
+    The class follows the rule stated in _classify.  Norms are quadrature
     refinement-checked (nodes vs 3/2 nodes).
     """
     margins = tuple(margins)
@@ -605,25 +589,43 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
     return _classify(SeriesEvaluator(c), R, margins, nodes)
 
 
-def _coeff_evidence(ev: SeriesEvaluator, R: float):
-    """The coefficient-only evidence on f_R: (entire, pade_valid, l1sing, certified_outside).
+def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int,
+              class_only: bool = False) -> BergmanReport:
+    """Bergman report of f_R(zeta) = f_1(R zeta) from the evaluator of f_1.
 
-    None of it needs quadrature; _classify and _scale_class both read it.
+    The class rule, in order:
+    * divergent when the series itself certifiably diverges at a margin's
+      quadrature nodes and no validated continuation exists;
+    * divergent when a validated singularity of the continuation sits
+      strictly inside Omega (guard band _POLE_GUARD in the |Re|+|Im| gauge);
+    * undecided when fewer than three margins resolve;
+    * convergent when the coefficients certify an entire-type function, or
+      when all validated singularities lie strictly outside the closed
+      square (holomorphic on a neighborhood of the closure);
+    * otherwise, singularity location unresolved: divergent when the last
+      three margin norms grow with log-log slope >= 0.5 in 1/eps, convergent
+      when their increments vanish or decay geometrically (ratio <= 0.7),
+      undecided else.
+
+    With class_only, a scale that the coefficient evidence settles (inside,
+    entire or certified outside) reads only what the rule needs: no 3/2-node
+    refinement and no slope fit, no margin when inside, the first three
+    margins when certified outside, and every margin for an entire-type
+    series, where a later margin can still diverge.  Its report is then good
+    for the class alone.
     """
     # tail increments of log|g_R| below -25: superexponential decay, effectively
     # entire on our domain, so the continuation and its singularities play no part
     entire = ev.log_r - 2.0 * math.log(R) > 25.0
     pade_valid = ev.pade_valid and not entire
     l1sing = math.inf if entire else ev.singularity_l1() / R
+    inside = l1sing <= 1.0 - _POLE_GUARD
     # all validated singularities strictly outside the closed square
     certified_outside = (pade_valid and len(ev.singularities) > 0
                          and l1sing >= 1.0 + _POLE_GUARD)
-    return entire, pade_valid, l1sing, certified_outside
-
-
-def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> BergmanReport:
-    """Bergman report of f_R(zeta) = f_1(R zeta) from the evaluator of f_1."""
-    entire, pade_valid, l1sing, certified_outside = _coeff_evidence(ev, R)
+    settled = class_only and (inside or entire or certified_outside)
+    if settled:
+        margins = () if inside else margins if entire else margins[:3]
 
     norms = []
     notes = ""
@@ -638,13 +640,14 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> Berg
                                      refine_gap)
             notes = f"{why} at eps={eps}"
             break
-        val2, why2, _ = _margin_norm(ev, R, eps, nodes + nodes // 2)
-        if val2 is not None:
-            refine_gap = max(refine_gap, abs(val2 - val) / max(abs(val2), 1e-300))
-            val = val2
+        if not settled:
+            val2, _, _ = _margin_norm(ev, R, eps, nodes + nodes // 2)
+            if val2 is not None:
+                refine_gap = max(refine_gap, abs(val2 - val) / max(abs(val2), 1e-300))
+                val = val2
         norms.append(val)
 
-    if l1sing <= 1.0 - _POLE_GUARD:
+    if inside:
         return BergmanReport(tuple(margins[: len(norms)]), tuple(norms), "divergent",
                              math.nan, l1sing,
                              "validated singularity inside Omega; " + notes, refine_gap)
@@ -655,7 +658,9 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> Berg
 
     eps_arr = np.array(margins[: len(norms)])
     n_arr = np.array(norms)
-    slope = float(np.polyfit(np.log(1.0 / eps_arr[-3:]), np.log(np.maximum(n_arr[-3:], 1e-300)), 1)[0])
+    # a settled scale is entire or certified outside here: its trend is not read
+    slope = math.nan if settled else float(
+        np.polyfit(np.log(1.0 / eps_arr[-3:]), np.log(np.maximum(n_arr[-3:], 1e-300)), 1)[0])
     if entire or certified_outside:
         # holomorphic on a neighborhood of the closure, hence a member even
         # while the margin norms are still climbing toward their limit
@@ -682,38 +687,6 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int) -> Berg
 # Interpolation radius
 # ---------------------------------------------------------------------------
 
-def _scale_class(ev: SeriesEvaluator, R: float) -> str:
-    """_classify(ev, R, DEFAULT_MARGINS, 64).classification from the evidence
-    its rule for this scale reads.
-
-    A validated singularity inside Omega decides "divergent" with no
-    quadrature.  For an entire-type series, or one whose singularities are
-    certified outside the closed square, the norms never set the class, only
-    whether the margins resolve at 64 nodes (the 3/2-node refinement cannot
-    change that): raw divergence without a valid Pade fit is divergent, and
-    otherwise the class is convergent when at least three margins resolve
-    before the first that does not.  With a valid fit no margin can make it
-    divergent, so three margins suffice; an entire-type series has no fit and
-    walks all five.  Any other scale (a singularity in the guard band, or
-    none validated) goes through the slope and increment rules of the full
-    report.
-    """
-    entire, pade_valid, l1sing, certified_outside = _coeff_evidence(ev, R)
-    if l1sing <= 1.0 - _POLE_GUARD:
-        return "divergent"
-    if not (entire or certified_outside):
-        return _classify(ev, R, DEFAULT_MARGINS, 64).classification
-    resolved = 0
-    for eps in DEFAULT_MARGINS if entire else DEFAULT_MARGINS[:3]:
-        val, why, _ = _margin_norm(ev, R, eps, 64)
-        if val is None:
-            if why == "raw-divergence" and not pade_valid:
-                return "divergent"
-            break
-        resolved += 1
-    return "convergent" if resolved >= 3 else "undecided"
-
-
 _R_START = 0.05  # first scale of the upward scan in radius_Ra
 
 
@@ -721,12 +694,8 @@ def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
     """Bracket of R_a = sup{ R : the scaled series lies in A^2(Omega) }.
 
     One evaluator serves every R and each distinct R is classified once, by
-    _scale_class: a validated singularity inside Omega decides a scale with
-    no quadrature, an entire-type series or certified-outside singularities
-    leave only whether the margins resolve at 64 nodes, and only the other
-    scales (a singularity in the guard band, or none validated) take the full
-    report's norm trend.  The scan doubles R from
-    0.05 up to R_max.  One bisection runs for the supremum of
+    the rule of _classify asked for the class alone.  The scan doubles R
+    from 0.05 up to R_max.  One bisection runs for the supremum of
     certified-convergent R and again for the infimum of certified-divergent
     R; undecided classifications widen the bracket instead of being guessed.
     Returns (R_lo, R_hi) or "unbounded".
@@ -743,7 +712,7 @@ def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
 
     def cls(R):
         if R not in memo:
-            memo[R] = _scale_class(ev, R)
+            memo[R] = _classify(ev, R, DEFAULT_MARGINS, 64, class_only=True).classification
         return memo[R]
 
     # initial bracket

@@ -39,6 +39,8 @@ __all__ = [
     "RemainderSplit",
 ]
 
+MAX_AN_TERMS = 5000  # largest N of convolution_An, an O(N^2) loop
+
 
 def varpi_params(p: GevreyParams) -> tuple:
     """(alpha, beta) of the Mittag-Leffler weight for the class (s, 1, gamma<0)."""
@@ -73,11 +75,11 @@ def varpi_log(c: CoeffSeq, xi: float) -> float:
 def convolution_An(p: GevreyParams, N: int):
     """A_n = sum_{k<=n} a_k a_{n-k} for n <= N, by direct log-domain convolution.
 
-    Positive terms, fixed-order summation; O(N^2), capped at N = 5000.
+    Positive terms, fixed-order summation; O(N^2), capped at N = MAX_AN_TERMS.
     Returns the array of log A_n.
     """
-    if N > 5000:
-        raise ValueError("N capped at 5000 (documented; O(N^2) convolution)")
+    if N > MAX_AN_TERMS:
+        raise ValueError(f"N capped at {MAX_AN_TERMS} (documented; O(N^2) convolution)")
     c = varpi_coeffs(p, N)
     loga = c.log_mag
     logA = np.empty(N + 1)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from heatflat.cli import _write_csv, main
 from heatflat.flatness import ControlSynthesis, TrackingResult
-from heatflat.gevrey import Signal
 from heatflat.heatsim import SimResult
 
 
@@ -176,13 +176,42 @@ class TestCli:
         ("laplace-discrete", {"n_quadratic": [100, 1000000]},
          "n_quadratic entry 1000000 needs 108613 digits of working precision, "
          "above the cap of 10000"),
+        ("plancherel-ratio", {"s": 1e-12},
+         "the weight e^(2 R xi^(1/s)) overflows on the frequency grid at s = 1e-12, R = 0.5"),
+        ("plancherel-ratio", {"s": 0.05},  # finite, but 1e-16 of its peak is below an ulp
+         "the weight e^(2 R xi^(1/s)) overflows on the frequency grid at s = 0.05, R = 0.5"),
+        ("an-asymptotics", {"n_max": 20000}, "n_max must be at most 5000, got 20000"),
+        ("laplace-discrete", {"threshold": 0}, "threshold must be > 0, got 0"),
+        ("mittag-type", {"n_points": -1}, "n_points must be at least 4, got -1"),
+        ("kernel-check", {"t_max": -1}, "t_max must exceed t_min = 0.01, got -1"),
     ])
+    @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
         cmd, values, msg = cfg
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(dict(values, schema=1)))
         assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().out.startswith(f"{cmd}: ERROR: {msg}")
+
+    def test_plancherel_ratio_non_finite_norm_fails(self, tmp_path, capsys, monkeypatch):
+        # N >= 100 gave NaN bump norms that max/min skipped, and a PASS
+        from heatflat import gevrey
+
+        norm_time = gevrey.gevrey_norm_time
+
+        def nan_for_one_bump(sig, p, N):
+            res = norm_time(sig, p, N)
+            if sig.params == {"center": 1.0, "halfwidth": 2.0, "gamma_exp": 1.5}:
+                return gevrey.GevreyNormResult(res.partial_sums * math.nan, res.increments,
+                                               res.converged, res.quadrature_ok)
+            return res
+
+        monkeypatch.setattr(gevrey, "gevrey_norm_time", nan_for_one_bump)
+        assert run(["plancherel-ratio", "--out", str(tmp_path), "--assert"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("plancherel-ratio: FAIL: non-finite norm or ratio for two_sided_bump")
+        assert out.count("two_sided_bump") == 1 and "gaussian" not in out
+        assert "nan" in (tmp_path / "plancherel_ratio.csv").read_text()
 
     @pytest.mark.parametrize("text, msg", [
         ("{bad", "cannot read config .*cfg.json: Expecting property name"),
@@ -223,17 +252,10 @@ def test_csv_format(tmp_path):
     t = np.array([0.0, 0.1])
     sim = SimResult(t, np.array([0.0, 1 / 3]), np.array([1.0, 2.0]), np.array([0.0, 1.0]),
                     np.array([[0.0, 0.5], [0.25, 1 / 3]]), True, 0.0)
-    Signal(t, np.array([1.0, 1 / 3])).to_csv(tmp_path / "signal.csv")
-    sim.to_csv(tmp_path / "y.csv")
-    sim.state_to_csv(tmp_path / "z.csv")
     TrackingResult(sim, np.array([0.0, 0.3]), 0.0, ControlSynthesis(sim.u, 0.0, False),
                    1).to_csv(tmp_path / "track.csv")
     _write_csv(tmp_path / "rows.csv", ["name", "n", "x"], [("a;b", 3, -2.5e-20)])
     read = lambda name: (tmp_path / name).read_text()
-    assert read("signal.csv") == "t,value\n0,1\n0.10000000000000001,0.33333333333333331\n"
-    assert read("y.csv") == "t,y\n0,0\n0.10000000000000001,0.33333333333333331\n"
-    assert read("z.csv") == ("t,x,z\n0,0,0\n0,1,0.5\n0.10000000000000001,0,0.25\n"
-                             "0.10000000000000001,1,0.33333333333333331\n")
     assert read("track.csv") == ("t,y_target,y_sim,u\n0,0,0,1\n"
                                  "0.10000000000000001,0.29999999999999999,"
                                  "0.33333333333333331,2\n")

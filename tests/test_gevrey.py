@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath as mp
@@ -82,19 +81,6 @@ class TestSignal:
         assert calls == [0] and np.array_equal(sig.values, g)
         with pytest.raises(ValueError, match="values or a derivative provider"):
             Signal(g)
-
-    def test_csv_json_round_trip(self, tmp_path):
-        sig = gaussian_signal(0.5, 1.0, npts=257)
-        pcsv = tmp_path / "sig.csv"
-        pjson = tmp_path / "sig.json"
-        sig.to_csv(pcsv)
-        sig.to_json(pjson)
-        rows = pcsv.read_text().strip().split("\n")
-        assert rows[0] == "t,value"
-        assert len(rows) == 258
-        desc = json.loads(pjson.read_text())
-        assert desc["family"] == "gaussian"
-        assert desc["params"]["sigma"] == 1.0
 
     def test_sum_signal(self):
         a = gaussian_signal(0.0, 1.0, grid=np.linspace(-10, 10, 513))

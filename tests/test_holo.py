@@ -34,9 +34,9 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 class TestOmegaDomain:
     def test_l1_and_contains(self):
+        # the square contains zeta exactly when l1(zeta) < 1
         assert OmegaDomain.l1(0.5 + 0.4j) == pytest.approx(0.9)
-        assert OmegaDomain.contains(0.5 + 0.4j)
-        assert not OmegaDomain.contains(0.8 + 0.4j)
+        assert OmegaDomain.l1(0.8 + 0.4j) > 1.0
 
     def test_quadrature_measures_area(self):
         for eps in (0.2, 0.05):
@@ -57,6 +57,15 @@ class TestCoeffSeq:
         seq = CoeffSeq.from_json([{"log_mag": 0.0, "sign": 1}, {"log_mag": 1.0, "sign": -1}])
         assert len(seq) == 2
         assert seq.phase[1].real * math.exp(seq.log_mag[1]) == pytest.approx(-math.e)
+
+    @pytest.mark.parametrize("entry, match", [
+        ({"log_mag": 0.0, "sign": 2}, "'sign' must be \\+1 or -1, got 2"),
+        ({"log_mag": 0.0, "sign": 0}, "'sign' must be \\+1 or -1, got 0"),
+        ({"sign": 1}, "entry 1 has no 'log_mag'"),
+    ])
+    def test_json_entries_validated(self, entry, match):
+        with pytest.raises(ValueError, match=match):
+            CoeffSeq.from_json([{"log_mag": 1.0}, entry])
 
     def test_json_generators(self):
         for gen in ("factorial_pair", "prop1", "geometric(1.0)", "polylog(-0.5)"):
@@ -81,9 +90,6 @@ class TestCoeffSeq:
             else:
                 assert lm == math.log(abs(v))
                 assert ph == v / abs(v)
-
-    def test_growth_margin_finite(self):
-        assert math.isfinite(CoeffSeq.geometric(1.0, 100).growth_margin())
 
     def test_shift(self):
         seq = CoeffSeq.from_values([1.0, 2.0, 3.0])
@@ -345,7 +351,8 @@ def test_scale_class_equals_full_report_class(name, parity):
     ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
     for R in BATTERY_R:
         want = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64).classification
-        assert holo._scale_class(ev, R) == want, R
+        got = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64, class_only=True)
+        assert got.classification == want, R
 
 
 @pytest.mark.parametrize("parity, a1, R, first_unresolved", [
@@ -358,13 +365,15 @@ def test_scale_class_entire_raw_divergence(parity, a1, R, first_unresolved):
     # with |zeta^2| past a threshold, so raw divergence shows first at the
     # given margin and, even after three resolved margins, decides the class
     ev = SeriesEvaluator(CoeffSeq.from_values([1.0, a1, 1.0], parity))
-    entire, pade_valid, _, _ = holo._coeff_evidence(ev, R)
-    assert entire and not pade_valid
+    # entire: under 8 finite terms give no radius estimate, so no Pade fit
+    assert ev.log_r == math.inf and not ev.pade_valid
     rep = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64)
     assert len(rep.margins) == first_unresolved
     assert rep.classification == "divergent"
-    assert holo._scale_class(ev, R) == "divergent"
-    assert holo._scale_class(ev, 0.5) == "convergent"
+    class_only = lambda R: holo._classify(ev, R, holo.DEFAULT_MARGINS, 64,
+                                          class_only=True).classification
+    assert class_only(R) == "divergent"
+    assert class_only(0.5) == "convergent"
 
 
 def _full_grid_norm(ev, R, eps, n):
@@ -492,11 +501,11 @@ class TestRadiusRa:
         from heatflat import holo
 
         builds, scales = [], []
-        make, classify = holo.SeriesEvaluator, holo._scale_class
+        make, classify = holo.SeriesEvaluator, holo._classify
         monkeypatch.setattr(holo, "SeriesEvaluator",
                             lambda *a: builds.append(a) or make(*a))
-        monkeypatch.setattr(holo, "_scale_class",
-                            lambda ev, R: scales.append(R) or classify(ev, R))
+        monkeypatch.setattr(holo, "_classify",
+                            lambda ev, R, *a, **k: scales.append(R) or classify(ev, R, *a, **k))
         lo, hi = radius_Ra(CoeffSeq.geometric(1.0, 300), tol=0.02)
         assert INV_SQRT2 - 0.02 <= lo <= hi <= INV_SQRT2 + 0.02
         assert len(builds) == 1
