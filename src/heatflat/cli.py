@@ -91,13 +91,29 @@ def run_kernel_check(cfg, out):
 
 
 def run_track(cfg, out):
+    """Track the target at K, and at K_low when set, on one time grid.
+
+    Both experiments read one derivative table of rows 0..max(K, K_low) on
+    that grid, computed once: the target's samples and the two controls are
+    slices of it, which are bit for bit the tables a fresh target would give
+    (a provider's row n does not depend on the table's size).  The flatness
+    check at t = 0 goes to the target's own provider.
+    """
     sim_cfg = heatsim.SimConfig(J=int(cfg["J"]), dt=cfg["dt"], T=cfg["T"])
     tgrid = sim_cfg.time_grid()
     if cfg["target"] == "zero":
-        y = gevrey.Signal(tgrid, np.zeros_like(tgrid),
-                          derivs=lambda N, t: np.zeros((N + 1, len(t))))
+        derivs = lambda N, t: np.zeros((N + 1, len(t)))
     else:
-        y = gevrey.bump_gevrey(cfg["gamma_exp"], t_scale=cfg["t_scale"], grid=tgrid)
+        derivs = gevrey.bump_derivs(cfg["gamma_exp"], t_scale=cfg["t_scale"])
+    with np.errstate(over="ignore", invalid="ignore"):  # flat_control names a row that overflows
+        table = derivs(max(int(cfg["K"]), int(cfg["K_low"])), tgrid)
+
+    def shared(N, t):
+        if N < len(table) and np.array_equal(t, tgrid):
+            return table[:N + 1]
+        return derivs(N, t)
+
+    y = gevrey.Signal(tgrid, None, derivs=shared)
     res = flatness.tracking_experiment(y, sim_cfg, K=int(cfg["K"]))
     res.to_csv(os.path.join(out, "track.csv"))
     ok = res.max_error < cfg["threshold"]
@@ -292,10 +308,12 @@ def run_fourier_decay(cfg, out):
 def run_mittag_type(cfg, out):
     if cfg["n_points"] < 4:  # the type fit needs four points
         raise ValueError(f"n_points must be at least 4, got {cfg['n_points']}")
+    if not (len(cfg["x_range"]) == 2 and 0 < cfg["x_range"][0] < cfg["x_range"][1] < math.inf):
+        raise ValueError(f"x_range must be [lo, hi] with 0 < lo < hi, got {cfg['x_range']}")
+    lo, hi = cfg["x_range"]
     rows = []
     ok = True
     for beta in cfg["betas"]:
-        lo, hi = cfg["x_range"]
         y = np.exp(np.linspace(beta * math.log(lo), beta * math.log(hi), int(cfg["n_points"])))
         fit = numkit.mittag_type_imaginary(beta, y)
         target = math.cos(math.pi / (2.0 * beta))

@@ -150,18 +150,22 @@ class TrackingResult:
 def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingResult:
     """Synthesize the flat control for the target, simulate, report max error.
 
-    The target must be flat at t = 0: derivatives up to order K+1 below
-    1e-12 there (the compatibility condition for zero initial data).
+    The target must be sampled on the time grid ``cfg.time_grid()``; its
+    samples are what the simulated output is compared with.  It must be flat
+    at t = 0: derivatives up to order K+1 below 1e-12 there (the
+    compatibility condition for zero initial data).
     """
     if y_target.derivs is None:
         raise ValueError("tracking needs a target with derivatives")
+    tgrid = cfg.time_grid()
+    if not np.array_equal(y_target.grid, tgrid):
+        raise ValueError("the target must be sampled on the simulation's time grid")
     flat0 = float(np.max(np.abs(y_target.derivs(K + 1, np.array([0.0])))))
     if flat0 > 1e-12:
         raise ValueError(f"target is not flat at t=0 (max |y^(k)(0)| = {flat0:.2e})")
-    tgrid = cfg.time_grid()
     synth = flat_control(y_target.derivs, tgrid, K)
     sim = simulate(synth.u, cfg)
-    yt = np.asarray(y_target.derivs(0, tgrid)[0], dtype=float)
+    yt = np.asarray(y_target.values, dtype=float)
     err = float(np.max(np.abs(sim.y - yt)))
     return TrackingResult(sim, yt, err, synth, K)
 

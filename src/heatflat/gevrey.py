@@ -26,6 +26,7 @@ __all__ = [
     "gevrey_norm_time",
     "weighted_fourier_norm",
     "bump_gevrey",
+    "bump_derivs",
     "two_sided_bump",
     "gaussian_signal",
     "gevrey_cutoff",
@@ -283,7 +284,8 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
 
     Discrete Fourier transform on a zero-padded grid (factor 8 >= 4, length a
     power of two); |F|^2 is splined and the integral taken in the variable
-    xi = rho^s, which removes the |xi|^{1/s} cusp of the weight at zero.
+    xi = rho^s, which removes the |xi|^{1/s} cusp of the weight at zero for
+    s >= 1 (ValueError for s < 1, where its Jacobian s rho^(s-1) is infinite).
     Frequencies where the integrand falls below 1e-16 of its maximum are
     truncated.  The signal must be compactly supported inside the grid or
     decay below 1e-14 (relative) at the grid ends.
@@ -306,6 +308,9 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
     if not live.any():  # the log weight overflows, or is too large to resolve the cut
         raise ValueError(f"the weight e^(2 R xi^(1/s)) overflows on the frequency grid "
                          f"at s = {p.s:g}, R = {p.R:g}")
+    if p.s < 1.0:  # after the overflow test, which also names R
+        raise ValueError(f"the substitution xi = rho^s removes the cusp of the weight only "
+                         f"for s >= 1, got s = {p.s:g}")
     xi_hi = xi[np.where(live)[0][-1]]
     spline = CubicSpline(xi, F2)
     m = 8193
@@ -344,8 +349,12 @@ def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
     """Derivative table of f(t) = exp(-t^-g) for t > 0 (0 for t <= 0).
 
     f^(n) = f t^-n D_n(u), u = t^-g, with the coefficients of ``_bump_coeffs``:
-    in long double, one Horner pass in u times exp(-n log t - u) per row (the
-    alternating D_n(u) loses digits at large n).  Rows stay 0.0 where the bound
+    in long double, one Horner pass in u per row (the alternating D_n(u) loses
+    digits at large n) times the scale t^-n e^-u.  That scale takes one exp
+    per point: row n's is row n-1's times 1/t, within about n 2^-64 relative.
+    Where e^-u is not a normal long double (u > 11355), the walk would carry
+    a subnormal's few digits up the rows, so those points take
+    exp(-n log t - u) per row.  Rows stay 0.0 where the bound
     max_n sum_m |d[n,m]| max(u, 1)^(N(1+1/g)) e^-u underflows float64.
     """
     g, t = float(g), np.asarray(t, dtype=np.longdouble)
@@ -358,8 +367,15 @@ def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
     live = (log_dsum - u
             + N * (1.0 + 1.0 / g) * np.maximum(-g * logt, 0.0) > -745.2)  # e^-745.2 < 2^-1075
     pos, logt, u = pos[live], logt[live], u[live]
+    inv_t = 1.0 / t[pos]
+    scale = np.exp(-u)
+    sub = np.flatnonzero(scale < np.finfo(np.longdouble).smallest_normal)
     for n in range(N + 1):
-        out[n, pos] = np.polyval(d[n][::-1], u) * np.exp(-n * logt - u)
+        if n:
+            scale *= inv_t
+        if len(sub):
+            scale[sub] = np.exp(-n * logt[sub] - u[sub])
+        out[n, pos] = np.polyval(d[n][::-1], u) * scale
     return out
 
 
@@ -374,16 +390,13 @@ def _bump_pair(g: float, a: float, b: float, N: int, t) -> np.ndarray:
     return out
 
 
-def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
-                npts: int = 2049) -> Signal:
-    """One-sided Gevrey bump y(t) = exp(-(t/t_scale)^-gamma_exp) for t > 0.
-
-    Flat at 0 with all derivatives vanishing; nominal Gevrey order
-    1 + 1/gamma_exp.  Derivatives come from the exact rational recurrence.
-    """
+def bump_derivs(gamma_exp: float, t_scale: float = 1.0):
+    """The derivative provider (N, t) -> table of y(t) = exp(-(t/t_scale)^-gamma_exp)."""
     if not gamma_exp > 0:
         raise ValueError("gamma_exp must be > 0")
     s = float(t_scale)
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"t_scale must be finite and > 0, got {t_scale:g}")
 
     def derivs(N, t):
         tab = _one_sided_bump(gamma_exp, N, np.asarray(t, dtype=float) / s)
@@ -391,6 +404,19 @@ def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
             tab[n] /= s**n  # the Python power: s ** arange(N + 1) differs in the last ulp
         return tab
 
+    return derivs
+
+
+def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
+                npts: int = 2049) -> Signal:
+    """One-sided Gevrey bump y(t) = exp(-(t/t_scale)^-gamma_exp) for t > 0.
+
+    Flat at 0 with all derivatives vanishing; nominal Gevrey order
+    1 + 1/gamma_exp.  Derivatives come from the exact rational recurrence
+    (``bump_derivs``).
+    """
+    derivs = bump_derivs(gamma_exp, t_scale)
+    s = float(t_scale)
     if grid is None:
         grid = np.linspace(-0.5 * s, 4.0 * s, npts)
     grid = np.asarray(grid, dtype=float)

@@ -29,6 +29,7 @@ __all__ = [
     "DIR_DIR",
     "interior",
     "SimConfig",
+    "MAX_STEPS",
     "SimResult",
     "kernel_k",
     "simulate",
@@ -66,6 +67,11 @@ def interior(x0: float) -> TransferKind:
     return TransferKind("InteriorX0", x0)
 
 
+# cap on the time steps T/dt of one run: dt = 1e-6 at T = 1, where the target's
+# float64 derivative table alone takes 0.2 GB at K = 25
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     J: int = 128
@@ -76,6 +82,9 @@ class SimConfig:
     def __post_init__(self):
         if self.J < 1 or not self.dt > 0 or not 0 < self.T < math.inf:
             raise ValueError("SimConfig requires J >= 1, dt > 0, finite T > 0")
+        if self.T / self.dt > MAX_STEPS:  # before any grid of that length is allocated
+            raise ValueError(f"SimConfig with dt={self.dt:g} needs {self.T / self.dt:.4g} "
+                             f"time steps over T={self.T:g}, above the cap of {MAX_STEPS}")
         if not abs(round(self.T / self.dt) * self.dt - self.T) <= 1e-9 * self.T:
             raise ValueError(f"SimConfig requires T to be a multiple of dt "
                              f"(T={self.T:g}, dt={self.dt:g})")

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from heatflat import cli, flatness, gevrey, heatsim
 from heatflat.cli import _write_csv, main
 from heatflat.flatness import ControlSynthesis, TrackingResult
 from heatflat.heatsim import SimResult
@@ -75,6 +76,34 @@ class TestCli:
             assert "track: PASS" in out
             errors.append(float(re.search(r"max tracking error (\S+) ", out).group(1)))
         assert errors[0] >= 3.0 * errors[1]
+
+    def test_track_builds_one_table_on_the_time_grid(self, tmp_path, monkeypatch):
+        # the K and K_low controls and the target's samples share one table
+        cfg = cli.SUBCOMMANDS["track"][1]
+        nt = len(heatsim.SimConfig(J=cfg["J"], dt=cfg["dt"], T=cfg["T"]).time_grid())
+        bump, sizes = gevrey._one_sided_bump, []
+        monkeypatch.setattr(gevrey, "_one_sided_bump",
+                            lambda g, N, t: sizes.append(len(t)) or bump(g, N, t))
+        cli.run_track(dict(cfg), str(tmp_path))
+        assert sizes.count(nt) == 1
+
+    def test_track_experiments_match_fresh_targets(self, tmp_path, monkeypatch):
+        # slices of the shared table are bit for bit the tables of a fresh target
+        experiment, runs = flatness.tracking_experiment, []
+        monkeypatch.setattr(flatness, "tracking_experiment",
+                            lambda *a, **k: runs.append(experiment(*a, **k)) or runs[-1])
+        cfg = cli.SUBCOMMANDS["track"][1]
+        cli.run_track(dict(cfg), str(tmp_path))
+        sim_cfg = heatsim.SimConfig(J=cfg["J"], dt=cfg["dt"], T=cfg["T"])
+        assert [r.K for r in runs] == [cfg["K"], cfg["K_low"]]
+        for res in runs:
+            y = gevrey.bump_gevrey(cfg["gamma_exp"], t_scale=cfg["t_scale"],
+                                   grid=sim_cfg.time_grid())
+            fresh = experiment(y, sim_cfg, res.K)
+            assert np.array_equal(res.sim.u, fresh.sim.u)
+            assert np.array_equal(res.sim.y, fresh.sim.y)
+            assert np.array_equal(res.y_target, fresh.y_target)
+            assert res.max_error == fresh.max_error
 
     def test_laplace_discrete_truncation_law_column(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
@@ -184,6 +213,14 @@ class TestCli:
         ("laplace-discrete", {"threshold": 0}, "threshold must be > 0, got 0"),
         ("mittag-type", {"n_points": -1}, "n_points must be at least 4, got -1"),
         ("kernel-check", {"t_max": -1}, "t_max must exceed t_min = 0.01, got -1"),
+        ("track", {"dt": 1e-12},  # a 7.28 TiB time grid
+         "SimConfig with dt=1e-12 needs 1e+12 time steps over T=1, above the cap of 1000000"),
+        ("track", {"t_scale": 0}, "t_scale must be finite and > 0, got 0"),
+        ("plancherel-ratio", {"s": 0.5},
+         "the substitution xi = rho^s removes the cusp of the weight only for s >= 1, "
+         "got s = 0.5"),
+        ("mittag-type", {"x_range": [0.0, 25.0]},
+         "x_range must be [lo, hi] with 0 < lo < hi, got [0.0, 25.0]"),
     ])
     @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):

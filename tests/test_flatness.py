@@ -126,6 +126,12 @@ class TestTracking:
         with pytest.raises(ValueError):
             tracking_experiment(g, cfg, K=6)
 
+    def test_target_off_the_time_grid_rejected(self):
+        cfg = SimConfig(J=32, dt=1e-3, T=1.0)
+        y = bump_gevrey(1.5, t_scale=0.2, grid=SimConfig(dt=2e-3).time_grid())
+        with pytest.raises(ValueError, match="sampled on the simulation's time grid"):
+            tracking_experiment(y, cfg, K=6)
+
     def test_error_nonincreasing_under_refinement(self):
         y_of = lambda grid: bump_gevrey(1.5, t_scale=0.25, grid=grid)
         errs = []

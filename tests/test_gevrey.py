@@ -11,8 +11,10 @@ from heatflat.gevrey import (
     DecayFit,
     GevreyParams,
     Signal,
+    _bump_coeffs,
     _log_l2_norm,
     _log_Mn,
+    _one_sided_bump,
     bump_gevrey,
     fourier_decay_fit,
     gaussian_signal,
@@ -235,6 +237,54 @@ class TestDerivativeTable:
             want = self._mp_bump_rows(1.5, t, 25)
             assert np.all(np.abs(tab[:, i] - want) <= 1e-7 * np.abs(want))
 
+    @staticmethod
+    def _mp_series_rows(g, t, N):
+        # f^(n)(t) = n! c_n, c_n the Taylor coefficients in h of exp(-(t + h)^-g):
+        # the binomial series of the exponent, then the recurrence of its exp
+        with mp.workdps(40):
+            t, g = mp.mpf(float(t)), mp.mpf(g)
+            a = [-t ** (-g) * mp.binomial(-g, k) * t ** (-k) for k in range(N + 1)]
+            c = [mp.exp(a[0])]
+            for k in range(1, N + 1):
+                c.append(mp.fsum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
+            return np.array([float(mp.factorial(n) * c[n]) for n in range(N + 1)])
+
+    @staticmethod
+    def _per_row_exp_rows(g, N, t):
+        # each row scaled by its own exp(-n log t - u), in long double
+        d, _ = _bump_coeffs(g, N)
+        logt = np.log(np.asarray(t, dtype=np.longdouble))
+        u = np.exp(-g * logt)
+        return np.array([np.polyval(d[n][::-1], u) * np.exp(-n * logt - u)
+                         for n in range(N + 1)]).astype(float)
+
+    def test_series_oracle_matches_mpmath_diffs(self):
+        for g, t, N in ((1.5, 0.3, 30), (1.0, 0.7, 30), (1.5, 0.1, 25)):
+            assert np.array_equal(self._mp_series_rows(g, t, N), self._mp_bump_rows(g, t, N))
+
+    def test_bump_rows_scaled_by_one_exp_per_point(self):
+        # row n's scale t^-n e^-u is row n-1's times 1/t: within 2 ulps of the
+        # per-row exp wherever a row is a normal float
+        for g, N, ts in ((1.5, 25, np.arange(1, 5001) * 2e-4 / 0.2), (1.0, 30, [0.3, 0.7, 1.5])):
+            tab, ref = _one_sided_bump(g, N, ts), self._per_row_exp_rows(g, N, ts)
+            normal = np.abs(ref) >= np.finfo(float).smallest_normal
+            assert np.all(np.abs(tab - ref)[normal] <= 4.5e-16 * np.abs(ref[normal]))
+            assert np.all(np.abs(tab - ref)[~normal] <= np.finfo(float).smallest_normal * 4.5e-16)
+
+    def test_bump_rows_where_exp_of_minus_u_is_subnormal(self):
+        # e^-u leaves the normal long double range at u = 11355.5 and is 0 from
+        # u = 11399.5; at g = 0.05 and N = 60 the top rows pass the live bound
+        # there, and those points keep the per-row exp
+        g, N = 0.05, 60
+        us = np.array([11300.0, 11370.0, 11390.0, 11420.0])  # e^-u normal, subnormal x2, 0
+        ts = us ** (-1 / g)
+        tab = _one_sided_bump(g, N, ts)
+        assert np.array_equal(tab[:, 1:], self._per_row_exp_rows(g, N, ts[1:]))
+        for i, t in enumerate(ts):
+            want = self._mp_series_rows(g, t, N)
+            assert np.count_nonzero(want) >= 5
+            assert np.all(np.abs(tab[:, i] - want) <= 1e-13 * np.abs(want))
+
     def test_bump_rows_vanish_where_they_underflow(self):
         # f^(n)(t) = exp(-t^-g) * (...) is far below the float64 range here
         ts = np.array([1e-300, 1e-200, 1e-80, 1e-20])
@@ -381,6 +431,9 @@ class TestBumpGevrey:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
             bump_gevrey(0.0)
+        for t_scale in (0.0, -0.2, math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_scale must be finite and > 0"):
+                bump_gevrey(1.5, t_scale=t_scale)
         for gamma_exp in (0.0, -1.0):
             with pytest.raises(ValueError, match="gamma_exp must be > 0"):
                 two_sided_bump(0.0, 1.0, gamma_exp)
