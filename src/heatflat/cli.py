@@ -311,6 +311,16 @@ def run_mittag_type(cfg, out):
     if not (len(cfg["x_range"]) == 2 and 0 < cfg["x_range"][0] < cfg["x_range"][1] < math.inf):
         raise ValueError(f"x_range must be [lo, hi] with 0 < lo < hi, got {cfg['x_range']}")
     lo, hi = cfg["x_range"]
+    for beta in cfg["betas"]:  # every beta is checked before any series is summed
+        if not beta > 1:
+            raise ValueError(f"betas entries must be > 1, got {beta:g}")
+        terms = numkit._imag_series_terms(beta, hi)
+        if terms > numkit.MAX_SERIES_TERMS:
+            raise ValueError(f"x_range upper end {hi:g} needs {terms:.6g} series terms at "
+                             f"beta = {beta:g}, above the cap of {numkit.MAX_SERIES_TERMS}")
+        if beta * math.log(hi) > math.log(sys.float_info.max):
+            raise ValueError(f"x_range upper end {hi:g} gives y = hi^beta beyond the float "
+                             f"range at beta = {beta:g}")
     rows = []
     ok = True
     for beta in cfg["betas"]:

@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gevrey import GevreyNormResult, GevreyParams, Signal, gevrey_norm_time
 from .heatsim import SimConfig, SimResult, simulate
 from .holo import BergmanReport, CoeffSeq, bergman_norm_estimate, borel_range_test
-from .numkit import write_csv
+from .numkit import log_gamma, write_csv
 
 __all__ = [
     "flat_state",
@@ -72,7 +71,7 @@ def flat_state(y_derivs, t: float, x: float, K: int) -> FlatEval:
         term = 0.0
         if mag > 0:
             term = math.copysign(
-                math.exp(min(math.log(mag) + 2 * k * math.log(abs(x)) - gammaln(2 * k + 1), 700.0)),
+                math.exp(min(math.log(mag) + 2 * k * math.log(abs(x)) - log_gamma(2 * k + 1), 700.0)),
                 yk,
             )
         terms.append(term)
@@ -108,7 +107,7 @@ def flat_control(y_derivs, t_grid, K: int) -> ControlSynthesis:
     grow = 0
     tail = 0.0
     for k in range(1, K + 1):
-        term = Y[k] * math.exp(-gammaln(2 * k))
+        term = Y[k] * math.exp(-log_gamma(2 * k))
         u += term
         a = float(np.max(np.abs(term)))
         scale = float(np.max(np.abs(u))) + 1e-300

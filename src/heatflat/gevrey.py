@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln
+
+from .numkit import log_gamma
 
 __all__ = [
     "GevreyParams",
@@ -169,7 +170,7 @@ def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
 def _log_Mn(p: GevreyParams, n: np.ndarray) -> np.ndarray:
     """log M_n = log[(ns)!/R^{ns} (1+n)^{-s gamma - 1/4}] at the orders n."""
     return (
-        gammaln(n * p.s + 1.0)
+        log_gamma(n * p.s + 1.0)
         - n * p.s * math.log(p.R)
         - (p.s * p.gamma + 0.25) * np.log1p(n)
     )
@@ -279,19 +280,47 @@ def _spectrum(sig: Signal, pad: int = 4):
     return xi, F
 
 
+def _lagrange8(f: np.ndarray, x0: float, h: float, x) -> np.ndarray:
+    """Values at x of the 8-point local Lagrange interpolant of the table
+    f[j] = f(x0 + j h) (Berrut & Trefethen, SIAM Review 46, 2004).
+
+    A point in [x0 + j h, x0 + (j+1) h) reads the nodes j-3 .. j+4, the
+    stencil shifted inside the table at its ends; a caller whose function is
+    known beyond the table (by symmetry, or as a constant) extends the table
+    by 3 nodes on each side so that every stencil stays centred.
+    """
+    s = (np.asarray(x, dtype=float) - x0) / h
+    j0 = np.clip(np.floor(s).astype(int) - 3, 0, len(f) - 8)
+    s -= j0
+    d = [s - k for k in range(8)]  # distances to the stencil nodes
+    # l_i = prod_{k != i} d_k / prod_{k != i} (i - k), as the product of the
+    # d_k left of i and those right of i; the denominator is (-1)^(7-i) i! (7-i)!
+    right = [None] * 8
+    right[7] = np.ones_like(s)
+    for i in range(7, 0, -1):
+        right[i - 1] = right[i] * d[i]
+    out = np.zeros_like(s)
+    left = np.ones_like(s)
+    for i in range(8):
+        denom = (-1) ** (7 - i) * math.factorial(i) * math.factorial(7 - i)
+        out += left * right[i] * f[j0 + i] / denom
+        left = left * d[i]
+    return out
+
+
 def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
     """integral over xi of |F phi(xi)|^2 (1+|xi|)^{2 gamma} e^{2 R |xi|^{1/s}}.
 
     Discrete Fourier transform on a zero-padded grid (factor 8 >= 4, length a
-    power of two); |F|^2 is splined and the integral taken in the variable
-    xi = rho^s, which removes the |xi|^{1/s} cusp of the weight at zero for
-    s >= 1 (ValueError for s < 1, where its Jacobian s rho^(s-1) is infinite).
-    Frequencies where the integrand falls below 1e-16 of its maximum are
-    truncated.  The signal must be compactly supported inside the grid or
-    decay below 1e-14 (relative) at the grid ends.
+    power of two); |F|^2, even in xi, is read between the grid frequencies by
+    ``_lagrange8`` on its table mirrored at xi = 0, and the integral is taken
+    in the variable xi = rho^s, which removes the |xi|^{1/s} cusp of the
+    weight at zero for s >= 1 (ValueError for s < 1, where its Jacobian
+    s rho^(s-1) is infinite).  Frequencies where the integrand falls below
+    1e-16 of its maximum are truncated.  The signal must be compactly
+    supported inside the grid or decay below 1e-14 (relative) at the grid
+    ends.
     """
-    from scipy.interpolate import CubicSpline  # lazily: plancherel-ratio alone needs it
-
     vmax = np.max(np.abs(sig.values))
     if vmax == 0.0:
         return 0.0
@@ -312,11 +341,11 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
         raise ValueError(f"the substitution xi = rho^s removes the cusp of the weight only "
                          f"for s >= 1, got s = {p.s:g}")
     xi_hi = xi[np.where(live)[0][-1]]
-    spline = CubicSpline(xi, F2)
     m = 8193
     rho = np.linspace(0.0, xi_hi ** (1.0 / p.s), m)
     xs = rho**p.s
-    vals = (p.s * rho ** (p.s - 1.0) * np.maximum(spline(xs), 0.0)
+    F2_xs = _lagrange8(np.concatenate([F2[3:0:-1], F2]), -3.0 * xi[1], xi[1], xs)
+    vals = (p.s * rho ** (p.s - 1.0) * np.maximum(F2_xs, 0.0)
             * np.exp(2.0 * p.R * rho) * (1.0 + xs) ** (2.0 * p.gamma))
     w = np.ones(m)
     w[1:-1:2] = 4.0
@@ -342,7 +371,8 @@ def _bump_coeffs(g: float, N: int):
         d.append(nxt)
     for c in d:
         c.flags.writeable = False
-    return tuple(d), math.log(max(float(np.sum(np.abs(c))) for c in d))
+    # the log in long double: the largest sum passes the float64 range near N = 250
+    return tuple(d), float(np.log(max(np.sum(np.abs(c)) for c in d)))
 
 
 def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
@@ -478,11 +508,10 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
 
     chi(t) = 1 - (1/Z) * integral_{t_a}^t rho, where rho is a normalized
     two-sided Gevrey bump supported on [t_a, t_b]; derivatives of chi are
-    exact (chi^(n) = -rho^(n-1)/Z), chi itself interpolates a dense cumulative
-    Simpson table by cubic spline.
+    exact (chi^(n) = -rho^(n-1)/Z); chi itself is read by ``_lagrange8`` from
+    a dense cumulative Simpson table, extended by 1 on the left and 0 on the
+    right, where chi is exactly flat.
     """
-    from scipy.interpolate import CubicSpline  # lazily: no subcommand calls this function
-
     if not t_a < t_b:
         raise ValueError("need t_a < t_b")
     if not (1.0 < order_s < 2.0):
@@ -491,7 +520,7 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
     w = 0.5 * (t_b - t_a)
 
     # cumulative integral of rho over [t_a, t_b]: composite Simpson on pairs
-    # of subintervals, then a spline through the even-node values
+    # of subintervals, read at the even nodes
     mdense = 8193
     td = np.linspace(t_a, t_b, mdense)
     rd = _bump_pair(g, t_a, t_b, 0, td)[0]
@@ -503,14 +532,15 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
     if not Z > 0:
         raise ValueError(f"order_s = {order_s:g} is too close to 1: its bump underflows "
                          f"to 0 over the whole support [{t_a:g}, {t_b:g}]")
-    chi_spl = CubicSpline(td[::2], 1.0 - cum_even / Z)
+    chi_tab = np.concatenate([np.ones(3), 1.0 - cum_even / Z, np.zeros(3)])
+    h_even = (t_b - t_a) / (len(cum_even) - 1)  # td[1] - td[0] is off in its last digits
 
     def derivs(N, t):
         t = np.asarray(t, dtype=float)
         out = np.ones((N + 1, len(t)))
         inside = (t > t_a) & (t < t_b)
         out[0][t >= t_b] = 0.0
-        out[0][inside] = chi_spl(t[inside])
+        out[0][inside] = _lagrange8(chi_tab, t_a - 3.0 * h_even, h_even, t[inside])
         out[1:] = -_bump_pair(g, t_a, t_b, N - 1, t) / Z  # empty when N = 0
         return out
 

@@ -151,8 +151,11 @@ def kernel_k(t, rep: str = "auto"):
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(tarr <= 0):
         raise ValueError("kernel_k requires t > 0")
-    if rep == "auto":
-        out = np.where(tarr < 1.0 / math.pi, _kernel_poisson(tarr), _kernel_eigen_f64(tarr))
+    if rep == "auto":  # each branch only where it is chosen
+        small = tarr < 1.0 / math.pi
+        out = np.empty_like(tarr)
+        out[small] = _kernel_poisson(tarr[small])
+        out[~small] = _kernel_eigen_f64(tarr[~small])
     elif rep == "poisson":
         out = _kernel_poisson(tarr)
     else:
@@ -165,12 +168,10 @@ def kernel_k(t, rep: str = "auto"):
 
 
 def kernel_laplace_quadrature(s: float, t_split: float = 3.0, jtail: int = 8) -> float:
-    """Numerical Laplace transform of k: adaptive quadrature on [0, t_split]
-    plus the analytic integral of the eigen tail beyond it."""
-    from scipy.integrate import quad  # lazily: no subcommand calls this function
-
-    val, _ = quad(lambda t: math.exp(-s * t) * kernel_k(t, "auto"), 0.0, t_split,
-                  epsabs=1e-12, epsrel=1e-12, limit=400)
+    """Numerical Laplace transform of k: mpmath's tanh-sinh quadrature on
+    [0, t_split] plus the analytic integral of the eigen tail beyond it."""
+    val = float(mp.quad(lambda t: math.exp(-s * float(t)) * kernel_k(float(t), "auto"),
+                        [0.0, t_split]))
     # beyond t_split: k(t) = 1 + 2 sum (-1)^j e^{-lam_j t}, integrate exactly
     tail = math.exp(-s * t_split) / s
     for j in range(1, jtail + 1):

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
+
+from .numkit import log_gamma
 
 __all__ = [
     "OmegaDomain",
@@ -150,7 +151,7 @@ class CoeffSeq:
     def geometric(cls, c: float = 1.0, N: int = 600) -> "CoeffSeq":
         """a_k = (2k)! c^k  (series 1/(1 - 2 R^2 c zeta^2) at scale R)."""
         k = np.arange(N)
-        lm = gammaln(2 * k + 1) + k * math.log(abs(c))
+        lm = log_gamma(2 * k + 1) + k * math.log(abs(c))
         ph = np.sign(c) ** k + 0j
         return cls(lm, ph.astype(complex), "even", name=f"geometric({c})", params={"c": c})
 
@@ -159,7 +160,7 @@ class CoeffSeq:
         """a_k = (2k)! k^{-s} (k >= 1): the series is Li_s(2 R^2 zeta^2)-type."""
         k = np.arange(N)
         lm = np.full(N, -math.inf)
-        lm[1:] = gammaln(2 * k[1:] + 1) - s * np.log(k[1:])
+        lm[1:] = log_gamma(2 * k[1:] + 1) - s * np.log(k[1:])
         return cls(lm, np.ones(N, dtype=complex), "even", name=f"polylog({s})", params={"s": s})
 
     @classmethod
@@ -167,7 +168,7 @@ class CoeffSeq:
         """a_k = (2k)! 2^k i^k / sqrt(k) (k >= 1), a_0 = 0."""
         k = np.arange(N)
         lm = np.full(N, -math.inf)
-        lm[1:] = gammaln(2 * k[1:] + 1) + k[1:] * math.log(2.0) - 0.5 * np.log(k[1:])
+        lm[1:] = log_gamma(2 * k[1:] + 1) + k[1:] * math.log(2.0) - 0.5 * np.log(k[1:])
         ph = np.exp(1j * (math.pi / 2.0) * k)
         return cls(lm, ph, "even", name="sharp_radius")
 
@@ -176,7 +177,7 @@ class CoeffSeq:
         """b_0 = 1, b_{n+1} = n!(n+1)!, a_n = 4^n b_n."""
         n = np.arange(N)
         lm = np.zeros(N)
-        lm[1:] = n[1:] * math.log(4.0) + gammaln(n[1:]) + gammaln(n[1:] + 1)
+        lm[1:] = n[1:] * math.log(4.0) + log_gamma(n[1:]) + log_gamma(n[1:] + 1)
         return cls(lm, np.ones(N, dtype=complex), "even", name="factorial_pair")
 
     @classmethod
@@ -228,7 +229,7 @@ class EvalResult:
 def _series_coeffs_g(c: CoeffSeq):
     """Coefficients of g(w): f_1(zeta) = g(zeta^2) (even) or zeta*g(zeta^2) (odd)."""
     p = 2 * np.arange(len(c)) + (c.parity == "odd")
-    lg = c.log_mag + p * math.log(math.sqrt(2.0)) - gammaln(p + 1)
+    lg = c.log_mag + p * math.log(math.sqrt(2.0)) - log_gamma(p + 1)
     return lg, c.phase.copy()
 
 
@@ -785,11 +786,11 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
         raise ValueError("N must be >= 100")
     seq = CoeffSeq.factorial_pair(N)
     n = np.arange(10, min(400, N - 1))
-    ratio = np.exp(seq.log_mag[n] - gammaln(2 * n + 1))
+    ratio = np.exp(seq.log_mag[n] - log_gamma(2 * n + 1))
     resid = np.abs(ratio - np.sqrt(np.pi / n))
     expo, amp = np.polyfit(np.log(n), np.log(resid), 1)
 
-    grow = np.exp(seq.log_mag - gammaln(2 * np.arange(N) + 1)) * np.sqrt(1.0 + np.arange(N))
+    grow = np.exp(seq.log_mag - log_gamma(2 * np.arange(N) + 1)) * np.sqrt(1.0 + np.arange(N))
     growth_sup = float(np.max(grow))
     growth_tail = float(grow[-1])
 

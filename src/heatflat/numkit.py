@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "MLParams",
@@ -28,6 +27,7 @@ __all__ = [
     "polylog",
     "gauss_sum",
     "MAX_DPS",
+    "MAX_SERIES_TERMS",
     "theta_dps",
     "theta_gauss_sum",
     "ThetaResult",
@@ -43,6 +43,11 @@ _GUARD_BITS = 64  # guard bits of gauss_sum's fixed-point walks
 # (n ~ 10^6) hours.
 MAX_DPS = 10_000
 
+# Largest number of terms the series of E_beta(i y) in mittag_type_imaginary
+# may start from (``_imag_series_terms``), which bounds the log-gamma entries
+# one series evaluates; the acceptance config needs 57.
+MAX_SERIES_TERMS = 100_000
+
 
 @dataclass(frozen=True)
 class MLParams:
@@ -56,11 +61,23 @@ class MLParams:
             raise ValueError("MLParams requires alpha > 0 and beta > 0")
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+_LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def log_gamma(x):
+    """ln Gamma(x) for x > 0: a float for a scalar, a float array for an array.
+
+    The package's one log-gamma: ``math.lgamma``, called directly on a
+    scalar and entry by entry on an array.
+    """
+    if np.ndim(x) == 0:
+        if not x > 0:
+            raise ValueError(f"log_gamma requires x > 0, got {x}")
+        return math.lgamma(x)
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise ValueError(f"log_gamma requires x > 0, got {x[~(x > 0)][0]}")
+    return _LGAMMA(x).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +94,7 @@ def _ml_series_log(alpha: float, beta: float, x: float, rtol: float = 1e-15) -> 
     kmax = 2 * kpeak + 64
     while True:
         k = np.arange(kmax + 1)
-        logt = k * logx - gammaln(alpha * k + beta)
+        logt = k * logx - log_gamma(alpha * k + beta)
         m = logt.max()
         # positive terms; ratio of successive terms at the end
         ratio = x / (alpha * kmax + beta) ** alpha
@@ -132,6 +149,10 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
         raise ValueError(
             "insufficient grid range: need max(y)^(1/beta) >= 20 to expose the exponential regime"
         )
+    terms = _imag_series_terms(beta, y[-1] ** (1.0 / beta))
+    if terms > MAX_SERIES_TERMS:
+        raise ValueError(f"max(y) = {y[-1]:g} needs {terms:.6g} series terms at beta = {beta:g}, "
+                         f"above the cap of {MAX_SERIES_TERMS}")
 
     logabs = np.array([_log_abs_E_beta_imag(beta, yi) for yi in y])
     xfit = y ** (1.0 / beta)
@@ -146,13 +167,19 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
     )
 
 
+def _imag_series_terms(beta: float, x: float) -> int:
+    """Terms the series of E_beta(i y) at y = x^beta starts from: twice its
+    peak index x / beta, plus 32."""
+    return int(2 * x / beta) + 32
+
+
 def _log_abs_E_beta_imag(beta: float, y: float) -> float:
     """ln |E_{beta,1}(i y)| by scaled complex summation with tail bound."""
     logy = math.log(y)
-    kmax = max(32, int(2 * y ** (1.0 / beta) / beta) + 32)
+    kmax = _imag_series_terms(beta, y ** (1.0 / beta))
     while True:
         k = np.arange(kmax + 1)
-        logt = k * logy - gammaln(beta * k + 1)
+        logt = k * logy - log_gamma(beta * k + 1)
         m = logt.max()
         ratio = y / (beta * kmax + 1) ** beta
         if ratio < 0.5 and logt[-1] - m < math.log(1e-18):

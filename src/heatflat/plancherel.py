@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln
 
 from .gevrey import GevreyParams, _log_Mn
 from .holo import CoeffSeq
-from .numkit import gauss_sum
+from .numkit import gauss_sum, log_gamma
 
 __all__ = [
     "varpi_params",
@@ -59,7 +58,7 @@ def varpi_coeffs(p: GevreyParams, N: int) -> CoeffSeq:
     """Coefficients a_k = 1/Gamma(alpha k + beta + 1), k <= N, as a CoeffSeq."""
     alpha, beta = varpi_params(p)
     k = np.arange(N + 1)
-    lm = -gammaln(alpha * k + beta + 1.0)
+    lm = -log_gamma(alpha * k + beta + 1.0)
     return CoeffSeq(lm, np.ones(N + 1, dtype=complex), "even",
                     name="varpi", params={"alpha": alpha, "beta": beta})
 

@@ -221,6 +221,12 @@ class TestCli:
          "got s = 0.5"),
         ("mittag-type", {"x_range": [0.0, 25.0]},
          "x_range must be [lo, hi] with 0 < lo < hi, got [0.0, 25.0]"),
+        ("mittag-type", {"x_range": [15.0, 1e300]},  # y = x^2 overflowed at 1e300
+         "x_range upper end 1e+300 needs 1e+300 series terms at beta = 2, "
+         "above the cap of 100000"),
+        ("mittag-type", {"betas": [2.0, 400.0]},
+         "x_range upper end 25 gives y = hi^beta beyond the float range at beta = 400"),
+        ("mittag-type", {"betas": [2.0, 0.0]}, "betas entries must be > 1, got 0"),
     ])
     @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
@@ -299,8 +305,8 @@ def test_csv_format(tmp_path):
     assert read("rows.csv") == "name,n,x\na;b,3,-2.4999999999999999e-20\n"
 
 
-def test_cli_does_not_import_scipy_interpolate_or_integrate():
-    # CubicSpline and quad load inside the functions that use them
+def test_cli_imports_no_scipy():
+    # numpy and mpmath are the whole runtime; scipy serves the tests as an oracle
     import os
     import subprocess
     import sys
@@ -309,7 +315,7 @@ def test_cli_does_not_import_scipy_interpolate_or_integrate():
 
     src = os.path.dirname(os.path.dirname(heatflat.__file__))
     code = ("import sys, heatflat.cli; "
-            "print('scipy.interpolate' in sys.modules, 'scipy.integrate' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-    assert out.strip() == "False False"
+    assert out.strip() == "[]"

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from heatflat import cli, flatness
+from heatflat import cli, flatness, gevrey
 from heatflat.gevrey import (
     DecayFit,
     GevreyParams,
@@ -285,6 +285,24 @@ class TestDerivativeTable:
             assert np.count_nonzero(want) >= 5
             assert np.all(np.abs(tab[:, i] - want) <= 1e-13 * np.abs(want))
 
+    def test_bump_coeffs_log_sum_beyond_float_range(self):
+        # max_n sum_m |d[n, m]| exceeds 1.8e308 at g = 0.25, N = 250; its log
+        # is taken in long double against the same recurrence at 40 digits
+        g, N = 0.25, 250
+        with mp.workdps(40):
+            row, best = [mp.mpf(1)], mp.mpf(1)
+            for k in range(N):
+                nxt = [mp.mpf(0)] * (k + 2)
+                for m, c in enumerate(row):
+                    nxt[m] -= (m * mp.mpf(g) + k) * c
+                    nxt[m + 1] += g * c
+                row = nxt
+                best = max(best, mp.fsum(abs(c) for c in row))
+            want = float(mp.log(best))
+        got = _bump_coeffs(g, N)[1]
+        assert want > math.log(np.finfo(float).max)
+        assert math.isfinite(got) and abs(got - want) <= 1e-12 * want
+
     def test_bump_rows_vanish_where_they_underflow(self):
         # f^(n)(t) = exp(-t^-g) * (...) is far below the float64 range here
         ts = np.array([1e-300, 1e-200, 1e-80, 1e-20])
@@ -381,6 +399,24 @@ class TestWeightedFourierNorm:
         with pytest.raises(ValueError):
             weighted_fourier_norm(sig, P2)
 
+    @pytest.mark.parametrize("k", range(8))
+    def test_interpolant_matches_trapezoid_dft(self, k, monkeypatch):
+        # |F|^2 read between the FFT frequencies against the trapezoid DFT of
+        # the samples, summed directly at every fourth point the norm reads
+        sig = cli._ratio_family()[k]
+        calls = []
+        interp = gevrey._lagrange8
+        monkeypatch.setattr(gevrey, "_lagrange8",
+                            lambda *a: calls.append((a[-1], interp(*a))) or calls[-1][1])
+        weighted_fourier_norm(sig, P2)
+        (xs, F2), = calls
+        xs, F2 = xs[::4], F2[::4]
+        tj = sig.step * np.arange(len(sig.grid))
+        exact = np.concatenate([
+            np.abs(np.exp(-1j * np.outer(xs[i:i + 256], tj)) @ sig.values) ** 2
+            for i in range(0, len(xs), 256)]) * sig.step**2 / (2.0 * math.pi)
+        assert np.max(np.abs(F2 - exact)) <= 1e-11 * np.max(exact)
+
     def test_ratio_band(self):
         # Fourier/time ratio stays in one modest band across the family
         sigs = [gaussian_signal(0.0, 1.0), gaussian_signal(1.5, 0.7),
@@ -446,6 +482,15 @@ class TestGevreyCutoff:
         v = chi.deriv(0, t)
         assert abs(v[0] - 1.0) < 1e-12
         assert abs(v[1]) < 1e-12
+
+    def test_values_against_quadrature(self):
+        # chi(t) = 1 - int_{t_a}^t rho / int rho, rho the bump on (t_a, t_b)
+        t_a, t_b, g = 0.2, 0.8, 2.0  # order 1.5
+        rho = lambda t: math.exp(-((t - t_a) ** -g) - (t_b - t) ** -g)
+        Z = quad(rho, t_a, t_b, epsabs=0, epsrel=1e-13)[0]
+        t = np.array([0.2001, 0.25, 0.3, 0.437, 0.5, 0.61, 0.75, 0.7999])
+        want = [1.0 - quad(rho, t_a, ti, epsabs=0, epsrel=1e-13)[0] / Z for ti in t]
+        assert np.max(np.abs(gevrey_cutoff(t_a, t_b, 1.5).deriv(0, t) - want)) < 1e-12
 
     def test_monotone_nonincreasing(self):
         chi = gevrey_cutoff(0.0, 1.0, 1.5)

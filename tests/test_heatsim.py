@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -71,6 +72,16 @@ class TestKernel:
             a = kernel_k(t, "auto")
             b = kernel_k(t, "poisson" if t < 1 / math.pi else "eigen")
             assert a == b
+        t = np.geomspace(1e-3, 10.0, 301)
+        small = t < 1 / math.pi
+        want = np.where(small, kernel_k(t, "poisson"), kernel_k(t, "eigen"))
+        assert np.array_equal(kernel_k(t, "auto"), want)
+
+    def test_auto_evaluates_only_the_chosen_branch(self):
+        # the eigen sum at t = 1e-20 would take ~4e10 terms (an 18.7 GiB array)
+        t0 = time.perf_counter()
+        assert kernel_k(1e-20, "auto") == kernel_k(1e-20, "poisson")
+        assert time.perf_counter() - t0 < 1.0
 
     def test_domain(self):
         with pytest.raises(ValueError):

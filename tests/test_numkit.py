@@ -29,6 +29,18 @@ class TestLogGamma:
     def test_domain(self, x):
         with pytest.raises(ValueError):
             log_gamma(x)
+        with pytest.raises(ValueError):
+            log_gamma(np.array([1.0, x, 2.0]))
+
+    def test_against_scipy_gammaln(self):
+        from scipy.special import gammaln
+
+        x = np.concatenate([np.geomspace(1e-3, 1e6, 20001), np.arange(1.0, 2001.0)])
+        v = log_gamma(x)
+        assert v.dtype == float and v.shape == x.shape
+        ref = gammaln(x)
+        assert np.all(np.abs(v - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
+        assert [log_gamma(xi) for xi in x[::1000]] == v[::1000].tolist()
 
 
 class TestMittagLeffler:
@@ -92,6 +104,9 @@ class TestMittagTypeImaginary:
             mittag_type_imaginary(1.0, np.array([1.0, 2.0, 3.0, 4.0]))
         with pytest.raises(ValueError):
             mittag_type_imaginary(2.0, np.linspace(1.0, 10.0, 8))  # max^(1/2) < 20
+        # y = 1e12 at beta = 2 starts from 2 sqrt(y)/2 + 32 terms, above the cap
+        with pytest.raises(ValueError, match="needs 1.00003e.06 series terms at beta = 2"):
+            mittag_type_imaginary(2.0, np.geomspace(1e10, 1e12, 5))
 
 
 class TestPolylog:
