@@ -286,8 +286,8 @@ class TestDerivativeTable:
             assert np.all(np.abs(tab[:, i] - want) <= 1e-13 * np.abs(want))
 
     def test_bump_coeffs_log_sum_beyond_float_range(self):
-        # max_n sum_m |d[n, m]| exceeds 1.8e308 at g = 0.25, N = 250; its log
-        # is taken in long double against the same recurrence at 40 digits
+        # max_n sum_m |d[n, m]| exceeds 1.8e308 at g = 0.25, N = 250; its log,
+        # taken in long double, against the same recurrence at 40 digits
         g, N = 0.25, 250
         with mp.workdps(40):
             row, best = [mp.mpf(1)], mp.mpf(1)
@@ -404,10 +404,13 @@ class TestWeightedFourierNorm:
         # |F|^2 read between the FFT frequencies against the trapezoid DFT of
         # the samples, summed directly at every fourth point the norm reads
         sig = cli._ratio_family()[k]
-        calls = []
-        interp = gevrey._lagrange8
-        monkeypatch.setattr(gevrey, "_lagrange8",
-                            lambda *a: calls.append((a[-1], interp(*a))) or calls[-1][1])
+        calls, interp = [], gevrey._lagrange8
+
+        def recorded(*args):
+            calls.append((args[-1], interp(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(gevrey, "_lagrange8", recorded)
         weighted_fourier_norm(sig, P2)
         (xs, F2), = calls
         xs, F2 = xs[::4], F2[::4]

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from heatflat.numkit import (
     MLParams,
@@ -33,8 +34,6 @@ class TestLogGamma:
             log_gamma(np.array([1.0, x, 2.0]))
 
     def test_against_scipy_gammaln(self):
-        from scipy.special import gammaln
-
         x = np.concatenate([np.geomspace(1e-3, 1e6, 20001), np.arange(1.0, 2001.0)])
         v = log_gamma(x)
         assert v.dtype == float and v.shape == x.shape
