@@ -305,6 +305,22 @@ def test_csv_format(tmp_path):
     assert read("rows.csv") == "name,n,x\na;b,3,-2.4999999999999999e-20\n"
 
 
+def test_cli_does_not_import_scipy_interpolate_or_integrate():
+    # the runtime interpolates and integrates with numpy and mpmath alone
+    import os
+    import subprocess
+    import sys
+
+    import heatflat
+
+    src = os.path.dirname(os.path.dirname(heatflat.__file__))
+    code = ("import sys, heatflat.cli; "
+            "print('scipy.interpolate' in sys.modules, 'scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False False"
+
+
 def test_cli_imports_no_scipy():
     # numpy and mpmath are the whole runtime; scipy serves the tests as an oracle
     import os

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.optimize import brentq
 
+import heatflat
 from heatflat import holo
 from heatflat.numkit import polylog
 from heatflat.holo import (
@@ -609,6 +613,13 @@ class TestLossFactors:
         assert abs(loss_crossover() - brentq(f, 3.0, 4.0, xtol=1e-10)) <= 1e-10
         with pytest.raises(ValueError):
             loss_crossover((4.0, 5.0))
+
+    def test_holo_does_not_import_scipy_optimize(self):
+        src = os.path.dirname(os.path.dirname(heatflat.__file__))
+        code = "import sys, heatflat.holo; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.strip() == "False"
 
     def test_rho_increasing_to_1_gamma_above_1(self):
         s = np.linspace(1.01, 400.0, 300)
