@@ -1,6 +1,6 @@
 """Batch experiment runner: one subcommand per acceptance experiment.
 
-Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert] [--seed N]
+Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert]
 
 Each subcommand reads an optional JSON config ({"schema": 1, ...}; unknown
 keys, values or list entries of the wrong type, and fractional numbers where
@@ -321,6 +321,11 @@ def run_mittag_type(cfg, out):
         if beta * math.log(hi) > math.log(sys.float_info.max):
             raise ValueError(f"x_range upper end {hi:g} gives y = hi^beta beyond the float "
                              f"range at beta = {beta:g}")
+        lost = numkit._imag_digits_lost(beta, hi)
+        if lost > numkit.MAX_LOST_DIGITS:
+            raise ValueError(f"x_range upper end {hi:g} loses {lost:.3g} float64 digits to "
+                             f"cancellation at beta = {beta:g}, above the limit of "
+                             f"{numkit.MAX_LOST_DIGITS:g}")
     rows = []
     ok = True
     for beta in cfg["betas"]:
@@ -371,8 +376,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory for CSV/JSON results")
         p.add_argument("--assert", dest="do_assert", action="store_true",
                        help="exit nonzero if the acceptance threshold is violated")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all computations are deterministic")
     args = parser.parse_args(argv)
     fn, defaults = SUBCOMMANDS[args.subcommand]
     cfg = _load_config(args.config, defaults, args.subcommand)

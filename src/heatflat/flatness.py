@@ -56,26 +56,17 @@ def flat_state(y_derivs, t: float, x: float, K: int) -> FlatEval:
     """Partial sum of z(t,x) = sum_k y^(k)(t) x^{2k}/(2k)! up to K terms.
 
     ``y_derivs`` is the target's derivative table (``Signal.derivs``).  The
-    last-term magnitude (relative) serves as tail proxy; terms that stop
-    decreasing at the cutoff raise the divergence flag (|x| beyond the Gevrey
-    radius of the target).
+    sum, its tail proxy, its divergence flag and its ValueError for a row
+    that is not finite are those of ``_flat_sum``; the flag is raised for
+    |x| beyond the Gevrey radius of the target.
     """
     if abs(x) > 1.0:
         raise ValueError("flat series is used for |x| <= 1")
-    terms = []
-    for k, yk in enumerate(y_derivs(K, np.array([t]))[:, 0].tolist()):
-        if x == 0.0:
-            terms.append(yk if k == 0 else 0.0)
-            continue
-        mag = abs(yk)
-        term = 0.0
-        if mag > 0:
-            term = math.copysign(
-                math.exp(min(math.log(mag) + 2 * k * math.log(abs(x)) - log_gamma(2 * k + 1), 700.0)),
-                yk,
-            )
-        terms.append(term)
-    return _sum_with_diagnostics(terms)
+    w = [abs(x) ** (2 * k) * math.exp(-log_gamma(2 * k + 1)) for k in range(K + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _flat_sum
+        Y = np.asarray(y_derivs(K, np.array([t])), dtype=float)
+    value, tail, diverged = _flat_sum(Y, w, "flat state")
+    return FlatEval(float(value[0]), tail, diverged)
 
 
 @dataclass
@@ -95,38 +86,35 @@ def flat_control(y_derivs, t_grid, K: int) -> ControlSynthesis:
     that overflows float range raises ValueError naming K and that row.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as the ValueError below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _flat_sum
         Y = np.asarray(y_derivs(K, t_grid), dtype=float)
-    bad = ~np.isfinite(Y[1:K + 1]).all(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad)) + 1
-        raise ValueError(f"flat control with K={K}: derivative row {k} of the target "
-                         f"is not finite; lower K below {k}")
-    u = np.zeros_like(t_grid)
-    lastmag = np.zeros_like(t_grid)
-    grow = 0
-    tail = 0.0
-    for k in range(1, K + 1):
-        term = Y[k] * math.exp(-log_gamma(2 * k))
-        u += term
-        a = float(np.max(np.abs(term)))
-        scale = float(np.max(np.abs(u))) + 1e-300
-        if k > 2:
-            grow = grow + 1 if a > float(np.max(lastmag)) * (1 + 1e-12) else 0
-        lastmag = np.abs(term)
-        tail = a / scale
-    return ControlSynthesis(u, tail, grow >= 4)
+    w = [0.0] + [math.exp(-log_gamma(2 * k)) for k in range(1, K + 1)]
+    return ControlSynthesis(*_flat_sum(Y, w, "flat control"))
 
 
-def _sum_with_diagnostics(terms) -> FlatEval:
-    mags = [abs(t) for t in terms]
-    total = math.fsum(terms)
-    tail = mags[-1] / max(abs(total), 1e-300)
-    diverged = False
-    if len(mags) > 6:
-        last = mags[-5:]
-        diverged = all(last[i + 1] >= last[i] * (1 - 1e-12) for i in range(4)) and last[-1] > 0
-    return FlatEval(total, tail, diverged)
+def _flat_sum(Y, w, name):
+    """The flat series sum_k w_k Y[k] over the points of the table Y, term by term in k.
+
+    Returns the sum, the tail proxy (the last term's largest magnitude over
+    the sum's) and the divergence flag: the last five term magnitudes for
+    k >= 2 each at least (1 - 1e-12) times the one before, the last one > 0.
+    Rows of weight 0 are skipped; a row of nonzero weight that is not finite
+    (the table overflowed) raises ValueError naming the series, K and that row.
+    """
+    bad = [k for k, wk in enumerate(w) if wk and not np.isfinite(Y[k]).all()]
+    if bad:
+        raise ValueError(f"{name} with K={len(w) - 1}: derivative row {bad[0]} of the target "
+                         f"is not finite; lower K below {bad[0]}")
+    total = np.zeros(Y.shape[1])
+    mags = []
+    for k, wk in enumerate(w):
+        term = Y[k] * wk if wk else np.zeros_like(total)
+        total += term
+        mags.append(float(np.max(np.abs(term))))
+    last = mags[2:][-5:]
+    diverged = (len(last) == 5 and last[-1] > 0
+                and all(b >= a * (1 - 1e-12) for a, b in zip(last, last[1:])))
+    return total, mags[-1] / (float(np.max(np.abs(total))) + 1e-300), diverged
 
 
 # ---------------------------------------------------------------------------

@@ -316,10 +316,11 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
     ``_lagrange8`` on its table mirrored at xi = 0, and the integral is taken
     in the variable xi = rho^s, which removes the |xi|^{1/s} cusp of the
     weight at zero for s >= 1 (ValueError for s < 1, where its Jacobian
-    s rho^(s-1) is infinite).  Frequencies where the integrand falls below
-    1e-16 of its maximum are truncated.  The signal must be compactly
-    supported inside the grid or decay below 1e-14 (relative) at the grid
-    ends.
+    s rho^(s-1) is infinite).  Frequencies where |F|^2 is at or below 1e-30
+    of its maximum (the transform's noise floor) are cut, then those where
+    the integrand falls below 1e-16 of its maximum.  The signal must be
+    compactly supported inside the grid or decay below 1e-14 (relative) at
+    the grid ends.
     """
     vmax = np.max(np.abs(sig.values))
     if vmax == 0.0:
@@ -332,7 +333,9 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
     F2 = F * F
     with np.errstate(over="ignore"):
         logw2 = 2.0 * p.gamma * np.log1p(xi) + 2.0 * p.R * xi ** (1.0 / p.s)
-    logint = np.log(np.maximum(F2, 1e-300)) + logw2
+    # |F|^2 at or below 1e-30 of its peak is the FFT's rounding noise: the
+    # weight would lift it into the integrand, so it is cut first
+    logint = np.where(F2 > 1e-30 * F2.max(), np.log(np.maximum(F2, 1e-300)) + logw2, -np.inf)
     live = logint > logint.max() + math.log(1e-16)
     if not live.any():  # the log weight overflows, or is too large to resolve the cut
         raise ValueError(f"the weight e^(2 R xi^(1/s)) overflows on the frequency grid "

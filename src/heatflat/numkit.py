@@ -28,6 +28,7 @@ __all__ = [
     "gauss_sum",
     "MAX_DPS",
     "MAX_SERIES_TERMS",
+    "MAX_LOST_DIGITS",
     "theta_dps",
     "theta_gauss_sum",
     "ThetaResult",
@@ -47,6 +48,14 @@ MAX_DPS = 10_000
 # may start from (``_imag_series_terms``), which bounds the log-gamma entries
 # one series evaluates; the acceptance config needs 57.
 MAX_SERIES_TERMS = 100_000
+
+# Most float64 digits the series of E_beta(i y) may lose to cancellation
+# (``_imag_digits_lost``): its terms peak near e^(y^(1/beta)) while the sum
+# is about e^(cos(pi/(2 beta)) y^(1/beta)).  At the limit ln|E_beta(i y)| is
+# within 3e-8 relative of a 120-digit sum for beta in [1.2, 5]; at beta = 2
+# x = y^(1/beta) = 100 loses 12.7 digits and is off by 0.028.  The acceptance
+# config loses 3.2.
+MAX_LOST_DIGITS = 8.0
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,9 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
 
     Evaluates |E_beta(i y)| by a log-scaled complex series with a certified
     tail bound and fits ln|E_beta(iy)| against |y|^{1/beta}.  The slope
-    estimates the type, which equals cos(pi/(2 beta)) for beta > 1.
+    estimates the type, which equals cos(pi/(2 beta)) for beta > 1.  A grid
+    whose series would lose more than MAX_LOST_DIGITS float64 digits to
+    cancellation raises ValueError.
     """
     if not beta > 1:
         raise ValueError("mittag_type_imaginary requires beta > 1")
@@ -153,6 +164,10 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
     if terms > MAX_SERIES_TERMS:
         raise ValueError(f"max(y) = {y[-1]:g} needs {terms:.6g} series terms at beta = {beta:g}, "
                          f"above the cap of {MAX_SERIES_TERMS}")
+    lost = _imag_digits_lost(beta, y[-1] ** (1.0 / beta))
+    if lost > MAX_LOST_DIGITS:
+        raise ValueError(f"max(y) = {y[-1]:g} loses {lost:.3g} float64 digits to cancellation "
+                         f"at beta = {beta:g}, above the limit of {MAX_LOST_DIGITS:g}")
 
     logabs = np.array([_log_abs_E_beta_imag(beta, yi) for yi in y])
     xfit = y ** (1.0 / beta)
@@ -171,6 +186,12 @@ def _imag_series_terms(beta: float, x: float) -> int:
     """Terms the series of E_beta(i y) at y = x^beta starts from: twice its
     peak index x / beta, plus 32."""
     return int(2 * x / beta) + 32
+
+
+def _imag_digits_lost(beta: float, x: float) -> float:
+    """Decimal digits the series of E_beta(i y) at y = x^beta loses to
+    cancellation: (1 - cos(pi/(2 beta))) x / ln 10."""
+    return (1.0 - math.cos(math.pi / (2.0 * beta))) * x / math.log(10.0)
 
 
 def _log_abs_E_beta_imag(beta: float, y: float) -> float:

@@ -227,6 +227,9 @@ class TestCli:
         ("mittag-type", {"betas": [2.0, 400.0]},
          "x_range upper end 25 gives y = hi^beta beyond the float range at beta = 400"),
         ("mittag-type", {"betas": [2.0, 0.0]}, "betas entries must be > 1, got 0"),
+        ("mittag-type", {"x_range": [15.0, 200.0]},  # ln|E_2(iy)| off by 27 at x = 200
+         "x_range upper end 200 loses 25.4 float64 digits to cancellation at beta = 2, "
+         "above the limit of 8"),
     ])
     @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
@@ -285,9 +288,6 @@ class TestCli:
         assert run(["kernel-check", "--config", str(cfgp), "--out", str(tmp_path),
                     "--assert"]) == 1
         assert "FAIL" in capsys.readouterr().out
-
-    def test_seed_flag_accepted(self, tmp_path):
-        assert run(["loss-table", "--out", str(tmp_path), "--seed", "42"]) == 0
 
 
 def test_csv_format(tmp_path):

@@ -69,6 +69,22 @@ class TestFlatState:
             assert not r.diverged
         r = flat_state(provider, 0.0, 0.9, 30)  # x > rho: series diverges
         assert r.diverged
+        r = flat_state(provider, 0.0, rho, 30)  # x = rho: terms of constant size
+        assert r.diverged
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_row_not_finite(self):
+        # an overflowed row is an error where it has weight, and skipped at
+        # x = 0 where it has none
+        def provider(N, t):
+            tab = np.ones((N + 1, len(t)))
+            tab[3] = np.inf
+            return tab
+
+        with pytest.raises(ValueError, match=r"flat state with K=5: derivative row 3 "):
+            flat_state(provider, 0.1, 0.5, 5)
+        assert flat_state(provider, 0.1, 0.0, 5).value == 1.0
 
 
 class TestFlatControl:
@@ -96,6 +112,33 @@ class TestFlatControl:
         u_mix = flat_control(mix, grid, 12).u
         u_sep = a * flat_control(y1.derivs, grid, 12).u + b * flat_control(y2.derivs, grid, 12).u
         assert np.max(np.abs(u_mix - u_sep)) <= 1e-12 * max(1.0, np.abs(u_sep).max())
+
+    def test_terms_of_constant_size_diverge(self):
+        # y^(k) = (2k-1)!: every term y^(k)/(2k-1)! is 1, which the one
+        # divergence rule of the flat series flags, as for flat_state at x = rho
+        def provider(N, t):
+            return np.array([np.full(len(t), float(math.factorial(max(2 * k - 1, 0))))
+                             for k in range(N + 1)])
+
+        syn = flat_control(provider, np.linspace(0, 1, 11), 10)
+        assert np.allclose(syn.u, 10.0, rtol=1e-14)
+        assert syn.diverged
+        assert not flat_control(provider, np.linspace(0, 1, 11), 5).diverged  # < 5 terms k >= 2
+
+    # the bump target of ``track``: diverged flag and tail proxy of the control
+    @pytest.mark.parametrize("dt, K, diverged, tail", [
+        (1e-3, 5, False, 0.7970695818211451), (1e-3, 6, True, 0.953885760661167),
+        (1e-3, 10, True, 1.3576757449592678), (1e-3, 25, False, 1.5372142444097932),
+        (1e-3, 40, False, 0.029849181088138704), (1e-3, 60, False, 0.6244215642666711),
+        (2.5e-4, 5, False, 0.7974265913039124), (2.5e-4, 6, True, 0.9561124482848676),
+        (2.5e-4, 10, True, 1.354994645713266), (2.5e-4, 25, False, 1.2378287152126735),
+        (2.5e-4, 40, False, 0.03032005266456016), (2.5e-4, 60, True, 2.140013158792566),
+    ])
+    def test_synthesis_flags_on_the_track_target(self, dt, K, diverged, tail):
+        grid = SimConfig(dt=dt).time_grid()
+        syn = flat_control(bump_gevrey(1.5, t_scale=0.2, grid=grid).derivs, grid, K)
+        assert syn.diverged is diverged
+        assert syn.tail_proxy == pytest.approx(tail, rel=1e-12)
 
     def test_overflowing_row_is_a_clean_error(self):
         # rows >= 85 of this bump's table exceed float range near t = 0.01

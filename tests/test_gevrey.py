@@ -386,6 +386,16 @@ class TestWeightedFourierNorm:
                           limit=200)[0]
         assert abs(val - want) < 1e-6 * want
 
+    @pytest.mark.parametrize("center, sigma", [(2.0, 0.7), (0.0, 1.0), (-1.0, 1.4)])
+    @pytest.mark.filterwarnings("error")
+    def test_gaussian_at_s1_above_the_noise_floor(self, center, sigma):
+        # at s = 1 the weight e^{|xi|} outgrows |F|^2 only in the FFT's noise
+        # floor, which must be cut: the norm is sigma sqrt(pi) e^{R^2/sigma^2}
+        # erfc(-R/sigma) for R = 1/2
+        val = weighted_fourier_norm(gaussian_signal(center, sigma), GevreyParams(1.0, 0.5, 0.0))
+        want = sigma * math.sqrt(math.pi) * math.exp(0.25 / sigma**2) * math.erfc(-0.5 / sigma)
+        assert val == pytest.approx(want, rel=1e-12)
+
     def test_monotone_in_R_and_gamma(self):
         sig = gaussian_signal(0.0, 1.0)
         v = [weighted_fourier_norm(sig, GevreyParams(2.0, r, 0.0)) for r in (0.2, 0.4, 0.6)]

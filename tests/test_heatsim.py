@@ -223,14 +223,27 @@ class TestSimulate:
                       - 2.0 * a * erfc(a / np.sqrt(t))).sum(axis=1)
         assert np.max(np.abs(res.y[1:] - want)) < 1e-15
 
-    def test_signal_input(self):
-        from heatflat.gevrey import bump_gevrey
+    def test_output_is_the_state_at_x0(self):
+        # one synthesis over x = [0, *x_grid]: y is its x = 0 column, bit for
+        # bit, and state points do not move it
+        cfg = SimConfig(J=128, dt=5e-4, T=0.4, x_grid=(0.3, 0.0, 1.0))
+        t = cfg.time_grid()
+        u = np.sin(9.0 * t) + 40.0 * t**2 + 0.3
+        res = simulate(u, cfg)
+        assert res.z.shape == (len(t), 3)
+        assert np.array_equal(res.y, res.z[:, 1])
+        bare = simulate(u, SimConfig(J=128, dt=5e-4, T=0.4))
+        assert bare.z.shape == (len(t), 0)
+        assert np.array_equal(bare.y, res.y)
+        for n in (1, 2, 5, 11):
+            grid = tuple(np.linspace(0.0, 1.0, n))
+            assert np.array_equal(simulate(u, SimConfig(J=128, dt=5e-4, T=0.4,
+                                                        x_grid=grid)).y, res.y)
 
-        cfg = SimConfig(J=64, dt=1e-3, T=1.0)
-        sig = bump_gevrey(1.5, t_scale=0.3, grid=cfg.time_grid())
-        r1 = simulate(sig, cfg)
-        r2 = simulate(np.asarray(sig.values, dtype=float), cfg)
-        assert np.array_equal(r1.y, r2.y)
+    def test_control_must_be_an_array_on_the_grid(self):
+        cfg = SimConfig(J=32, dt=1e-3, T=0.1)
+        with pytest.raises(ValueError, match="control array must have length 101"):
+            simulate(np.ones(100), cfg)
 
     def test_T_must_be_a_multiple_of_dt(self):
         with pytest.raises(ValueError, match="multiple of dt"):

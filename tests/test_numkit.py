@@ -6,7 +6,10 @@ import pytest
 from scipy.special import gammaln
 
 from heatflat.numkit import (
+    MAX_LOST_DIGITS,
     MLParams,
+    _imag_digits_lost,
+    _log_abs_E_beta_imag,
     _ml_asymptotic_log,
     _ml_series_log,
     gauss_sum,
@@ -106,6 +109,21 @@ class TestMittagTypeImaginary:
         # y = 1e12 at beta = 2 starts from 2 sqrt(y)/2 + 32 terms, above the cap
         with pytest.raises(ValueError, match="needs 1.00003e.06 series terms at beta = 2"):
             mittag_type_imaginary(2.0, np.geomspace(1e10, 1e12, 5))
+
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_digit_limit_against_mpmath(self, beta):
+        # at the largest x = y^(1/beta) the limit admits, ln|E_beta(iy)| is
+        # within 1e-7 relative of a 120-digit sum; just past it the fit refuses
+        x = MAX_LOST_DIGITS * math.log(10.0) / (1.0 - math.cos(math.pi / (2.0 * beta)))
+        assert _imag_digits_lost(beta, x) == pytest.approx(MAX_LOST_DIGITS, rel=1e-12)
+        with mp.workdps(120):
+            iy = mp.mpc(0, mp.mpf(x) ** beta)
+            ref = float(mp.log(abs(mp.fsum(iy**k / mp.gamma(beta * k + 1)
+                                           for k in range(int(4 * x / beta) + 200)))))
+        assert abs(_log_abs_E_beta_imag(beta, x**beta) - ref) <= 1e-7 * abs(ref)
+        y = np.exp(np.linspace(beta * math.log(0.5 * x), beta * math.log(1.01 * x), 8))
+        with pytest.raises(ValueError, match="float64 digits to cancellation"):
+            mittag_type_imaginary(beta, y)
 
 
 class TestPolylog:
