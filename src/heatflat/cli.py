@@ -142,19 +142,27 @@ def _ratio_family():
 
 def run_plancherel_ratio(cfg, out):
     p = gevrey.GevreyParams(cfg["s"], cfg["R"], cfg["gamma"])
-    rows, ratios = [], []
+    rows, ratios, diverged, unresolved = [], [], [], []
     for sig in _ratio_family():
+        name = sig.family + json.dumps(sig.params, sort_keys=True).replace(",", ";")
         tn = gevrey.gevrey_norm_time(sig, p, int(cfg["N"]))
         fn = gevrey.weighted_fourier_norm(sig, p)
         ratios.append(fn / tn.total)
-        rows.append((sig.family + json.dumps(sig.params, sort_keys=True).replace(",", ";"),
-                     tn.total, fn, fn / tn.total))
+        rows.append((name, tn.total, fn, fn / tn.total))
+        if not tn.converged:
+            diverged.append(name)
+        if not tn.quadrature_ok:
+            unresolved.append(name)
     _write_csv(os.path.join(out, "plancherel_ratio.csv"),
                ["signal", "time_norm", "fourier_norm", "ratio"], rows)
     # max and min skip a NaN that does not come first, so check every row
     bad = [r[0] for r in rows if not all(math.isfinite(v) for v in r[1:])]
-    if bad:
-        return False, f"non-finite norm or ratio for {', '.join(bad)}"
+    fails = [f"{what} for {', '.join(names)}" for what, names in (
+        ("non-finite norm or ratio", bad),
+        ("time norm series not converged", diverged),
+        ("time norm quadrature not converged", unresolved)) if names]
+    if fails:
+        return False, "; ".join(fails)
     chat = max(max(ratios), 1.0 / min(ratios))
     return chat <= cfg["c_hat"], f"ratio band needs C_hat = {chat:.2f} (allowed {cfg['c_hat']:g})"
 

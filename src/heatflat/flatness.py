@@ -148,7 +148,7 @@ def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingRes
     if not np.array_equal(y_target.grid, tgrid):
         raise ValueError("the target must be sampled on the simulation's time grid")
     flat0 = float(np.max(np.abs(y_target.derivs(K + 1, np.array([0.0])))))
-    if flat0 > 1e-12:
+    if not flat0 <= 1e-12:  # NaN fails too
         raise ValueError(f"target is not flat at t=0 (max |y^(k)(0)| = {flat0:.2e})")
     synth = flat_control(y_target.derivs, tgrid, K)
     sim = simulate(synth.u, cfg)

@@ -259,6 +259,22 @@ class TestCli:
         assert out.count("two_sided_bump") == 1 and "gaussian" not in out
         assert "nan" in (tmp_path / "plancherel_ratio.csv").read_text()
 
+    @pytest.mark.parametrize("values, flag, rows", [
+        # Gevrey order 1 + 1/gamma_exp > s = 1: the bump norms diverge
+        ({"s": 1.0}, "time norm series not converged", [3, 4, 5, 7]),
+        ({"N": 32}, "time norm quadrature not converged", [3, 7]),
+    ], ids=["s1-diverged", "N32-quadrature"])
+    def test_plancherel_ratio_names_unconverged_norms(self, tmp_path, capsys, values, flag,
+                                                      rows):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        names = [line.split(",")[0]
+                 for line in (tmp_path / "plancherel_ratio.csv").read_text().splitlines()[1:]]
+        assert capsys.readouterr().out == (
+            f"plancherel-ratio: FAIL: {flag} for {', '.join(names[i] for i in rows)}\n")
+
     @pytest.mark.parametrize("text, msg", [
         ("{bad", "cannot read config .*cfg.json: Expecting property name"),
         (None, "cannot read config .*cfg.json: .*No such file"),

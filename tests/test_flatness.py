@@ -169,6 +169,18 @@ class TestTracking:
         with pytest.raises(ValueError):
             tracking_experiment(g, cfg, K=6)
 
+    def test_nan_derivative_at_t0_rejected(self):
+        cfg = SimConfig(J=32, dt=1e-3, T=1.0)
+        y = bump_gevrey(1.5, t_scale=0.2, grid=cfg.time_grid())
+
+        def nan_at_t0(N, t):
+            tab = y.derivs(N, t)
+            tab[1:, t == 0.0] = np.nan
+            return tab
+
+        with pytest.raises(ValueError, match=r"not flat at t=0 \(max \|y\^\(k\)\(0\)\| = nan\)"):
+            tracking_experiment(Signal(y.grid, y.values, derivs=nan_at_t0), cfg, K=6)
+
     def test_target_off_the_time_grid_rejected(self):
         cfg = SimConfig(J=32, dt=1e-3, T=1.0)
         y = bump_gevrey(1.5, t_scale=0.2, grid=SimConfig(dt=2e-3).time_grid())

@@ -102,7 +102,8 @@ def _families():
 
 
 def _fresh_node_ladder(f, a, b, rtol=1e-8, m0=513, mmax=32769):
-    """The quadrature before nesting: a whole new table at every Simpson level."""
+    """The quadrature before nesting: a whole new table at every level, summed
+    by the trapezoid rule with the end weights (17, 59, 43, 49)/48."""
     out = None
     m = m0
     while m <= mmax:
@@ -112,8 +113,8 @@ def _fresh_node_ladder(f, a, b, rtol=1e-8, m0=513, mmax=32769):
         if out is None:
             out, prev = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
         w = np.ones(m, dtype=np.longdouble)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
+        w[:4] = np.array([17.0, 59.0, 43.0, 49.0], dtype=np.longdouble) / 48.0
+        w[-4:] = w[3::-1]
         h = (b - a) / (m - 1)
         for i in np.flatnonzero(np.isnan(out)):
             v = rows[i].astype(np.longdouble)
@@ -121,7 +122,7 @@ def _fresh_node_ladder(f, a, b, rtol=1e-8, m0=513, mmax=32769):
             if mx == 0.0:
                 out[i] = -math.inf
                 continue
-            integral = float(np.log(np.sum(w * (v / mx) ** 2)) + np.log(h / 3.0))
+            integral = float(np.log(np.sum(w * (v / mx) ** 2)) + np.log(h))
             log_norm = float(np.log(mx)) + 0.5 * integral
             if abs(log_norm - prev[i]) < 0.5 * rtol:
                 out[i] = log_norm
@@ -133,7 +134,7 @@ def _fresh_node_ladder(f, a, b, rtol=1e-8, m0=513, mmax=32769):
 
 
 class TestNestedLadder:
-    """The nested Simpson ladder of _log_l2_norm against the fresh-node ladder."""
+    """The nested ladder of _log_l2_norm against the fresh-node ladder."""
 
     @staticmethod
     def _check(f, a, b, **kw):
@@ -170,10 +171,34 @@ class TestNestedLadder:
         assert ok and np.ndim(log_norm) == 0
 
     def test_unconverged_at_mmax(self):
-        # a jump at an irrational point: Simpson converges only like 1/m
+        # a jump at an irrational point: the rule converges only like 1/m
         f = lambda t: np.vstack([np.where(t < 1.0 / math.sqrt(2.0), 1.0, 2.0), np.cos(t)])
         log_norms, ok = self._check(f, 0.0, 2.0, m0=9, mmax=4097)
         assert not ok and np.all(np.isfinite(log_norms))
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_cubics_integrated_exactly(self, m):
+        # f^2 a positive cubic: one level of m nodes, not settled, returns its sum
+        cubic = lambda t: 1.0 + 0.3 * t - 0.2 * t**2 + 0.05 * t**3
+        antiderivative = lambda t: t + 0.15 * t**2 - 0.2 / 3.0 * t**3 + 0.0125 * t**4
+        log_norm, ok = _log_l2_norm(lambda t: np.sqrt(cubic(t)), 0.3, 1.7, m0=m, mmax=m)
+        want = antiderivative(1.7) - antiderivative(0.3)
+        assert not ok and abs(math.exp(2.0 * log_norm) - want) <= 1e-15 * want
+
+    def test_end_patches_must_not_overlap(self):
+        with pytest.raises(ValueError, match="needs m0 >= 8 nodes, got 7"):
+            _log_l2_norm(np.cos, 0.0, 1.0, m0=7)
+
+    @pytest.mark.parametrize("k, nodes", [(3, 4097), (7, 8193)])
+    def test_flat_integrands_settle_one_halving_before_simpson(self, k, nodes):
+        # the norms round of perfbench (N = 8); Simpson needed 8193 and 16385
+        sig = cli._ratio_family()[k]
+        seen = []
+        counted = Signal(sig.grid, sig.values,
+                         derivs=lambda N, t: seen.append(len(t)) or sig.derivs(N, t))
+        seen.clear()
+        res = gevrey_norm_time(counted, GevreyParams(2.0, 0.5, 0.0), 8)
+        assert res.quadrature_ok and sum(seen) == nodes
 
     @pytest.mark.parametrize("m0", [513, 9])
     def test_linspace_nesting(self, m0):
@@ -322,6 +347,30 @@ class TestDerivativeTable:
 
 
 class TestGevreyNormTime:
+    @staticmethod
+    def _quadpack_sq_norm(sig, n, a, b):
+        # ||sig^(n)||^2 on [a, b] by adaptive Gauss-Kronrod on the same table rows
+        return quad(lambda t: sig.derivs(n, np.array([t]))[n, 0] ** 2, a, b,
+                    epsabs=0.0, epsrel=2e-14, limit=400)[0]
+
+    def test_bump_increments_against_quadpack(self):
+        sig = two_sided_bump(0.0, 3.0, 1.5)
+        incs = gevrey_norm_time(sig, P2, 8).increments
+        logM = _log_Mn(P2, np.arange(4.0))
+        for n in range(4):
+            want = self._quadpack_sq_norm(sig, n, -3.0, 3.0) * math.exp(-2.0 * logM[n])
+            assert abs(incs[n] - want) <= 1e-12 * want
+
+    def test_one_sided_yprime_increments_against_quadpack(self):
+        # y' of the track target is not flat at t1: the end weights keep the
+        # error near 1e-14, where the plain trapezoid rule is 1.6e-9 off
+        y = bump_gevrey(1.5, t_scale=0.2)
+        incs = flatness.check_trackable_infinite(y, 16).increments
+        for k in range(4):
+            log_w = gammaln(2 * k + 1) + k * math.log(2.0) + 0.75 * math.log1p(k)
+            want = self._quadpack_sq_norm(y, k + 1, 0.0, y.t1) * math.exp(-2.0 * log_w)
+            assert abs(incs[k] - want) <= 1e-12 * want
+
     def test_zero_signal(self):
         g = np.linspace(0, 1, 65)
         z = Signal(g, np.zeros(65), derivs=lambda N, t: np.zeros((N + 1, len(t))))
@@ -476,6 +525,13 @@ class TestBumpGevrey:
         fd = b + (b - a) / 3.0  # Richardson in h^2
         got = float(sig.deriv(6, np.array([t0]))[0])
         assert abs(got - fd) < 1e-5 * abs(got)
+
+    @pytest.mark.parametrize("t_scale, N", [(0.2, 470), (1e-3, 120)])
+    def test_flat_rows_stay_zero_where_the_scale_underflows(self, t_scale, N):
+        # t_scale**n underflows to 0 from n = 463 and n = 108: 0/0 was NaN
+        with np.errstate(all="raise"):
+            tab = bump_gevrey(1.5, t_scale=t_scale).derivs(N, np.array([-0.1 * t_scale, 0.0]))
+        assert np.array_equal(tab, np.zeros_like(tab))
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
