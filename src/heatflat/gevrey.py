@@ -93,7 +93,7 @@ class Signal:
         if self.derivs is not None:
             v0 = self.derivs(0, self.grid)[0]
             scale = max(np.max(np.abs(self.values)), 1e-300)
-            if np.max(np.abs(v0 - self.values)) > 1e-10 * scale:
+            if not np.max(np.abs(v0 - self.values)) <= 1e-10 * scale:  # NaN fails too
                 raise ValueError("derivs(0, .)[0] disagrees with sampled values beyond 1e-10")
 
     def deriv(self, n: int, t) -> np.ndarray:
@@ -185,17 +185,16 @@ def _log_Mn(p: GevreyParams, n: np.ndarray) -> np.ndarray:
 _END_WEIGHTS = np.array([17.0, 59.0, 43.0, 49.0], dtype=np.longdouble) / 48.0
 
 
-def _log_l2_norm(f, a: float, b: float, rtol: float = 1e-8, m0: int = 513, mmax: int = 32769):
+def _log_l2_norm(f, a: float, b: float, log_w=0.0, rtol: float = 1e-8, m0: int = 513,
+                 mmax: int = 32769):
     """log of the L2 norms of the rows of f over [a, b]; end-corrected trapezoid with halving.
 
     The weights are h at the interior nodes and h (17, 59, 43, 49)/48 at the
     four nodes of each end.  The trapezoid rule converges exponentially on
     integrands flat at both ends (Trefethen & Weideman, SIAM Review 56,
     2014), as every bump and Gaussian is; where an end is not flat, the end
-    weights keep the O(h^4) error of Simpson's rule.  Simpson's rule,
-    (4 T - T') / 3 with T' the trapezoid sum on the previous level's nodes,
-    carries the error of T' and so settles one halving later on flat
-    integrands.
+    weights keep the O(h^4) error of Simpson's rule, which carries the error
+    of the previous level's trapezoid sum and so settles a halving later.
 
     ``f(t)`` returns one row per function on the nodes ``t`` (or a single 1-D
     row), and must be pointwise (column j depends on t[j] alone, as a
@@ -207,44 +206,41 @@ def _log_l2_norm(f, a: float, b: float, rtol: float = 1e-8, m0: int = 513, mmax:
     == linspace(a, b, m') (the step halves exactly), so each level's rows are
     those of a fresh table on its own nodes.
 
-    A row takes its value at the first level where it moves by less than
-    rtol/2 from the level before, or -inf once it vanishes on the nodes.
-    Returns (log_norms shaped like one column of f(t), every row converged).
-    Scaled so arbitrarily large derivative values stay in range.  ValueError
-    when m0 < 8, where the two end patches would overlap.
+    One decision per level: the ladder stops where the log of the weighted
+    total sum_n exp(2 (l_n - log_w[n])), l_n the log norm of row n and
+    ``log_w`` one log weight per row, moves by less than rtol (for one row
+    and log_w = 0: |dl| < rtol/2), so a row with a tiny share of the total
+    never keeps it going.  A total that is not finite (a row overflowed, or
+    is NaN) stops it at once, unsettled.  Returns (log_norms shaped like one
+    column of f(t), -inf where a row vanishes on the nodes; the total
+    settled).  Scaled so arbitrarily large derivative values stay in range.
+    ValueError when m0 < 8, where the two end patches would overlap.
     """
     if m0 < 8:
         raise ValueError(f"the end-corrected rule needs m0 >= 8 nodes, got {m0}")
-    out = None  # NaN marks a row not yet settled
-    m = m0
-    while m <= mmax:
-        if out is None:
-            rows = np.asarray(f(np.linspace(a, b, m)))
-            shape, rows = rows.shape[:-1], rows.reshape(-1, m)
-            out, prev = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
-        else:
-            odd = np.asarray(f(np.linspace(a, b, m)[1::2])).reshape(len(rows), -1)
-            both = np.empty((len(rows), m), dtype=np.result_type(rows, odd))
-            both[:, ::2], both[:, 1::2] = rows, odd
-            rows = both
+    rows = np.asarray(f(np.linspace(a, b, m0)))
+    shape, rows = rows.shape[:-1], rows.reshape(-1, m0)
+    prev, m = math.nan, m0  # prev: the level before's total; none for the first level
+    while True:
         w = np.ones(m, dtype=np.longdouble)
         w[:4], w[-4:] = _END_WEIGHTS, _END_WEIGHTS[::-1]
-        h = (b - a) / (m - 1)
-        for i in np.flatnonzero(np.isnan(out)):
-            v = rows[i].astype(np.longdouble)
-            mx = np.max(np.abs(v))
-            if mx == 0.0:
-                out[i] = -math.inf
-                continue
-            integral = float(np.log(np.sum(w * (v / mx) ** 2)) + np.log(h))
-            log_norm = float(np.log(mx)) + 0.5 * integral
-            if abs(log_norm - prev[i]) < 0.5 * rtol:  # never on the first level
-                out[i] = log_norm
-            prev[i] = log_norm
-        if not np.isnan(out).any():
-            return out.reshape(shape), True
-        m = 2 * m - 1
-    return np.where(np.isnan(out), prev, out).reshape(shape), False
+        v = rows.astype(np.longdouble)
+        mx = np.max(np.abs(v), axis=1)
+        with np.errstate(divide="ignore"):  # log 0 = -inf for a vanishing row
+            sq = np.sum(w * (v / np.where(mx > 0.0, mx, 1.0)[:, None]) ** 2, axis=1)
+            integral = (np.log(sq) + np.log((b - a) / (m - 1))).astype(float)
+            log_norms = np.log(mx).astype(float) + 0.5 * integral
+        x = 2.0 * (log_norms - log_w)
+        top = np.max(x)  # -inf when every row vanishes
+        total = top + math.log(np.sum(np.exp(x - top))) if np.isfinite(top) else top
+        settled = bool(abs(total - prev) < rtol or total == -math.inf)
+        if settled or not math.isfinite(total) or 2 * m - 1 > mmax:
+            return log_norms.reshape(shape), settled
+        prev, m = total, 2 * m - 1
+        odd = np.asarray(f(np.linspace(a, b, m)[1::2])).reshape(len(rows), -1)
+        both = np.empty((len(rows), m), dtype=np.result_type(rows, odd))
+        both[:, ::2], both[:, 1::2] = rows, odd
+        rows = both
 
 
 @dataclass(frozen=True)
@@ -262,6 +258,8 @@ class GevreyNormResult:
 def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int) -> GevreyNormResult:
     """Partial sums of sum_n (||phi^(n)||_{L2} / M_n)^2 up to n = N, for any N >= 1.
 
+    The quadrature settles on this weighted total (``quadrature_ok``); a row
+    that overflows or is NaN makes it non-finite, without a warning.
     The convergence flag is set when the last five increments (all of them
     after the first when N < 5) decay geometrically, each at most 0.95 times
     its predecessor, or are below 1e-14 of the total.
@@ -271,14 +269,15 @@ def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int) -> GevreyNormResult:
     if N < 1:
         raise ValueError("N must be >= 1")
     logM = _log_Mn(p, np.arange(N + 1, dtype=float))
-    log_norms, quad_ok = _log_l2_norm(lambda t: sig.derivs(N, t), sig.t0, sig.t1)
-    incs = np.array([math.exp(min(2.0 * (ln - lm), 700.0)) for ln, lm in zip(log_norms, logM)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_norms, quad_ok = _log_l2_norm(lambda t: sig.derivs(N, t), sig.t0, sig.t1, logM)
+        incs = np.exp(2.0 * (log_norms - logM))
     partial = np.cumsum(incs)
     total = partial[-1]
     tail = incs[-6:]
     last = tail[1:]
-    converged = bool(np.all(last <= 1e-14 * total)
-                     or np.all(last / np.maximum(tail[:-1], 1e-300) <= 0.95))
+    converged = bool(np.isfinite(total) and (np.all(last <= 1e-14 * total)
+                     or np.all(last / np.maximum(tail[:-1], 1e-300) <= 0.95)))
     return GevreyNormResult(partial, incs, converged, quad_ok)
 
 

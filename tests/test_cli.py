@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -259,21 +260,80 @@ class TestCli:
         assert out.count("two_sided_bump") == 1 and "gaussian" not in out
         assert "nan" in (tmp_path / "plancherel_ratio.csv").read_text()
 
+    @staticmethod
+    def _ratio_rows(out):
+        lines = (out / "plancherel_ratio.csv").read_text().splitlines()[1:]
+        return [line.split(",") for line in lines]
+
     @pytest.mark.parametrize("values, flag, rows", [
         # Gevrey order 1 + 1/gamma_exp > s = 1: the bump norms diverge
         ({"s": 1.0}, "time norm series not converged", [3, 4, 5, 7]),
-        ({"N": 32}, "time norm quadrature not converged", [3, 7]),
-    ], ids=["s1-diverged", "N32-quadrature"])
+    ], ids=["s1-diverged"])
     def test_plancherel_ratio_names_unconverged_norms(self, tmp_path, capsys, values, flag,
                                                       rows):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(dict(values, schema=1)))
         assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
                     "--assert"]) == 1
-        names = [line.split(",")[0]
-                 for line in (tmp_path / "plancherel_ratio.csv").read_text().splitlines()[1:]]
+        names = [r[0] for r in self._ratio_rows(tmp_path)]
         assert capsys.readouterr().out == (
             f"plancherel-ratio: FAIL: {flag} for {', '.join(names[i] for i in rows)}\n")
+
+    def test_plancherel_ratio_names_unresolved_quadrature(self, tmp_path, capsys, monkeypatch):
+        norm_time = gevrey.gevrey_norm_time
+        bump = {"center": 1.0, "halfwidth": 2.0, "gamma_exp": 1.5}
+
+        def unresolved_for_one_bump(sig, p, N):
+            res = norm_time(sig, p, N)
+            return dataclasses.replace(res, quadrature_ok=res.quadrature_ok and sig.params != bump)
+
+        monkeypatch.setattr(gevrey, "gevrey_norm_time", unresolved_for_one_bump)
+        assert run(["plancherel-ratio", "--out", str(tmp_path), "--assert"]) == 1
+        name = self._ratio_rows(tmp_path)[4][0]
+        assert name.startswith("two_sided_bump") and '"center": 1.0' in name
+        assert capsys.readouterr().out == (
+            f"plancherel-ratio: FAIL: time norm quadrature not converged for {name}\n")
+
+    def test_plancherel_ratio_time_norms_hold_as_N_grows(self, tmp_path, capsys):
+        # the quadrature settles on the weighted total, so the rows past n = 16,
+        # below 1e-41 of it, neither move it nor ask for finer nodes
+        norms = {}
+        for N in (16, 32, 48, 64):
+            cfgp, out = tmp_path / f"cfg{N}.json", tmp_path / f"N{N}"
+            cfgp.write_text(json.dumps({"schema": 1, "N": N}))
+            assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(out),
+                        "--assert"]) == 0
+            norms[N] = np.array([float(r[1]) for r in self._ratio_rows(out)])
+        for N in (32, 48, 64):
+            assert np.all(np.abs(norms[N] - norms[16]) <= 1e-12 * norms[16])
+        assert capsys.readouterr().out.count("PASS") == 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_plancherel_ratio_overflow_fails_by_name_without_warnings(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # rows near n = 100 of the gamma = 1.5 bumps pass float64: their norms
+        # are NaN, found on the first level of nodes
+        norm_time = gevrey.gevrey_norm_time
+        nodes = []
+
+        def counted(sig, p, N):
+            derivs, seen = sig.derivs, []
+            sig.derivs = lambda n, t: seen.append(len(t)) or derivs(n, t)
+            res = norm_time(sig, p, N)
+            nodes.append(sum(seen))
+            return res
+
+        monkeypatch.setattr(gevrey, "gevrey_norm_time", counted)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "N": 100}))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        names = [r[0] for r in self._ratio_rows(tmp_path)]
+        assert capsys.readouterr().out.startswith(
+            "plancherel-ratio: FAIL: non-finite norm or ratio for "
+            f"{names[3]}, {names[4]}, {names[7]}; ")
+        assert [names[i].split("{")[0] for i in (3, 4)] == ["two_sided_bump"] * 2
+        assert [nodes[i] for i in (3, 4, 7)] == [513] * 3
 
     @pytest.mark.parametrize("text, msg", [
         ("{bad", "cannot read config .*cfg.json: Expecting property name"),

@@ -223,6 +223,11 @@ class TestTrackableInfinite:
         assert chk.converged
         assert np.all(np.diff(chk.partial_sums) >= 0)
 
+    def test_track_target_quadrature_settles_at_N32(self):
+        # its rows past k = 16 add 1e-8 of the total: settled row by row, they ran out of nodes
+        chk16, chk32 = (check_trackable_infinite(bump_gevrey(1.5, 0.2), N) for N in (16, 32))
+        assert chk32.quadrature_ok and abs(chk32.total - chk16.total) <= 1e-7 * chk16.total
+
     def test_summand_matches_gevrey_norm_of_derivative(self):
         # the (2,1/sqrt2,-1/2) norm summand of y' at k == condition-(5)
         # summand (||y^(k+1)|| / [(2k)! 2^k (1+k)^{3/4}])^2 written out
