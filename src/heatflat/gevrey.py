@@ -12,7 +12,6 @@ tables (all orders up to N in one call); numerical differentiation is never used
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from math import comb
@@ -377,64 +376,87 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
 # Analytic test signals
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _bump_coeffs(g: float, N: int):
-    """Coefficients d[n] (read-only, long double) of D_n(u) for n <= N, and
-    log max_n sum_m |d[n, m]|; d[n+1, m] = -(m g + n) d[n, m] + g d[n, m-1]."""
-    d = [np.ones(1, dtype=np.longdouble)]
-    for k in range(N):
-        nxt = np.zeros(k + 2, dtype=np.longdouble)
-        nxt[: k + 1] += -(np.arange(k + 1) * g + k) * d[k]
-        nxt[1:] += g * d[k]
-        d.append(nxt)
-    for c in d:
-        c.flags.writeable = False
-    # the log in long double: the largest sum passes the float64 range near N = 250
-    return tuple(d), float(np.log(max(np.sum(np.abs(c)) for c in d)))
+def _exp_series_rows(g: float, N: int, terms, r, out: np.ndarray, cols) -> None:
+    """Derivatives 0..N in h at h = 0 of exp(-sum_i u_i (1 + c_i h/r)^-g), into out[:, cols].
 
-
-def _one_sided_bump(g: float, N: int, t) -> np.ndarray:
-    """Derivative table of f(t) = exp(-t^-g) for t > 0 (0 for t <= 0).
-
-    f^(n) = f t^-n D_n(u), u = t^-g, with the coefficients of ``_bump_coeffs``:
-    in long double, one Horner pass in u per row (the alternating D_n(u) loses
-    digits at large n) times the scale t^-n e^-u.  That scale takes one exp
-    per point: row n's is row n-1's times 1/t, within about n 2^-64 relative.
-    Where e^-u is not a normal long double (u > 11355), the walk would carry
-    a subnormal's few digits up the rows, so those points take
-    exp(-n log t - u) per row.  Rows stay 0.0 where the bound
-    max_n sum_m |d[n,m]| max(u, 1)^(N(1+1/g)) e^-u underflows float64.
+    ``terms`` holds the (u_i, c_i) and ``r`` is the unit of x = h/r, all long
+    double arrays over the points ``cols`` (an index array).  With the exponent's binomial series
+    H_0 = -sum u_i, H_j = -C(-g, j) sum_i u_i c_i^j, the Taylor coefficients of
+    its exp are F_0 = e^H_0, F_k = (1/k) sum_{j=1..k} j H_j F_{k-j}
+    (Taylor-mode differentiation; Griewank & Walther, Evaluating
+    Derivatives, SIAM 2008), and row n is n! F_n / r^n.  In long double, in
+    blocks of at most 1024 points (fewer for N > 63), the recurrence runs on
+    G_k = F_k / F_0 in the unit rho = r/(1 + g sum u_i), where the H_j are of
+    order 1, so G stays in range where rows underflow.  Row n is G_n S_n,
+    S_n = n! e^H_0 / rho^n = S_{n-1} n / rho: one exp per point, except where
+    e^H_0 is not a normal long double, whose few digits the walk would carry
+    up the rows; those points take one exp per row.  Rows that underflow are
+    0.0, and points where rho underflows are left as they are.
     """
-    g, t = float(g), np.asarray(t, dtype=np.longdouble)
+    n = np.arange(N + 1, dtype=np.longdouble)
+    jC = -n * np.cumprod(np.concatenate([[1.0], (-g - n[:-1]) / n[1:]]))  # j H_j / sum u c^j
+    log_fact = np.cumsum(np.log(n.clip(1.0)))
+    step = max(1, min(1024, (1 << 16) // (N + 1)))
+    for lo in range(0, len(cols), step):
+        blk = slice(lo, lo + step)
+        U = sum(u[blk] for u, _ in terms)
+        k = 1.0 + g * U
+        live = np.flatnonzero(r[blk] / k > 0.0)  # rho is 0 where g sum u passes the range
+        k, U, rho = k[live], U[live], r[blk][live] / k[live]
+        jH = np.zeros((N + 1, len(live)), dtype=np.longdouble)
+        G = np.empty_like(jH)
+        G[0] = 1.0
+        with np.errstate(under="ignore"):  # a row that underflows is 0.0
+            for u, c in terms:
+                q, p = c[blk][live] / k, u[blk][live]
+                for j in range(1, N + 1):
+                    p *= q
+                    jH[j] += jC[j] * p
+            for m in range(1, N + 1):  # summed in increasing j for every point
+                G[m] = np.einsum("jp,jp->p", jH[1:m + 1], G[m - 1::-1]) / m
+            S = np.exp(-U)
+            sub = np.flatnonzero(S < np.finfo(np.longdouble).smallest_normal)
+            log_rho, U_sub = np.log(rho[sub]), U[sub]
+            for m in range(N + 1):
+                if m:
+                    S *= m / rho
+                if len(sub):
+                    S[sub] = np.exp(log_fact[m] - m * log_rho - U_sub)
+                G[m] *= S
+            out[:, cols[blk][live]] = G
+
+
+def _one_sided_bump(g: float, N: int, t, s: float = 1.0) -> np.ndarray:
+    """Derivative table of f(t) = exp(-(t/s)^-g) for t > 0 (0 for t <= 0).
+
+    ``_exp_series_rows`` of one term: u = exp(-g log(t/s)) in long double,
+    t/s rounded to float64 first, with c = 1 in the unit r = t.
+    """
+    g, t = float(g), np.asarray(t, dtype=float)
     out = np.zeros((N + 1, len(t)))
-    d, log_dsum = _bump_coeffs(g, N)
-    pos = np.flatnonzero(t > 0)
-    logt = np.log(t[pos])
-    with np.errstate(over="ignore"):  # u = inf only where the bound drops the point
-        u = np.exp(-g * logt)
-    live = (log_dsum - u
-            + N * (1.0 + 1.0 / g) * np.maximum(-g * logt, 0.0) > -745.2)  # e^-745.2 < 2^-1075
-    pos, logt, u = pos[live], logt[live], u[live]
-    inv_t = 1.0 / t[pos]
-    scale = np.exp(-u)
-    sub = np.flatnonzero(scale < np.finfo(np.longdouble).smallest_normal)
-    for n in range(N + 1):
-        if n:
-            scale *= inv_t
-        if len(sub):
-            scale[sub] = np.exp(-n * logt[sub] - u[sub])
-        out[n, pos] = np.polyval(d[n][::-1], u) * scale
+    tau = t / s
+    pos = np.flatnonzero(tau > 0)
+    with np.errstate(over="ignore"):  # u = inf: every row underflows there
+        u = np.exp(-g * np.log(tau[pos].astype(np.longdouble)))
+    c = np.broadcast_to(np.longdouble(1.0), u.shape)
+    _exp_series_rows(g, N, [(u, c)], t[pos].astype(np.longdouble), out, pos)
     return out
 
 
 def _bump_pair(g: float, a: float, b: float, N: int, t) -> np.ndarray:
-    """Derivative table of f(t - a) * f(b - t), f the one-sided bump; zero outside (a, b)."""
+    """Derivative table of f(t - a) * f(b - t), f the one-sided bump; zero outside (a, b).
+
+    ``_exp_series_rows`` of two terms in the unit r = min(t - a, b - t):
+    ((t - a)^-g, r/(t - a)) and ((b - t)^-g, -r/(b - t)).
+    """
     t = np.asarray(t, dtype=float)
     out = np.zeros((N + 1, len(t)))
-    inside = (t > a) & (t < b)
-    right = _one_sided_bump(g, N, b - t[inside])
-    right[1::2] *= -1.0  # chain rule of the reflection
-    out[:, inside] = _leibniz(_one_sided_bump(g, N, t[inside] - a), right)
+    inside = np.flatnonzero((t > a) & (t < b))
+    da, db = (t[inside] - a).astype(np.longdouble), (b - t[inside]).astype(np.longdouble)
+    r = np.minimum(da, db)
+    with np.errstate(over="ignore"):  # u = inf: every row underflows there
+        terms = [(np.exp(-g * np.log(da)), r / da), (np.exp(-g * np.log(db)), -r / db)]
+    _exp_series_rows(g, N, terms, r, out, inside)
     return out
 
 
@@ -447,12 +469,7 @@ def bump_derivs(gamma_exp: float, t_scale: float = 1.0):
         raise ValueError(f"t_scale must be finite and > 0, got {t_scale:g}")
 
     def derivs(N, t):
-        tab = _one_sided_bump(gamma_exp, N, np.asarray(t, dtype=float) / s)
-        for n in range(1, N + 1):
-            # the Python power: s ** arange(N + 1) differs in the last ulp; an
-            # exact 0.0 stays 0.0 where s**n underflows (0/0 would be NaN)
-            np.divide(tab[n], s**n, out=tab[n], where=tab[n] != 0.0)
-        return tab
+        return _one_sided_bump(gamma_exp, N, t, s)
 
     return derivs
 
@@ -462,8 +479,9 @@ def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
     """One-sided Gevrey bump y(t) = exp(-(t/t_scale)^-gamma_exp) for t > 0.
 
     Flat at 0 with all derivatives vanishing; nominal Gevrey order
-    1 + 1/gamma_exp.  Derivatives come from the exact rational recurrence
-    (``bump_derivs``).
+    1 + 1/gamma_exp.  Derivative rows come from ``bump_derivs``: the Taylor
+    coefficients of the exp of the exponent's binomial series, by one
+    recurrence in long double (``_exp_series_rows``).
     """
     derivs = bump_derivs(gamma_exp, t_scale)
     s = float(t_scale)
@@ -561,7 +579,8 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
         inside = (t > t_a) & (t < t_b)
         out[0][t >= t_b] = 0.0
         out[0][inside] = _lagrange8(chi_tab, t_a - 3.0 * h_even, h_even, t[inside])
-        out[1:] = -_bump_pair(g, t_a, t_b, N - 1, t) / Z  # empty when N = 0
+        if N:
+            out[1:] = -_bump_pair(g, t_a, t_b, N - 1, t) / Z
         return out
 
     if grid is None:

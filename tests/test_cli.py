@@ -78,13 +78,25 @@ class TestCli:
             errors.append(float(re.search(r"max tracking error (\S+) ", out).group(1)))
         assert errors[0] >= 3.0 * errors[1]
 
+    def test_track_error_does_not_rise_with_K(self, tmp_path, capsys):
+        # rows up to K + 1 = 61 stay accurate, so more terms never hurt
+        errors = []
+        for K in (25, 40, 60):
+            cfgp = tmp_path / "cfg.json"
+            cfgp.write_text(json.dumps({"schema": 1, "dt": 2.5e-4, "K": K}))
+            assert run(["track", "--config", str(cfgp), "--out", str(tmp_path),
+                        "--assert"]) == 0
+            out = capsys.readouterr().out
+            errors.append(float(re.search(r"max tracking error (\S+) ", out).group(1)))
+        assert all(e <= 1.1 * errors[0] for e in errors[1:])
+
     def test_track_builds_one_table_on_the_time_grid(self, tmp_path, monkeypatch):
         # the K and K_low controls and the target's samples share one table
         cfg = cli.SUBCOMMANDS["track"][1]
         nt = len(heatsim.SimConfig(J=cfg["J"], dt=cfg["dt"], T=cfg["T"]).time_grid())
         bump, sizes = gevrey._one_sided_bump, []
         monkeypatch.setattr(gevrey, "_one_sided_bump",
-                            lambda g, N, t: sizes.append(len(t)) or bump(g, N, t))
+                            lambda g, N, t, s: sizes.append(len(t)) or bump(g, N, t, s))
         cli.run_track(dict(cfg), str(tmp_path))
         assert sizes.count(nt) == 1
 
@@ -199,7 +211,7 @@ class TestCli:
          "the bump's peak exp(-2 halfwidth^-gamma_exp) underflows to 0 "
          "(halfwidth = 0.5, gamma_exp = 10)"),
         ("track", {"K": 100},
-         "flat control with K=100: derivative row 85 of the target is not finite"),
+         "flat control with K=100: derivative row 89 of the target is not finite"),
         ("theta-identity", {"cases": [[100, 2.0, 0.5], [1, 1e-5, 0.0]]},
          "the theta sum with n = 1, a = 1e-05 needs 857302 digits of working precision, "
          "above the cap of 10000"),
@@ -296,23 +308,24 @@ class TestCli:
 
     def test_plancherel_ratio_time_norms_hold_as_N_grows(self, tmp_path, capsys):
         # the quadrature settles on the weighted total, so the rows past n = 16,
-        # below 1e-41 of it, neither move it nor ask for finer nodes
+        # below 1e-41 of it, neither move it nor ask for finer nodes; rows up
+        # to n = 100 of the bumps stay finite
         norms = {}
-        for N in (16, 32, 48, 64):
+        for N in (16, 32, 48, 64, 100):
             cfgp, out = tmp_path / f"cfg{N}.json", tmp_path / f"N{N}"
             cfgp.write_text(json.dumps({"schema": 1, "N": N}))
             assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(out),
                         "--assert"]) == 0
             norms[N] = np.array([float(r[1]) for r in self._ratio_rows(out)])
-        for N in (32, 48, 64):
+        for N in (32, 48, 64, 100):
             assert np.all(np.abs(norms[N] - norms[16]) <= 1e-12 * norms[16])
-        assert capsys.readouterr().out.count("PASS") == 4
+        assert capsys.readouterr().out.count("PASS") == 5
 
     @pytest.mark.filterwarnings("error")
     def test_plancherel_ratio_overflow_fails_by_name_without_warnings(self, tmp_path, capsys,
                                                                       monkeypatch):
-        # rows near n = 100 of the gamma = 1.5 bumps pass float64: their norms
-        # are NaN, found on the first level of nodes
+        # rows near n = 128 of the bumps pass float64: their norms are NaN,
+        # found on the first level of nodes
         norm_time = gevrey.gevrey_norm_time
         nodes = []
 
@@ -325,15 +338,15 @@ class TestCli:
 
         monkeypatch.setattr(gevrey, "gevrey_norm_time", counted)
         cfgp = tmp_path / "cfg.json"
-        cfgp.write_text(json.dumps({"schema": 1, "N": 100}))
+        cfgp.write_text(json.dumps({"schema": 1, "N": 128}))
         assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
                     "--assert"]) == 1
         names = [r[0] for r in self._ratio_rows(tmp_path)]
         assert capsys.readouterr().out.startswith(
             "plancherel-ratio: FAIL: non-finite norm or ratio for "
-            f"{names[3]}, {names[4]}, {names[7]}; ")
-        assert [names[i].split("{")[0] for i in (3, 4)] == ["two_sided_bump"] * 2
-        assert [nodes[i] for i in (3, 4, 7)] == [513] * 3
+            f"{names[3]}, {names[4]}, {names[5]}, {names[7]}; ")
+        assert [names[i].split("{")[0] for i in (3, 4, 5)] == ["two_sided_bump"] * 3
+        assert [nodes[i] for i in (3, 4, 5, 7)] == [513] * 4
 
     @pytest.mark.parametrize("text, msg", [
         ("{bad", "cannot read config .*cfg.json: Expecting property name"),

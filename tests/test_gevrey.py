@@ -11,7 +11,6 @@ from heatflat.gevrey import (
     DecayFit,
     GevreyParams,
     Signal,
-    _bump_coeffs,
     _log_l2_norm,
     _log_Mn,
     _one_sided_bump,
@@ -252,28 +251,27 @@ class TestDerivativeTable:
                                                         mp.mpf(float(t)), N)])
 
     def test_bump_rows_against_mpmath(self):
-        # the alternating polynomial D_n(u) cancels as n grows: 1.2e-9 relative
-        # at n = 30, gamma_exp = 1.5; elsewhere far below
+        # 1.3e-16 relative at worst (n <= 30)
         for g in (1.0, 1.5):
             ts = np.array([0.3, 0.7, 1.5])
             tab = bump_gevrey(g).derivs(30, ts)
             for i, t in enumerate(ts):
                 want = self._mp_bump_rows(g, t, 30)
-                assert np.all(np.abs(tab[:, i] - want) <= 5e-9 * np.abs(want))
+                assert np.all(np.abs(tab[:, i] - want) <= 1e-14 * np.abs(want))
 
     def test_bump_rows_against_mpmath_small_t(self):
-        # large u = t^-g: 4.8e-8 relative at worst (n <= 25)
+        # large u = t^-g: 1.0e-15 relative at worst (n <= 25)
         ts = np.array([0.1, 0.135, 0.185, 0.3])
         tab = bump_gevrey(1.5).derivs(25, ts)
         for i, t in enumerate(ts):
             want = self._mp_bump_rows(1.5, t, 25)
-            assert np.all(np.abs(tab[:, i] - want) <= 1e-7 * np.abs(want))
+            assert np.all(np.abs(tab[:, i] - want) <= 1e-14 * np.abs(want))
 
     @staticmethod
     def _mp_series_rows(g, t, N):
         # f^(n)(t) = n! c_n, c_n the Taylor coefficients in h of exp(-(t + h)^-g):
         # the binomial series of the exponent, then the recurrence of its exp
-        with mp.workdps(40):
+        with mp.workdps(100):
             t, g = mp.mpf(float(t)), mp.mpf(g)
             a = [-t ** (-g) * mp.binomial(-g, k) * t ** (-k) for k in range(N + 1)]
             c = [mp.exp(a[0])]
@@ -281,59 +279,56 @@ class TestDerivativeTable:
                 c.append(mp.fsum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
             return np.array([float(mp.factorial(n) * c[n]) for n in range(N + 1)])
 
-    @staticmethod
-    def _per_row_exp_rows(g, N, t):
-        # each row scaled by its own exp(-n log t - u), in long double
-        d, _ = _bump_coeffs(g, N)
-        logt = np.log(np.asarray(t, dtype=np.longdouble))
-        u = np.exp(-g * logt)
-        return np.array([np.polyval(d[n][::-1], u) * np.exp(-n * logt - u)
-                         for n in range(N + 1)]).astype(float)
-
     def test_series_oracle_matches_mpmath_diffs(self):
         for g, t, N in ((1.5, 0.3, 30), (1.0, 0.7, 30), (1.5, 0.1, 25)):
             assert np.array_equal(self._mp_series_rows(g, t, N), self._mp_bump_rows(g, t, N))
 
+    @pytest.mark.parametrize("g", [1.0, 1.5, 2.0])
+    def test_high_bump_rows_against_mpmath(self, g):
+        # rows up to 50 where u = t^-g reaches 400: 6.6e-16 relative at worst
+        ts = np.array([0.05, 0.08, 0.1, 0.15, 0.3])
+        tab = bump_gevrey(g).derivs(50, ts)
+        for i, t in enumerate(ts):
+            want = self._mp_series_rows(g, t, 50)
+            assert np.all(np.abs(tab[:, i] - want) <= 1e-13 * np.abs(want))
+
+    def test_two_sided_bump_rows_against_mpmath(self):
+        # one recurrence on the summed exponent, near both ends and inside
+        ts = np.array([-2.9, -2.5, -1.0, 0.3, 2.5, 2.9])
+        tab = two_sided_bump(0.0, 3.0, 1.5).derivs(30, ts)
+        for i, t in enumerate(ts):
+            with mp.workdps(100):
+                peak = mp.exp(-2 * mp.mpf(3) ** -1.5)
+                want = np.array([float(w) for w in mp.diffs(
+                    lambda x: mp.exp(-(x + 3) ** -1.5 - (3 - x) ** -1.5) / peak,
+                    mp.mpf(float(t)), 30)])
+            assert np.count_nonzero(want) == 31
+            assert np.all(np.abs(tab[:, i] - want) <= 1e-13 * np.abs(want))
+
     def test_bump_rows_scaled_by_one_exp_per_point(self):
-        # row n's scale t^-n e^-u is row n-1's times 1/t: within 2 ulps of the
-        # per-row exp wherever a row is a normal float
-        for g, N, ts in ((1.5, 25, np.arange(1, 5001) * 2e-4 / 0.2), (1.0, 30, [0.3, 0.7, 1.5])):
-            tab, ref = _one_sided_bump(g, N, ts), self._per_row_exp_rows(g, N, ts)
+        # row n's scale n! e^-u / rho^n is row n-1's times n/rho, one exp per
+        # point, over the track grid's small t: 4.1e-16 relative at worst
+        # wherever a row is a normal float
+        for g, N, ts in ((1.5, 25, np.arange(1, 5001, 50) * 2e-4 / 0.2),
+                         (1.0, 30, [0.3, 0.7, 1.5])):
+            tab = _one_sided_bump(g, N, ts)
+            ref = np.array([self._mp_series_rows(g, t, N) for t in ts]).T
             normal = np.abs(ref) >= np.finfo(float).smallest_normal
-            assert np.all(np.abs(tab - ref)[normal] <= 4.5e-16 * np.abs(ref[normal]))
-            assert np.all(np.abs(tab - ref)[~normal] <= np.finfo(float).smallest_normal * 4.5e-16)
+            assert np.all(np.abs(tab - ref)[normal] <= 1e-15 * np.abs(ref[normal]))
+            assert np.all(np.abs(tab - ref)[~normal] <= np.finfo(float).smallest_normal * 1e-15)
 
     def test_bump_rows_where_exp_of_minus_u_is_subnormal(self):
         # e^-u leaves the normal long double range at u = 11355.5 and is 0 from
-        # u = 11399.5; at g = 0.05 and N = 60 the top rows pass the live bound
-        # there, and those points keep the per-row exp
+        # u = 11399.5; at g = 0.05 and N = 60 the top rows are in float range
+        # there, and those points take the per-row exp
         g, N = 0.05, 60
         us = np.array([11300.0, 11370.0, 11390.0, 11420.0])  # e^-u normal, subnormal x2, 0
         ts = us ** (-1 / g)
         tab = _one_sided_bump(g, N, ts)
-        assert np.array_equal(tab[:, 1:], self._per_row_exp_rows(g, N, ts[1:]))
         for i, t in enumerate(ts):
             want = self._mp_series_rows(g, t, N)
             assert np.count_nonzero(want) >= 5
             assert np.all(np.abs(tab[:, i] - want) <= 1e-13 * np.abs(want))
-
-    def test_bump_coeffs_log_sum_beyond_float_range(self):
-        # max_n sum_m |d[n, m]| exceeds 1.8e308 at g = 0.25, N = 250; its log,
-        # taken in long double, against the same recurrence at 40 digits
-        g, N = 0.25, 250
-        with mp.workdps(40):
-            row, best = [mp.mpf(1)], mp.mpf(1)
-            for k in range(N):
-                nxt = [mp.mpf(0)] * (k + 2)
-                for m, c in enumerate(row):
-                    nxt[m] -= (m * mp.mpf(g) + k) * c
-                    nxt[m + 1] += g * c
-                row = nxt
-                best = max(best, mp.fsum(abs(c) for c in row))
-            want = float(mp.log(best))
-        got = _bump_coeffs(g, N)[1]
-        assert want > math.log(np.finfo(float).max)
-        assert math.isfinite(got) and abs(got - want) <= 1e-12 * want
 
     def test_bump_rows_vanish_where_they_underflow(self):
         # f^(n)(t) = exp(-t^-g) * (...) is far below the float64 range here
