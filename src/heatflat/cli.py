@@ -142,7 +142,7 @@ def _ratio_family():
 
 def run_plancherel_ratio(cfg, out):
     p = gevrey.GevreyParams(cfg["s"], cfg["R"], cfg["gamma"])
-    rows, ratios, diverged, unresolved = [], [], [], []
+    rows, ratios, diverged, unresolved, above_s = [], [], [], [], []
     for sig in _ratio_family():
         name = sig.family + json.dumps(sig.params, sort_keys=True).replace(",", ";")
         tn = gevrey.gevrey_norm_time(sig, p, int(cfg["N"]))
@@ -153,6 +153,8 @@ def run_plancherel_ratio(cfg, out):
             diverged.append(name)
         if not tn.quadrature_ok:
             unresolved.append(name)
+        if (gevrey.nominal_order(sig.descriptor()) or 0.0) > cfg["s"]:
+            above_s.append(name)
     _write_csv(os.path.join(out, "plancherel_ratio.csv"),
                ["signal", "time_norm", "fourier_norm", "ratio"], rows)
     # max and min skip a NaN that does not come first, so check every row
@@ -163,6 +165,10 @@ def run_plancherel_ratio(cfg, out):
         ("time norm quadrature not converged", unresolved)) if names]
     if fails:
         return False, "; ".join(fails)
+    # a signal of nominal order above s has infinite norms, though N rows
+    # and a finite grid may not show it
+    if above_s:
+        return False, f"nominal Gevrey order above s = {cfg['s']:g} for {', '.join(above_s)}"
     chat = max(max(ratios), 1.0 / min(ratios))
     return chat <= cfg["c_hat"], f"ratio band needs C_hat = {chat:.2f} (allowed {cfg['c_hat']:g})"
 

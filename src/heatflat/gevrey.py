@@ -31,6 +31,7 @@ __all__ = [
     "gaussian_signal",
     "gevrey_cutoff",
     "product_signal",
+    "nominal_order",
     "fourier_decay_fit",
     "GevreyNormResult",
     "DecayFit",
@@ -160,6 +161,25 @@ def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
         family=family,
         params={"factors": [a.descriptor(), b.descriptor()]},
     )
+
+
+def nominal_order(desc: dict):
+    """Nominal Gevrey order of a signal descriptor, or None for a family without one.
+
+    bump_gevrey and two_sided_bump: 1 + 1/gamma_exp; gaussian: 1/2;
+    gevrey_cutoff: order_s; sum and product: the largest order of their parts.
+    """
+    family, params = desc["family"], desc["params"]
+    if family in ("bump_gevrey", "two_sided_bump"):
+        return 1.0 + 1.0 / params["gamma_exp"]
+    if family == "gaussian":
+        return 0.5
+    if family == "gevrey_cutoff":
+        return params["order_s"]
+    if family in ("sum", "product"):
+        orders = [nominal_order(d) for d in params["terms" if family == "sum" else "factors"]]
+        return None if None in orders else max(orders)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gevrey import GevreyParams, _log_Mn
 from .holo import CoeffSeq
@@ -38,7 +39,8 @@ __all__ = [
     "RemainderSplit",
 ]
 
-MAX_AN_TERMS = 5000  # largest N of convolution_An, an O(N^2) loop
+MAX_AN_TERMS = 5000  # largest N of convolution_An, O(N^2) terms in blocks of rows
+_AN_BLOCK = 16  # rows per block of convolution_An
 
 
 def varpi_params(p: GevreyParams) -> tuple:
@@ -75,17 +77,29 @@ def convolution_An(p: GevreyParams, N: int):
     """A_n = sum_{k<=n} a_k a_{n-k} for n <= N, by direct log-domain convolution.
 
     Positive terms, fixed-order summation; O(N^2), capped at N = MAX_AN_TERMS.
+    Rows go in blocks of at most _AN_BLOCK.  Row n adds log a_k to log a_{n-k},
+    read as window n of a reversed copy of log a_k padded with -inf (so -inf
+    at k > n), and subtracts the row's max.  exp is taken only where that
+    exceeds -746: below it exp is exactly 0.0, so those terms are set to 0.0
+    and each row sums to what exp of every term would give.
     Returns the array of log A_n.
     """
     if N > MAX_AN_TERMS:
         raise ValueError(f"N capped at {MAX_AN_TERMS} (documented; O(N^2) convolution)")
-    c = varpi_coeffs(p, N)
-    loga = c.log_mag
+    loga = varpi_coeffs(p, N).log_mag
+    # row n: log a_{n-k} for k <= n, then -inf
+    win = sliding_window_view(np.concatenate([loga[::-1], np.full(N, -np.inf)]), N + 1)[::-1]
     logA = np.empty(N + 1)
-    for n in range(N + 1):
-        terms = loga[: n + 1] + loga[n::-1]
-        m = terms.max()
-        logA[n] = m + math.log(np.exp(terms - m).sum())
+    for n0 in range(0, N + 1, _AN_BLOCK):
+        n1 = min(n0 + _AN_BLOCK, N + 1)
+        T = loga[:n1] + win[n0:n1, :n1]
+        m = T.max(axis=1)
+        T -= m[:, None]
+        keep = T > -746.0
+        np.exp(T, out=T, where=keep)
+        T[~keep] = 0.0
+        for i, n in enumerate(range(n0, n1)):
+            logA[n] = m[i] + math.log(T[i, :n + 1].sum())
     return logA
 
 

@@ -291,6 +291,27 @@ class TestCli:
         assert capsys.readouterr().out == (
             f"plancherel-ratio: FAIL: {flag} for {', '.join(names[i] for i in rows)}\n")
 
+    def test_plancherel_ratio_names_signals_above_order_s(self, tmp_path, capsys):
+        # two_sided_bump(., ., 1.5) is of order 5/3: its norms are infinite at
+        # s = 1.5, though N = 16 rows converge (C_hat 2.24); order 1.5 is not above
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "s": 1.5}))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        names = [r[0] for r in self._ratio_rows(tmp_path)]
+        assert len(names) == 8
+        assert capsys.readouterr().out == (
+            "plancherel-ratio: FAIL: nominal Gevrey order above s = 1.5 for "
+            f"{names[3]}, {names[4]}, {names[7]}\n")
+
+    def test_plancherel_ratio_passes_at_s_above_every_order(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "s": 1.7}))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 0
+        assert capsys.readouterr().out == (
+            "plancherel-ratio: PASS: ratio band needs C_hat = 2.31 (allowed 50)\n")
+
     def test_plancherel_ratio_names_unresolved_quadrature(self, tmp_path, capsys, monkeypatch):
         norm_time = gevrey.gevrey_norm_time
         bump = {"center": 1.0, "halfwidth": 2.0, "gamma_exp": 1.5}

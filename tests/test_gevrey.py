@@ -19,6 +19,7 @@ from heatflat.gevrey import (
     gaussian_signal,
     gevrey_cutoff,
     gevrey_norm_time,
+    nominal_order,
     product_signal,
     two_sided_bump,
     weighted_fourier_norm,
@@ -100,6 +101,17 @@ def _families():
     chi = gevrey_cutoff(1.0, 3.0, 1.5, grid=grid)
     return {"gaussian": g, "one_sided_bump": bump_gevrey(1.5, t_scale=0.4, grid=grid),
             "two_sided_bump": b, "cutoff": chi, "sum": g + b, "product": product_signal(chi, g)}
+
+
+def test_nominal_order_of_each_family():
+    fam = _families()
+    got = {k: nominal_order(sig.descriptor()) for k, sig in fam.items()}
+    assert got == {"gaussian": 0.5, "one_sided_bump": 1.0 + 1.0 / 1.5,
+                   "two_sided_bump": 1.0 + 1.0 / 1.5, "cutoff": 1.5,
+                   "sum": 1.0 + 1.0 / 1.5, "product": 1.5}
+    raw = Signal(fam["gaussian"].grid, fam["gaussian"].values)
+    assert nominal_order(raw.descriptor()) is None
+    assert nominal_order((raw + fam["gaussian"]).descriptor()) is None
 
 
 def _fresh_node_ladder(f, a, b, log_w=0.0, rtol=1e-8, m0=513, mmax=32769):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -51,7 +52,37 @@ class TestVarpiCoeffs:
         assert abs(math.expm1(got - want)) < 0.02
 
 
+def _convolution_An_rowwise(p, N):
+    """Reference: row by row, with one exp over every term."""
+    loga = varpi_coeffs(p, N).log_mag
+    logA = np.empty(N + 1)
+    for n in range(N + 1):
+        terms = loga[: n + 1] + loga[n::-1]
+        m = terms.max()
+        logA[n] = m + math.log(np.exp(terms - m).sum())
+    return logA
+
+
 class TestConvolutionAn:
+    @pytest.mark.parametrize("s, gamma", [(2.0, -0.5), (1.2, -2.0), (5.0, -0.1)])
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 33, 300, 2000])
+    def test_blocks_equal_rowwise_loop(self, s, gamma, N):
+        # N = 15, 16, 17 and 33 put the last row at each edge of a 16-row block
+        p = GevreyParams(s, 1.0, gamma)
+        assert np.array_equal(convolution_An(p, N), _convolution_An_rowwise(p, N))
+
+    def test_against_mpmath(self):
+        # 40-digit sums of a_k a_{n-k} with a_k = 1/Gamma(alpha k + beta + 1)
+        # exactly; log A_2000 is about -5.8e4
+        logA = convolution_An(P, 2000)
+        alpha, beta = varpi_params(P)
+        with mp.workdps(40):
+            loga = [-mp.loggamma(alpha * k + beta + 1) for k in range(2001)]
+            for n in (1, 2, 17, 50, 500, 2000):
+                ref = float(mp.log(mp.fsum(mp.exp(loga[k] + loga[n - k])
+                                           for k in range(n + 1))))
+                assert abs(logA[n] - ref) <= 1e-15 * max(abs(ref), 1.0)
+
     def test_A0_A1(self):
         logA = convolution_An(P, 5)
         a0 = 1.0 / math.gamma(2.0)
