@@ -3,11 +3,12 @@
 Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert]
 
 Each subcommand reads an optional JSON config ({"schema": 1, ...}; unknown
-keys, values or list entries of the wrong type, and fractional numbers where
-the default is an integer are rejected), writes
+keys, values or list entries of the wrong type, numbers that are not finite
+or lie beyond the float range, and fractional numbers where the default is
+an integer are rejected), writes
 CSV/JSON results with 17 significant digits, and -- with --assert -- exits
-nonzero when its acceptance threshold is violated; a value out of range ends
-in an ERROR line and exit code 2.
+nonzero when its acceptance threshold is violated; a rejected config or a
+value out of range ends in an ERROR line and exit code 2.
 All computations are deterministic (fixed summation orders), so re-running
 with an identical config reproduces byte-identical output.
 """
@@ -38,22 +39,29 @@ def _integral(v) -> bool:
     return isinstance(v, int) or float(v).is_integer()
 
 
-def _load_config(path, defaults: dict, name: str) -> dict:
+def _numbers(v) -> list:
+    """The numbers in a config value, at any depth of a list."""
+    if isinstance(v, list):
+        return [x for item in v for x in _numbers(item)]
+    return [v] if _kind(v) == "number" else []
+
+
+def _load_config(path, defaults: dict) -> dict:
     cfg = dict(defaults)
     if path is not None:
         try:
             with open(path) as f:
                 user = json.load(f)
         except (OSError, ValueError) as e:  # JSON and UTF-8 decode errors are ValueErrors
-            raise SystemExit(f"{name}: cannot read config {path}: {e}") from None
+            raise ValueError(f"cannot read config {path}: {e}") from None
         if not isinstance(user, dict) or user.get("schema") != 1:
-            raise SystemExit(f"{name}: config must be a JSON object carrying \"schema\": 1")
+            raise ValueError("config must be a JSON object carrying \"schema\": 1")
         unknown = set(user) - set(defaults) - {"schema"}
         if unknown:
-            raise SystemExit(f"{name}: unknown config keys {sorted(unknown)}")
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
         for k in sorted(set(user) - {"schema"}):
             if _kind(user[k]) != _kind(defaults[k]):
-                raise SystemExit(f"{name}: config key {k!r} must be a {_kind(defaults[k])}, "
+                raise ValueError(f"config key {k!r} must be a {_kind(defaults[k])}, "
                                  f"not a {_kind(user[k])}")
             # integer keys, and the all-integer lists n_quadratic and n_logh, take
             # integral values only, and integral floats such as 25.0 become ints
@@ -61,9 +69,12 @@ def _load_config(path, defaults: dict, name: str) -> dict:
             if isinstance(d, int) or (isinstance(d, list) and all(isinstance(x, int) for x in d)):
                 bad = [x for x in (v if isinstance(v, list) else [v]) if not _integral(x)]
                 if bad:
-                    raise SystemExit(f"{name}: config key {k!r} takes integers only, "
-                                     f"got {bad[0]!r}")
+                    raise ValueError(f"config key {k!r} takes integers only, got {bad[0]!r}")
                 user[k] = [int(x) for x in v] if isinstance(v, list) else int(v)
+            # json reads NaN, Infinity, -Infinity and integers of any size
+            if not all(abs(x) <= sys.float_info.max for x in _numbers(user[k])):
+                raise ValueError(f"config key {k!r} takes finite numbers within the float "
+                                 "range only")
         cfg.update({k: v for k, v in user.items() if k != "schema"})
     return cfg
 
@@ -392,11 +403,11 @@ def main(argv=None) -> int:
                        help="exit nonzero if the acceptance threshold is violated")
     args = parser.parse_args(argv)
     fn, defaults = SUBCOMMANDS[args.subcommand]
-    cfg = _load_config(args.config, defaults, args.subcommand)
-    os.makedirs(args.out, exist_ok=True)
     try:
+        cfg = _load_config(args.config, defaults)
+        os.makedirs(args.out, exist_ok=True)
         ok, msg = fn(cfg, args.out)
-    except ValueError as e:  # a value of the right kind out of its range
+    except ValueError as e:  # a rejected config, or a value of the right kind out of its range
         print(f"{args.subcommand}: ERROR: {e}")
         return 2
     status = "PASS" if ok else "FAIL"

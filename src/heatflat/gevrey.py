@@ -149,7 +149,7 @@ def _leibniz(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
+def product_signal(a: Signal, b: Signal) -> Signal:
     """Pointwise product with a Leibniz-rule derivative table."""
     _same_grid(a, b)
     da, db = a.derivs, b.derivs
@@ -158,7 +158,7 @@ def product_signal(a: Signal, b: Signal, family: str = "product") -> Signal:
         a.values * b.values,
         derivs=(lambda N, t: _leibniz(da(N, t), db(N, t))) if (da and db) else None,
         compact_support=a.compact_support or b.compact_support,
-        family=family,
+        family="product",
         params={"factors": [a.descriptor(), b.descriptor()]},
     )
 
@@ -202,10 +202,12 @@ def _log_Mn(p: GevreyParams, n: np.ndarray) -> np.ndarray:
 # fourth-order end weights of the trapezoid rule (Press et al., Numerical
 # Recipes, eq. 4.1.14): the rule stays exact for cubics on m >= 8 nodes
 _END_WEIGHTS = np.array([17.0, 59.0, 43.0, 49.0], dtype=np.longdouble) / 48.0
+_QUAD_M0 = 513  # nodes of the first level of _log_l2_norm's ladder (at least 8)
+_QUAD_MMAX = 32769  # nodes of its last level
+_QUAD_RTOL = 1e-8  # the change of the log total that settles it
 
 
-def _log_l2_norm(f, a: float, b: float, log_w=0.0, rtol: float = 1e-8, m0: int = 513,
-                 mmax: int = 32769):
+def _log_l2_norm(f, a: float, b: float, log_w=0.0):
     """log of the L2 norms of the rows of f over [a, b]; end-corrected trapezoid with halving.
 
     The weights are h at the interior nodes and h (17, 59, 43, 49)/48 at the
@@ -218,7 +220,7 @@ def _log_l2_norm(f, a: float, b: float, log_w=0.0, rtol: float = 1e-8, m0: int =
     ``f(t)`` returns one row per function on the nodes ``t`` (or a single 1-D
     row), and must be pointwise (column j depends on t[j] alone, as a
     ``Signal.derivs`` is).  Every node is evaluated once: the first level
-    takes ``f`` on linspace(a, b, m0); each later level of m = 2m' - 1 nodes
+    takes ``f`` on linspace(a, b, _QUAD_M0); each later level of m = 2m' - 1 nodes
     takes it only on the new odd nodes linspace(a, b, m)[1::2] and
     interleaves them with the rows it has.  The even nodes of that level are
     the previous level's nodes bit for bit, since linspace(a, b, 2m' - 1)[::2]
@@ -227,19 +229,18 @@ def _log_l2_norm(f, a: float, b: float, log_w=0.0, rtol: float = 1e-8, m0: int =
 
     One decision per level: the ladder stops where the log of the weighted
     total sum_n exp(2 (l_n - log_w[n])), l_n the log norm of row n and
-    ``log_w`` one log weight per row, moves by less than rtol (for one row
-    and log_w = 0: |dl| < rtol/2), so a row with a tiny share of the total
-    never keeps it going.  A total that is not finite (a row overflowed, or
-    is NaN) stops it at once, unsettled.  Returns (log_norms shaped like one
-    column of f(t), -inf where a row vanishes on the nodes; the total
-    settled).  Scaled so arbitrarily large derivative values stay in range.
-    ValueError when m0 < 8, where the two end patches would overlap.
+    ``log_w`` one log weight per row, moves by less than _QUAD_RTOL (for one
+    row and log_w = 0: |dl| < _QUAD_RTOL/2), so a row with a tiny share of
+    the total never keeps it going; a level of _QUAD_MMAX nodes is the last.
+    A total that is not finite (a row overflowed, or is NaN) stops it at
+    once, unsettled.  Returns (log_norms shaped like one column of f(t),
+    -inf where a row vanishes on the nodes; the total settled).  Scaled so
+    arbitrarily large derivative values stay in range.
     """
-    if m0 < 8:
-        raise ValueError(f"the end-corrected rule needs m0 >= 8 nodes, got {m0}")
-    rows = np.asarray(f(np.linspace(a, b, m0)))
-    shape, rows = rows.shape[:-1], rows.reshape(-1, m0)
-    prev, m = math.nan, m0  # prev: the level before's total; none for the first level
+    m = _QUAD_M0
+    rows = np.asarray(f(np.linspace(a, b, m)))
+    shape, rows = rows.shape[:-1], rows.reshape(-1, m)
+    prev = math.nan  # the level before's total; none for the first level
     while True:
         w = np.ones(m, dtype=np.longdouble)
         w[:4], w[-4:] = _END_WEIGHTS, _END_WEIGHTS[::-1]
@@ -252,8 +253,8 @@ def _log_l2_norm(f, a: float, b: float, log_w=0.0, rtol: float = 1e-8, m0: int =
         x = 2.0 * (log_norms - log_w)
         top = np.max(x)  # -inf when every row vanishes
         total = top + math.log(np.sum(np.exp(x - top))) if np.isfinite(top) else top
-        settled = bool(abs(total - prev) < rtol or total == -math.inf)
-        if settled or not math.isfinite(total) or 2 * m - 1 > mmax:
+        settled = bool(abs(total - prev) < _QUAD_RTOL or total == -math.inf)
+        if settled or not math.isfinite(total) or 2 * m - 1 > _QUAD_MMAX:
             return log_norms.reshape(shape), settled
         prev, m = total, 2 * m - 1
         odd = np.asarray(f(np.linspace(a, b, m)[1::2])).reshape(len(rows), -1)
@@ -396,6 +397,9 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
 # Analytic test signals
 # ---------------------------------------------------------------------------
 
+_NPTS = 2049  # points of a test signal's default grid
+
+
 def _exp_series_rows(g: float, N: int, terms, r, out: np.ndarray, cols) -> None:
     """Derivatives 0..N in h at h = 0 of exp(-sum_i u_i (1 + c_i h/r)^-g), into out[:, cols].
 
@@ -494,8 +498,7 @@ def bump_derivs(gamma_exp: float, t_scale: float = 1.0):
     return derivs
 
 
-def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
-                npts: int = 2049) -> Signal:
+def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None) -> Signal:
     """One-sided Gevrey bump y(t) = exp(-(t/t_scale)^-gamma_exp) for t > 0.
 
     Flat at 0 with all derivatives vanishing; nominal Gevrey order
@@ -506,14 +509,14 @@ def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None,
     derivs = bump_derivs(gamma_exp, t_scale)
     s = float(t_scale)
     if grid is None:
-        grid = np.linspace(-0.5 * s, 4.0 * s, npts)
+        grid = np.linspace(-0.5 * s, 4.0 * s, _NPTS)
     grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="bump_gevrey", params={"gamma_exp": gamma_exp, "t_scale": s})
 
 
 def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
-                   grid: np.ndarray = None, npts: int = 2049) -> Signal:
+                   grid: np.ndarray = None) -> Signal:
     """Compactly supported bump on [center-halfwidth, center+halfwidth].
 
     Product of two one-sided bumps, normalized to unit peak; Gevrey of order
@@ -534,7 +537,7 @@ def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
         return _bump_pair(gamma_exp, a, b, N, t) / peak
 
     if grid is None:
-        grid = np.linspace(a - halfwidth, b + halfwidth, npts)
+        grid = np.linspace(a - halfwidth, b + halfwidth, _NPTS)
     grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=True,
                   family="two_sided_bump",
@@ -542,7 +545,7 @@ def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
 
 
 def gaussian_signal(center: float = 0.0, sigma: float = 1.0,
-                    grid: np.ndarray = None, npts: int = 2049) -> Signal:
+                    grid: np.ndarray = None) -> Signal:
     """Gaussian exp(-(t-c)^2 / (2 sigma^2)) with Hermite-recurrence derivatives."""
 
     def derivs(N, t):
@@ -554,14 +557,14 @@ def gaussian_signal(center: float = 0.0, sigma: float = 1.0,
         return np.array(out[: N + 1])
 
     if grid is None:
-        grid = np.linspace(center - 8.7 * sigma, center + 8.7 * sigma, npts)
+        grid = np.linspace(center - 8.7 * sigma, center + 8.7 * sigma, _NPTS)
     grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="gaussian", params={"center": center, "sigma": sigma})
 
 
 def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
-                  grid: np.ndarray = None, npts: int = 2049) -> Signal:
+                  grid: np.ndarray = None) -> Signal:
     """Cutoff identical to 1 on (-inf, t_a], 0 on [t_b, inf), Gevrey of order order_s.
 
     chi(t) = 1 - (1/Z) * integral_{t_a}^t rho, where rho is a normalized
@@ -604,7 +607,7 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
         return out
 
     if grid is None:
-        grid = np.linspace(t_a - w, t_b + w, npts)
+        grid = np.linspace(t_a - w, t_b + w, _NPTS)
     grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="gevrey_cutoff",
@@ -625,13 +628,13 @@ class DecayFit:
     npoints: int
 
 
-def fourier_decay_fit(sig: Signal, order_s: float, rel_window=(1e-12, 1e-3),
-                      mismatch_tol: float = 0.02) -> DecayFit:
+def fourier_decay_fit(sig: Signal, order_s: float) -> DecayFit:
     """Fit -ln|F phi(xi)| = c + delta * |xi|^{1/s} over a decay window.
 
     The window keeps the frequencies where |F phi| lies between 1e-12 and
     1e-3 of its maximum, cut before the FFT noise floor.  A large normalized
-    fit residual flags that the signal does not decay at the claimed order
+    fit residual (rms above 0.02 of the window's spread of -ln|F phi|, or of
+    1) flags that the signal does not decay at the claimed order
     (``mismatch``); the fitted slope delta estimates the decay rate.
     """
     if not sig.compact_support:
@@ -639,15 +642,13 @@ def fourier_decay_fit(sig: Signal, order_s: float, rel_window=(1e-12, 1e-3),
     xi, F = _spectrum(sig, pad=4)
     Fmax = F.max()
     rel = F / Fmax
-    lo, hi = rel_window
     # the Gevrey estimate bounds the *envelope*: bump spectra oscillate
     # through near-zeros, so fit only the points visible from the right
     # (suffix maxima = lobe peaks; every point for monotone spectra)
     imax = int(np.argmax(F))
     env = np.maximum.accumulate(F[::-1])[::-1]
     onenv = F >= env * (1.0 - 1e-12)
-    floor = max(lo, 1e-13)
-    window = (np.arange(len(F)) > imax) & (rel < hi) & (rel > floor) & onenv
+    window = (np.arange(len(F)) > imax) & (rel < 1e-3) & (rel > 1e-12) & onenv
     idx = np.where(window)[0]
     if len(idx) < 8:
         raise ValueError("decay window too small; enlarge the grid or padding")
@@ -657,6 +658,6 @@ def fourier_decay_fit(sig: Signal, order_s: float, rel_window=(1e-12, 1e-3),
     resid = y - (delta * x + icpt)
     rms = float(np.sqrt(np.mean(resid**2)))
     spread = float(y.max() - y.min())
-    mismatch = rms > mismatch_tol * max(spread, 1.0)
+    mismatch = rms > 0.02 * max(spread, 1.0)
     return DecayFit(float(delta), float(icpt), rms, bool(mismatch),
                     (float(xi[idx[0]]), float(xi[idx[-1]])), len(idx))

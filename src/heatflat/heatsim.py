@@ -167,16 +167,17 @@ def kernel_k(t, rep: str = "auto"):
     return out if np.ndim(t) else float(out[0])
 
 
-def kernel_laplace_quadrature(s: float, t_split: float = 3.0, jtail: int = 8) -> float:
+def kernel_laplace_quadrature(s: float) -> float:
     """Numerical Laplace transform of k: mpmath's tanh-sinh quadrature on
-    [0, t_split] plus the analytic integral of the eigen tail beyond it."""
+    [0, 3] plus the analytic integral of the eigen tail beyond it."""
     val = float(mp.quad(lambda t: math.exp(-s * float(t)) * kernel_k(float(t), "auto"),
-                        [0.0, t_split]))
-    # beyond t_split: k(t) = 1 + 2 sum (-1)^j e^{-lam_j t}, integrate exactly
-    tail = math.exp(-s * t_split) / s
-    for j in range(1, jtail + 1):
+                        [0.0, 3.0]))
+    # beyond t = 3: k(t) = 1 + 2 sum (-1)^j e^{-lam_j t}, integrated exactly
+    # over its first 8 modes (the ninth is below e^{-2398})
+    tail = math.exp(-s * 3.0) / s
+    for j in range(1, 9):
         lam = (j * math.pi) ** 2
-        tail += 2.0 * (-1) ** j * math.exp(-(s + lam) * t_split) / (s + lam)
+        tail += 2.0 * (-1) ** j * math.exp(-(s + lam) * 3.0) / (s + lam)
     return val + tail
 
 

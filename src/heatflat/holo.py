@@ -569,28 +569,22 @@ def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int):
     return float(np.sum(W * mirror(np.abs(vals) ** 2))), "", 0.0
 
 
-def bergman_norm_estimate(c: CoeffSeq, R_scale: float, margins=DEFAULT_MARGINS,
-                          nodes: int = 64) -> BergmanReport:
+def bergman_norm_estimate(c: CoeffSeq, R_scale: float, nodes: int = 64) -> BergmanReport:
     """Per-margin A^2(Omega_eps) norms of the scaled series plus a trend class.
 
-    The class follows the rule stated in _classify.  Norms are quadrature
-    refinement-checked (nodes vs 3/2 nodes).
+    The margins are DEFAULT_MARGINS and the class follows the rule stated in
+    _classify.  Norms are quadrature refinement-checked (nodes vs 3/2 nodes).
     """
-    margins = tuple(margins)
-    if any(not (0 < m < 0.5) for m in margins) or any(
-        margins[i] <= margins[i + 1] for i in range(len(margins) - 1)
-    ):
-        raise ValueError("margins must be a decreasing sequence inside (0, 0.5)")
     R = _scale(R_scale)
     if not (isinstance(nodes, (int, np.integer)) and nodes >= 8):
         raise ValueError(f"nodes must be an integer >= 8, got {nodes!r}")
     if c.is_zero:
-        return BergmanReport(margins, tuple(0.0 for _ in margins), "convergent",
-                             0.0, math.inf, "zero sequence", 0.0)
-    return _classify(SeriesEvaluator(c), R, margins, nodes)
+        return BergmanReport(DEFAULT_MARGINS, tuple(0.0 for _ in DEFAULT_MARGINS),
+                             "convergent", 0.0, math.inf, "zero sequence", 0.0)
+    return _classify(SeriesEvaluator(c), R, nodes)
 
 
-def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int,
+def _classify(ev: SeriesEvaluator, R: float, nodes: int,
               class_only: bool = False) -> BergmanReport:
     """Bergman report of f_R(zeta) = f_1(R zeta) from the evaluator of f_1.
 
@@ -599,7 +593,7 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int,
       quadrature nodes and no validated continuation exists;
     * divergent when a validated singularity of the continuation sits
       strictly inside Omega (guard band _POLE_GUARD in the |Re|+|Im| gauge);
-    * undecided when fewer than three margins resolve;
+    * undecided when fewer than three of DEFAULT_MARGINS resolve;
     * convergent when the coefficients certify an entire-type function, or
       when all validated singularities lie strictly outside the closed
       square (holomorphic on a neighborhood of the closure);
@@ -625,6 +619,7 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int,
     certified_outside = (pade_valid and len(ev.singularities) > 0
                          and l1sing >= 1.0 + _POLE_GUARD)
     settled = class_only and (inside or entire or certified_outside)
+    margins = DEFAULT_MARGINS
     if settled:
         margins = () if inside else margins if entire else margins[:3]
 
@@ -688,24 +683,18 @@ def _classify(ev: SeriesEvaluator, R: float, margins: tuple, nodes: int,
 # Interpolation radius
 # ---------------------------------------------------------------------------
 
-_R_START = 0.05  # first scale of the upward scan in radius_Ra
-
-
-def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
+def radius_Ra(c: CoeffSeq, tol: float):
     """Bracket of R_a = sup{ R : the scaled series lies in A^2(Omega) }.
 
     One evaluator serves every R and each distinct R is classified once, by
     the rule of _classify asked for the class alone.  The scan doubles R
-    from 0.05 up to R_max.  One bisection runs for the supremum of
+    from 0.05 up to 64.  One bisection runs for the supremum of
     certified-convergent R and again for the infimum of certified-divergent
     R; undecided classifications widen the bracket instead of being guessed.
     Returns (R_lo, R_hi) or "unbounded".
     """
     if not tol > 1e-4:
         raise ValueError("tol must exceed 1e-4")
-    if not (math.isfinite(R_max) and R_max >= _R_START):
-        raise ValueError(f"R_max must be finite and at least {_R_START}, "
-                         f"where the scan starts, got {R_max!r}")
     if c.is_zero:
         return "unbounded"
     ev = SeriesEvaluator(c)
@@ -713,14 +702,14 @@ def radius_Ra(c: CoeffSeq, tol: float, R_max: float = 64.0):
 
     def cls(R):
         if R not in memo:
-            memo[R] = _classify(ev, R, DEFAULT_MARGINS, 64, class_only=True).classification
+            memo[R] = _classify(ev, R, 64, class_only=True).classification
         return memo[R]
 
     # initial bracket
     R_div = None
     R_conv = None
-    R = _R_START
-    while R <= R_max:
+    R = 0.05
+    while R <= 64.0:
         k = cls(R)
         if k == "convergent":
             R_conv = R
@@ -809,14 +798,13 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
     )
 
 
-def borel_range_test(c: CoeffSeq, p: int, parity: str, R: float,
-                     margins=DEFAULT_MARGINS) -> BergmanReport:
+def borel_range_test(c: CoeffSeq, p: int, parity: str, R: float) -> BergmanReport:
     """Range test for the shifted Borel sequence: reindex by p, set the series
     parity, and delegate to the Bergman estimate at scale R."""
     shifted = c.shifted(p)
     shifted = CoeffSeq(shifted.log_mag, shifted.phase, parity,
                        name=f"{c.name}[p={p},{parity}]", params=c.params)
-    return bergman_norm_estimate(shifted, R, margins)
+    return bergman_norm_estimate(shifted, R)
 
 
 def loss_factors(s_grid):
@@ -844,17 +832,14 @@ def loss_factors(s_grid):
     return rows
 
 
-def loss_crossover(bracket=(3.0, 4.0), xtol: float = 1e-10) -> float:
+def loss_crossover() -> float:
     """Root of cos(pi/2s) = exp(-1/(es)) between s = 3 and s = 4, by bisection
-    to within xtol."""
+    to within 1e-10."""
     f = lambda s: math.exp(-1.0 / (math.e * s)) - math.cos(math.pi / (2.0 * s))
-    lo, hi = map(float, bracket)
-    sign_lo = f(lo) > 0
-    if sign_lo == (f(hi) > 0):
-        raise ValueError("the bracket must enclose a sign change")
-    while hi - lo > xtol:
+    lo, hi = 3.0, 4.0  # f(3) > 0 > f(4)
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == sign_lo:
+        if f(mid) > 0:
             lo = mid
         else:
             hi = mid

@@ -93,7 +93,7 @@ def log_gamma(x):
 # Mittag-Leffler on the positive real axis
 # ---------------------------------------------------------------------------
 
-def _ml_series_log(alpha: float, beta: float, x: float, rtol: float = 1e-15) -> float:
+def _ml_series_log(alpha: float, beta: float, x: float) -> float:
     """log E_{alpha,beta}(x) for x >= 0 by log-domain summation of the series."""
     if x == 0.0:
         return -math.lgamma(beta)
@@ -107,7 +107,7 @@ def _ml_series_log(alpha: float, beta: float, x: float, rtol: float = 1e-15) -> 
         m = logt.max()
         # positive terms; ratio of successive terms at the end
         ratio = x / (alpha * kmax + beta) ** alpha
-        if ratio < 0.5 and logt[-1] - m < math.log(rtol) - 4:
+        if ratio < 0.5 and logt[-1] - m < math.log(1e-15) - 4:
             s = np.exp(logt - m).sum()
             return m + math.log(s)
         kmax *= 2
@@ -118,17 +118,17 @@ def _ml_asymptotic_log(alpha: float, beta: float, x: float) -> float:
     return -math.log(alpha) + (1.0 - beta) / alpha * math.log(x) + x ** (1.0 / alpha)
 
 
-def log_mittag_leffler(p: MLParams, x: float, switch: float = 35.0) -> float:
+def log_mittag_leffler(p: MLParams, x: float) -> float:
     """log E_{alpha,beta}(x) for x >= 0.
 
     The power series is summed in the log domain until the relative tail is
-    below 1e-14; once x^{1/alpha} exceeds ``switch`` the dominant-exponential
-    asymptotic form is used instead (the two branches agree to ~1e-12 near the
-    default switch point, see the tests).
+    below 1e-14; once x^{1/alpha} reaches 35 the dominant-exponential
+    asymptotic form is used instead (the two branches agree to ~1e-12
+    there, see the tests).
     """
     if not x >= 0:
         raise ValueError(f"log_mittag_leffler requires x >= 0, got x = {x!r}")
-    if x > 0 and x ** (1.0 / p.alpha) >= switch:
+    if x > 0 and x ** (1.0 / p.alpha) >= 35.0:
         return _ml_asymptotic_log(p.alpha, p.beta, x)
     return float(_ml_series_log(p.alpha, p.beta, x))
 

@@ -140,7 +140,7 @@ def test_09_loss_factor_table():
     ok = ok and round(r2["rho_mrr"], 3) == 0.832
     ok = ok and all(r["sign"] > 0 for r in rows if r["s"] < 3.0)
     ok = ok and all(r["sign"] < 0 for r in rows if r["s"] > 4.0)
-    cross = holo.loss_crossover(xtol=1e-10)
+    cross = holo.loss_crossover()
     ok = ok and 3.0 < cross < 4.0
     report(9, "loss-factor table", ok,
            f"rho_2 = {r2['rho_s']:.10f}, rho_mrr = {r2['rho_mrr']:.7f}, "

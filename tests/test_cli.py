@@ -130,11 +130,11 @@ class TestCli:
             assert abs(float(r[5]) - float(r[6])) < 0.2
         assert rows[2][6] == ""
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"schema": 1, "bogus": 5}))
-        with pytest.raises(SystemExit):
-            run(["loss-table", "--config", str(cfgp), "--out", str(tmp_path)])
+        assert run(["loss-table", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == "loss-table: ERROR: unknown config keys ['bogus']\n"
 
     @pytest.mark.parametrize("cmd, key, value, kind", [
         ("track", "dt", "0.001", "number"),
@@ -144,11 +144,13 @@ class TestCli:
         ("laplace-discrete", "n_quadratic", [], "list"),
         ("theta-identity", "cases", [[100, "2.0", 0.5]], "list"),
     ])
-    def test_wrong_value_type_rejected(self, tmp_path, cmd, key, value, kind):
+    def test_wrong_value_type_rejected(self, tmp_path, capsys, cmd, key, value, kind):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"schema": 1, key: value}))
-        with pytest.raises(SystemExit, match=f"'{key}' must be a {kind}"):
-            run([cmd, "--config", str(cfgp), "--out", str(tmp_path)])
+        assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{cmd}: ERROR: config key '{key}' must be a {kind}")
+        assert out.count("\n") == 1
 
     @pytest.mark.parametrize("cmd, key, value, bad", [
         ("track", "K", 25.7, "25.7"),
@@ -159,13 +161,13 @@ class TestCli:
         ("laplace-discrete", "n_quadratic", [100.7, 1000], "100.7"),
         ("laplace-discrete", "n_logh", [500, 2000.25], "2000.25"),
     ])
-    def test_fractional_integer_value_rejected(self, tmp_path, cmd, key, value, bad):
+    def test_fractional_integer_value_rejected(self, tmp_path, capsys, cmd, key, value, bad):
         # such a value would be computed at int(value) but written as given
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"schema": 1, key: value}))
-        with pytest.raises(SystemExit, match=f"^{cmd}: config key '{key}' takes integers "
-                                             f"only, got {bad}$"):
-            run([cmd, "--config", str(cfgp), "--out", str(tmp_path)])
+        assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == (
+            f"{cmd}: ERROR: config key '{key}' takes integers only, got {bad}\n")
 
     def test_integral_float_accepted_as_int(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
@@ -374,18 +376,20 @@ class TestCli:
         (None, "cannot read config .*cfg.json: .*No such file"),
         ("[1]", "config must be a JSON object"),
     ], ids=["bad-json", "missing-file", "not-an-object"])
-    def test_malformed_config_rejected(self, tmp_path, text, msg):
+    def test_malformed_config_rejected(self, tmp_path, capsys, text, msg):
         cfgp = tmp_path / "cfg.json"
         if text is not None:
             cfgp.write_text(text)
-        with pytest.raises(SystemExit, match=f"^laplace-discrete: {msg}"):
-            run(["laplace-discrete", "--config", str(cfgp), "--out", str(tmp_path)])
+        assert run(["laplace-discrete", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert re.match(f"laplace-discrete: ERROR: {msg}", out) and out.count("\n") == 1
 
-    def test_missing_schema_rejected(self, tmp_path):
+    def test_missing_schema_rejected(self, tmp_path, capsys):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"s_grid": [2.0]}))
-        with pytest.raises(SystemExit):
-            run(["loss-table", "--config", str(cfgp), "--out", str(tmp_path)])
+        assert run(["loss-table", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == (
+            'loss-table: ERROR: config must be a JSON object carrying "schema": 1\n')
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

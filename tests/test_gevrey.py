@@ -114,7 +114,7 @@ def test_nominal_order_of_each_family():
     assert nominal_order((raw + fam["gaussian"]).descriptor()) is None
 
 
-def _fresh_node_ladder(f, a, b, log_w=0.0, rtol=1e-8, m0=513, mmax=32769):
+def _fresh_node_ladder(f, a, b, log_w, rtol, m0, mmax):
     """The quadrature before nesting: a whole new table at every level, summed
     row by row by the trapezoid rule with the end weights (17, 59, 43, 49)/48,
     and settled when the log of the weighted total moves by less than rtol."""
@@ -152,13 +152,14 @@ class TestNestedLadder:
     """The nested ladder of _log_l2_norm against the fresh-node ladder."""
 
     @staticmethod
-    def _check(f, a, b, **kw):
+    def _check(f, a, b, log_w=0.0):
         seen = []
-        got = _log_l2_norm(lambda t: seen.append(t) or f(t), a, b, **kw)
-        want = _fresh_node_ladder(f, a, b, **kw)
+        got = _log_l2_norm(lambda t: seen.append(t) or f(t), a, b, log_w)
+        want = _fresh_node_ladder(f, a, b, log_w, gevrey._QUAD_RTOL, gevrey._QUAD_M0,
+                                  gevrey._QUAD_MMAX)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         # every node of the last level exactly once
-        m = (kw.get("m0", 513) - 1) * 2 ** (len(seen) - 1) + 1
+        m = (gevrey._QUAD_M0 - 1) * 2 ** (len(seen) - 1) + 1
         nodes = np.concatenate(seen)
         assert len(nodes) == m
         assert np.array_equal(np.sort(nodes), np.linspace(a, b, m))
@@ -187,24 +188,24 @@ class TestNestedLadder:
         log_norm, ok = self._check(lambda t: sig.deriv(2, t), sig.t0, sig.t1)
         assert ok and np.ndim(log_norm) == 0
 
-    def test_unconverged_at_mmax(self):
+    def test_unconverged_at_mmax(self, monkeypatch):
         # a jump at an irrational point: the rule converges only like 1/m
+        monkeypatch.setattr(gevrey, "_QUAD_M0", 9)
+        monkeypatch.setattr(gevrey, "_QUAD_MMAX", 4097)
         f = lambda t: np.vstack([np.where(t < 1.0 / math.sqrt(2.0), 1.0, 2.0), np.cos(t)])
-        log_norms, ok = self._check(f, 0.0, 2.0, m0=9, mmax=4097)
+        log_norms, ok = self._check(f, 0.0, 2.0)
         assert not ok and np.all(np.isfinite(log_norms))
 
     @pytest.mark.parametrize("m", [8, 9])
-    def test_cubics_integrated_exactly(self, m):
+    def test_cubics_integrated_exactly(self, m, monkeypatch):
         # f^2 a positive cubic: one level of m nodes, not settled, returns its sum
+        monkeypatch.setattr(gevrey, "_QUAD_M0", m)
+        monkeypatch.setattr(gevrey, "_QUAD_MMAX", m)
         cubic = lambda t: 1.0 + 0.3 * t - 0.2 * t**2 + 0.05 * t**3
         antiderivative = lambda t: t + 0.15 * t**2 - 0.2 / 3.0 * t**3 + 0.0125 * t**4
-        log_norm, ok = _log_l2_norm(lambda t: np.sqrt(cubic(t)), 0.3, 1.7, m0=m, mmax=m)
+        log_norm, ok = _log_l2_norm(lambda t: np.sqrt(cubic(t)), 0.3, 1.7)
         want = antiderivative(1.7) - antiderivative(0.3)
         assert not ok and abs(math.exp(2.0 * log_norm) - want) <= 1e-15 * want
-
-    def test_end_patches_must_not_overlap(self):
-        with pytest.raises(ValueError, match="needs m0 >= 8 nodes, got 7"):
-            _log_l2_norm(np.cos, 0.0, 1.0, m0=7)
 
     @pytest.mark.parametrize("k, nodes", [(3, 1025), (7, 1025)])
     def test_flat_integrands_settle_one_halving_before_simpson(self, k, nodes):

@@ -350,8 +350,8 @@ def test_scale_class_equals_full_report_class(name, parity):
     base = BATTERY[name]()
     ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
     for R in BATTERY_R:
-        want = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64).classification
-        got = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64, class_only=True)
+        want = holo._classify(ev, R, 64).classification
+        got = holo._classify(ev, R, 64, class_only=True)
         assert got.classification == want, R
 
 
@@ -367,11 +367,10 @@ def test_scale_class_entire_raw_divergence(parity, a1, R, first_unresolved):
     ev = SeriesEvaluator(CoeffSeq.from_values([1.0, a1, 1.0], parity))
     # entire: under 8 finite terms give no radius estimate, so no Pade fit
     assert ev.log_r == math.inf and not ev.pade_valid
-    rep = holo._classify(ev, R, holo.DEFAULT_MARGINS, 64)
+    rep = holo._classify(ev, R, 64)
     assert len(rep.margins) == first_unresolved
     assert rep.classification == "divergent"
-    class_only = lambda R: holo._classify(ev, R, holo.DEFAULT_MARGINS, 64,
-                                          class_only=True).classification
+    class_only = lambda R: holo._classify(ev, R, 64, class_only=True).classification
     assert class_only(R) == "divergent"
     assert class_only(0.5) == "convergent"
 
@@ -420,7 +419,7 @@ class TestMarginNorm:
         ev = SeriesEvaluator(CoeffSeq.sharp_radius(700))
         assert len(calls) == 1 and ev.pade_valid
         for R in (0.3, 0.6, 0.68):
-            holo._classify(ev, R, holo.DEFAULT_MARGINS, 64)
+            holo._classify(ev, R, 64)
         assert len(calls) == 1
 
 
@@ -466,10 +465,6 @@ class TestBergmanNormEstimate:
         n_big = bergman_norm_estimate(seq, 0.6).norms[-1]
         assert n_small < n_big
 
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            bergman_norm_estimate(CoeffSeq.from_values([1.0]), 1.0, margins=(0.1, 0.2))
-
     @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
     def test_scale_validation(self, R):
         with pytest.raises(ValueError, match="R_scale must be finite and > 0"):
@@ -510,16 +505,6 @@ class TestRadiusRa:
         assert INV_SQRT2 - 0.02 <= lo <= hi <= INV_SQRT2 + 0.02
         assert len(builds) == 1
         assert len(scales) == len(set(scales)) > 5
-
-    @pytest.mark.parametrize("R_max", [0.01, 0.049, math.nan, math.inf])
-    def test_R_max_validated(self, R_max):
-        # the scan starts at R = 0.05: below it nothing would be classified
-        with pytest.raises(ValueError, match="R_max must be finite and at least 0.05"):
-            radius_Ra(CoeffSeq.geometric(1.0, 300), 0.01, R_max=R_max)
-
-    def test_R_max_at_the_first_scale(self):
-        # geometric(1) is convergent at R = 0.05, the only scale scanned
-        assert radius_Ra(CoeffSeq.geometric(1.0, 300), 0.01, R_max=0.05) == "unbounded"
 
     def test_bracket_classifications_consistent(self):
         seq = CoeffSeq.geometric(1.0, 700)
@@ -611,8 +596,6 @@ class TestLossFactors:
     def test_crossover_agrees_with_brentq(self):
         f = lambda s: math.exp(-1.0 / (math.e * s)) - math.cos(math.pi / (2.0 * s))
         assert abs(loss_crossover() - brentq(f, 3.0, 4.0, xtol=1e-10)) <= 1e-10
-        with pytest.raises(ValueError):
-            loss_crossover((4.0, 5.0))
 
     def test_holo_does_not_import_scipy_optimize(self):
         src = os.path.dirname(os.path.dirname(heatflat.__file__))
