@@ -131,9 +131,12 @@ def run_track(cfg, out):
     msg = f"max tracking error {res.max_error:.3e} (threshold {cfg['threshold']:g})"
     if cfg["K_low"]:
         res_lo = flatness.tracking_experiment(y, sim_cfg, K=int(cfg["K_low"]))
-        ratio = res_lo.max_error / max(res.max_error, 1e-300)
-        ok = ok and ratio >= cfg["shrink_factor"]
-        msg += f"; K={cfg['K_low']} -> K={cfg['K']} error shrink x{ratio:.1f}"
+        if res.max_error == 0.0:  # nothing left to shrink
+            msg += f"; K={cfg['K_low']} -> K={cfg['K']}: exact at K={cfg['K']}"
+        else:
+            ratio = res_lo.max_error / max(res.max_error, 1e-300)
+            ok = ok and ratio >= cfg["shrink_factor"]
+            msg += f"; K={cfg['K_low']} -> K={cfg['K']} error shrink x{ratio:.1f}"
     return ok, msg
 
 

@@ -64,6 +64,17 @@ class TestCli:
                     "--assert"]) == 0
         assert "track: PASS" in capsys.readouterr().out
 
+    def test_track_exact_result_passes(self, tmp_path, capsys):
+        # one 1 ms step, where the target is flat: both K runs are exact, and
+        # an error ratio of 0 / 0 is no failure to shrink
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "T": 0.001}))
+        assert run(["track", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 0
+        assert capsys.readouterr().out == (
+            "track: PASS: max tracking error 0.000e+00 (threshold 0.0001); "
+            "K=10 -> K=25: exact at K=25\n")
+
     def test_track_refines_below_the_closure_threshold(self, tmp_path, capsys):
         # below dt = 2.13e-4 the tail closure needs more than the default
         # J = 128 modes; J is raised, so refining dt keeps lowering the error
@@ -370,6 +381,21 @@ class TestCli:
             f"{names[3]}, {names[4]}, {names[5]}, {names[7]}; ")
         assert [names[i].split("{")[0] for i in (3, 4, 5)] == ["two_sided_bump"] * 3
         assert [nodes[i] for i in (3, 4, 5, 7)] == [513] * 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_plancherel_ratio_weight_overflow_fails_without_warnings(self, tmp_path, capsys):
+        # at R = 50 the weight e^(2 R rho) overflows on the rho grid of the
+        # bumps' Fourier norms: one FAIL line names them, nothing on stderr
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "R": 50}))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "plancherel-ratio: FAIL: non-finite norm or ratio for two_sided_bump")
 
     @pytest.mark.parametrize("text, msg", [
         ("{bad", "cannot read config .*cfg.json: Expecting property name"),

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -122,10 +123,15 @@ def _sequential(u, cfg):
 
 
 class TestSimulate:
+    # simulate works in blocks of heatsim._BLOCK = 32 steps, and holds
+    # heatsim._GROUP = 64 blocks (2048 steps) at a time
     @pytest.mark.parametrize("J, dt, T", [
-        (128, 1e-3, 0.193),  # 193 steps: a full block, then 65 = 2^6 + 1
+        (128, 1e-3, 0.193),  # six blocks and one step
+        (128, 1e-3, 0.256),  # exactly eight blocks
+        (128, 1e-3, 0.031),  # part of one block
         (128, 2.5e-4, 0.3),
-        (128, 1e-4, 0.3),
+        (128, 1e-4, 0.3),  # a full group, then part of one
+        (128, 1e-4, 0.4097),  # two full groups and one step
         (128, 1e-3, 1e-3),  # one step
         (8, 1e-5, 0.01),  # J raised to the closure floor
     ])
@@ -161,6 +167,30 @@ class TestSimulate:
             want = quad(lambda s: kernel_k(s), 0, t, limit=200, epsabs=1e-11)[0]
             got = res.y[int(round(t / cfg.dt))]
             assert abs(got - want) < 1e-6 * max(abs(want), 1e-3)
+
+    def test_ramp_response_is_kernel_convolution(self):
+        # u = t is its own linear interpolant, so y is int_0^t k(t - s) s ds
+        # to rounding; the unit slope also drives the I1 kernel
+        cfg = SimConfig(J=128, dt=1e-3, T=1.0)
+        res = simulate(cfg.time_grid(), cfg)
+        for t in (0.1, 0.3, 0.7, 1.0):
+            want = quad(lambda s: kernel_k(s) * (t - s), 0, t, limit=200,
+                        epsabs=1e-14, epsrel=1e-13)[0]
+            got = res.y[int(round(t / cfg.dt))]
+            assert abs(got - want) < 1e-12 * abs(want)
+
+    def test_traced_memory_over_many_steps(self):
+        # 10^5 steps at J = 595: the products hold one group of blocks at a
+        # time, never an array of (steps / block) x modes
+        cfg = SimConfig(J=128, dt=1e-5, T=1.0)
+        u = np.sin(9.0 * cfg.time_grid())
+        tracemalloc.start()
+        try:
+            simulate(u, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_J_doubling_insensitive(self):
         cfg64 = SimConfig(J=64, dt=1e-3, T=1.0)
