@@ -2,7 +2,7 @@
 
 Modules
 -------
-numkit      Mittag-Leffler, polylogarithm, theta sums, the CSV writer
+numkit      Mittag-Leffler, polylogarithm, theta sums, the series verdict, the CSV writer
 gevrey      Gevrey weight sequences, time/Fourier norms, test signals
 plancherel  Mittag-Leffler weight expansion, A_n asymptotics, discrete Laplace
 heatsim     spectral heat simulator, kernel k(t), transfer catalogue

@@ -110,6 +110,13 @@ def run_track(cfg, out):
     (a provider's row n does not depend on the table's size).  The flatness
     check at t = 0 goes to the target's own provider.
     """
+    if cfg["target"] not in ("bump", "zero"):
+        raise ValueError(f"target must be 'bump' or 'zero', got {cfg['target']!r}")
+    if cfg["K"] < 1:
+        raise ValueError(f"K must be at least 1, got {cfg['K']}")
+    if cfg["K_low"] and not 1 <= cfg["K_low"] < cfg["K"]:
+        raise ValueError(f"K_low must be 0 (no comparison) or lie in [1, K = {cfg['K']}), "
+                         f"got {cfg['K_low']}")
     sim_cfg = heatsim.SimConfig(J=int(cfg["J"]), dt=cfg["dt"], T=cfg["T"])
     tgrid = sim_cfg.time_grid()
     if cfg["target"] == "zero":
@@ -156,7 +163,7 @@ def _ratio_family():
 
 def run_plancherel_ratio(cfg, out):
     p = gevrey.GevreyParams(cfg["s"], cfg["R"], cfg["gamma"])
-    rows, ratios, diverged, unresolved, above_s = [], [], [], [], []
+    rows, ratios, unconverged, unresolved, above_s = [], [], [], [], []
     for sig in _ratio_family():
         name = sig.family + json.dumps(sig.params, sort_keys=True).replace(",", ";")
         tn = gevrey.gevrey_norm_time(sig, p, int(cfg["N"]))
@@ -164,7 +171,7 @@ def run_plancherel_ratio(cfg, out):
         ratios.append(fn / tn.total)
         rows.append((name, tn.total, fn, fn / tn.total))
         if not tn.converged:
-            diverged.append(name)
+            unconverged.append(name)
         if not tn.quadrature_ok:
             unresolved.append(name)
         if (gevrey.nominal_order(sig.descriptor()) or 0.0) > cfg["s"]:
@@ -175,7 +182,7 @@ def run_plancherel_ratio(cfg, out):
     bad = [r[0] for r in rows if not all(math.isfinite(v) for v in r[1:])]
     fails = [f"{what} for {', '.join(names)}" for what, names in (
         ("non-finite norm or ratio", bad),
-        ("time norm series not converged", diverged),
+        ("time norm series not converged", unconverged),
         ("time norm quadrature not converged", unresolved)) if names]
     if fails:
         return False, "; ".join(fails)

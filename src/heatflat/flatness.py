@@ -22,14 +22,14 @@ Bergman machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gevrey import GevreyNormResult, GevreyParams, Signal, gevrey_norm_time
 from .heatsim import SimConfig, SimResult, simulate
 from .holo import BergmanReport, CoeffSeq, bergman_norm_estimate, borel_range_test
-from .numkit import log_gamma, write_csv
+from .numkit import log_gamma, series_converged, series_tail, write_csv
 
 __all__ = [
     "flat_state",
@@ -38,68 +38,63 @@ __all__ = [
     "check_trackable_infinite",
     "check_trackable_finite",
     "terminal_state_report",
-    "FlatEval",
-    "ControlSynthesis",
+    "FlatSum",
     "TrackingResult",
     "Trackable2Result",
 ]
 
 
 @dataclass(frozen=True)
-class FlatEval:
-    value: float
-    tail_proxy: float
-    diverged: bool
+class FlatSum:
+    """A partial sum of a flat series: its value at each point (a float at
+    one point), the tail estimate of its terms and the convergence verdict."""
+    value: float | np.ndarray
+    tail: float
+    converged: bool
 
 
-def flat_state(y_derivs, t: float, x: float, K: int) -> FlatEval:
+def flat_state(y_derivs, t: float, x: float, K: int) -> FlatSum:
     """Partial sum of z(t,x) = sum_k y^(k)(t) x^{2k}/(2k)! up to K terms.
 
     ``y_derivs`` is the target's derivative table (``Signal.derivs``).  The
-    sum, its tail proxy, its divergence flag and its ValueError for a row
-    that is not finite are those of ``_flat_sum``; the flag is raised for
-    |x| beyond the Gevrey radius of the target.
+    sum, its tail, its verdict and its ValueError for a row that is not
+    finite are those of ``_flat_sum``; for |x| beyond the Gevrey radius of
+    the target the series reads not converged.
     """
     if abs(x) > 1.0:
         raise ValueError("flat series is used for |x| <= 1")
     w = [abs(x) ** (2 * k) * math.exp(-log_gamma(2 * k + 1)) for k in range(K + 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _flat_sum
         Y = np.asarray(y_derivs(K, np.array([t])), dtype=float)
-    value, tail, diverged = _flat_sum(Y, w, "flat state")
-    return FlatEval(float(value[0]), tail, diverged)
+    res = _flat_sum(Y, w, "flat state")
+    return replace(res, value=float(res.value[0]))
 
 
-@dataclass
-class ControlSynthesis:
-    u: np.ndarray
-    tail_proxy: float
-    diverged: bool
-
-
-def flat_control(y_derivs, t_grid, K: int) -> ControlSynthesis:
+def flat_control(y_derivs, t_grid, K: int) -> FlatSum:
     """u(t) = sum_{k=1}^K y^(k)(t)/(2k-1)! on the grid (x-derivative at x=1).
 
-    ``y_derivs`` is the target's derivative table (``Signal.derivs``).
-    Divergence of the terms at the cutoff is reported, not raised: for
+    ``y_derivs`` is the target's derivative table (``Signal.derivs``).  A
+    series that has not converged at the cutoff is reported, not raised: for
     near-critical targets the synthesized control is still returned with its
-    tail proxy and the experiment is treated as heuristic.  A derivative row
-    that overflows float range raises ValueError naming K and that row.
+    tail and the experiment is treated as heuristic.  A derivative row that
+    overflows float range raises ValueError naming K and that row.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _flat_sum
         Y = np.asarray(y_derivs(K, t_grid), dtype=float)
     w = [0.0] + [math.exp(-log_gamma(2 * k)) for k in range(1, K + 1)]
-    return ControlSynthesis(*_flat_sum(Y, w, "flat control"))
+    return _flat_sum(Y, w, "flat control")
 
 
-def _flat_sum(Y, w, name):
+def _flat_sum(Y, w, name) -> FlatSum:
     """The flat series sum_k w_k Y[k] over the points of the table Y, term by term in k.
 
-    Returns the sum, the tail proxy (the last term's largest magnitude over
-    the sum's) and the divergence flag: the last five term magnitudes for
-    k >= 2 each at least (1 - 1e-12) times the one before, the last one > 0.
-    Rows of weight 0 are skipped; a row of nonzero weight that is not finite
-    (the table overflowed) raises ValueError naming the series, K and that row.
+    The tail is ``numkit.series_tail`` of the largest term magnitude of each
+    k from the first nonzero weight on (a zero weight after it is an exact
+    zero term), and the verdict ``numkit.series_converged`` against the
+    sum's largest magnitude.  Rows of weight 0 are skipped; a row of nonzero
+    weight that is not finite (the table overflowed) raises ValueError
+    naming the series, K and that row.
     """
     bad = [k for k, wk in enumerate(w) if wk and not np.isfinite(Y[k]).all()]
     if bad:
@@ -111,10 +106,9 @@ def _flat_sum(Y, w, name):
         term = Y[k] * wk if wk else np.zeros_like(total)
         total += term
         mags.append(float(np.max(np.abs(term))))
-    last = mags[2:][-5:]
-    diverged = (len(last) == 5 and last[-1] > 0
-                and all(b >= a * (1 - 1e-12) for a, b in zip(last, last[1:])))
-    return total, mags[-1] / (float(np.max(np.abs(total))) + 1e-300), diverged
+    first = next((k for k, wk in enumerate(w) if wk), 0)
+    tail = series_tail(mags[first:])
+    return FlatSum(total, tail, series_converged(float(np.max(np.abs(total))), tail))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +120,7 @@ class TrackingResult:
     sim: SimResult
     y_target: np.ndarray
     max_error: float
-    synthesis: ControlSynthesis
+    synthesis: FlatSum
     K: int
 
     def to_csv(self, path) -> None:
@@ -151,7 +145,7 @@ def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingRes
     if not flat0 <= 1e-12:  # NaN fails too
         raise ValueError(f"target is not flat at t=0 (max |y^(k)(0)| = {flat0:.2e})")
     synth = flat_control(y_target.derivs, tgrid, K)
-    sim = simulate(synth.u, cfg)
+    sim = simulate(synth.value, cfg)
     yt = np.asarray(y_target.values, dtype=float)
     err = float(np.max(np.abs(sim.y - yt)))
     return TrackingResult(sim, yt, err, synth, K)

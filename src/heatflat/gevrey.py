@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .numkit import log_gamma
+from .numkit import log_gamma, series_converged, series_tail
 
 __all__ = [
     "GevreyParams",
@@ -267,6 +267,7 @@ def _log_l2_norm(f, a: float, b: float, log_w=0.0):
 class GevreyNormResult:
     partial_sums: np.ndarray
     increments: np.ndarray
+    tail: float
     converged: bool
     quadrature_ok: bool
 
@@ -280,9 +281,8 @@ def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int) -> GevreyNormResult:
 
     The quadrature settles on this weighted total (``quadrature_ok``); a row
     that overflows or is NaN makes it non-finite, without a warning.
-    The convergence flag is set when the last five increments (all of them
-    after the first when N < 5) decay geometrically, each at most 0.95 times
-    its predecessor, or are below 1e-14 of the total.
+    ``tail`` is ``numkit.series_tail`` of the increments, and ``converged``
+    its verdict ``numkit.series_converged``.
     """
     if sig.derivs is None:
         raise ValueError("gevrey_norm_time requires a signal with a derivative provider")
@@ -293,12 +293,8 @@ def gevrey_norm_time(sig: Signal, p: GevreyParams, N: int) -> GevreyNormResult:
         log_norms, quad_ok = _log_l2_norm(lambda t: sig.derivs(N, t), sig.t0, sig.t1, logM)
         incs = np.exp(2.0 * (log_norms - logM))
     partial = np.cumsum(incs)
-    total = partial[-1]
-    tail = incs[-6:]
-    last = tail[1:]
-    converged = bool(np.isfinite(total) and (np.all(last <= 1e-14 * total)
-                     or np.all(last / np.maximum(tail[:-1], 1e-300) <= 0.95)))
-    return GevreyNormResult(partial, incs, converged, quad_ok)
+    tail = series_tail(incs)
+    return GevreyNormResult(partial, incs, tail, series_converged(partial[-1], tail), quad_ok)
 
 
 # ---------------------------------------------------------------------------

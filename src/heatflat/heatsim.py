@@ -246,7 +246,7 @@ def simulate(u, cfg: SimConfig) -> SimResult:
 
     dt = cfg.dt
     J = max(cfg.J, math.ceil(math.sqrt(35.0 / dt) / math.pi) - 1)
-    j = np.arange(0, J + 1)
+    j = np.arange(0.0, J + 1)  # float: j**4 wraps in int64 past j = 55 108
     lam = (j * math.pi) ** 2
     ej1 = np.where(j == 0, 1.0, math.sqrt(2.0) * (-1.0) ** j)
     lam_safe = np.where(lam > 0, lam, 1.0)

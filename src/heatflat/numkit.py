@@ -33,6 +33,9 @@ __all__ = [
     "theta_gauss_sum",
     "ThetaResult",
     "MittagTypeFit",
+    "SERIES_RTOL",
+    "series_tail",
+    "series_converged",
     "write_csv",
 ]
 
@@ -56,6 +59,11 @@ MAX_SERIES_TERMS = 100_000
 # x = y^(1/beta) = 100 loses 12.7 digits and is off by 0.028.  The acceptance
 # config loses 3.2.
 MAX_LOST_DIGITS = 8.0
+
+# A series is converged when its tail estimate (``series_tail``) is at most
+# this share of its sum.  The one-ratio Gaussian series at N = 1 reads 1.1e-3
+# (7.6e-5 is missing), so 1e-3 would call it unconverged.
+SERIES_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -209,6 +217,38 @@ def _log_abs_E_beta_imag(beta: float, y: float) -> float:
             # tail <= t_{kmax} * ratio/(1-ratio) <= e^{logt[-1]} relative to m-scale
             return m + math.log(abs(s))
         kmax *= 2
+
+
+# ---------------------------------------------------------------------------
+# Convergence of a series
+# ---------------------------------------------------------------------------
+
+def series_tail(mags) -> float:
+    """Estimate of what a series of term magnitudes ``mags`` misses past its last term.
+
+    The geometric tail last * r / (1 - r), where r is the largest ratio of
+    each of the last five terms to its predecessor (all of them when there
+    are fewer): the ratio method of Domb & Sykes, Proc. R. Soc. A 240 (1957).
+    0 when the last term is exactly 0; inf when r >= 1, when a term is not
+    finite, or when a single term leaves no ratio to read r from.
+    """
+    m = np.asarray(mags, dtype=float)
+    if not np.isfinite(m).all():
+        return math.inf
+    last = float(m[-1])
+    if last == 0.0:
+        return 0.0
+    if len(m) < 2:
+        return math.inf
+    m = m[-6:]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 after 0 is no growth
+        r = float(np.max(np.where(m[1:] == 0.0, 0.0, m[1:] / m[:-1])))
+    return last * r / (1.0 - r) if r < 1.0 else math.inf
+
+
+def series_converged(total: float, tail: float) -> bool:
+    """The one convergence verdict: the sum is finite and its tail at most SERIES_RTOL of it."""
+    return bool(math.isfinite(total) and tail <= SERIES_RTOL * abs(total))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from heatflat import cli, flatness, gevrey, heatsim
 from heatflat.cli import _write_csv, main
-from heatflat.flatness import ControlSynthesis, TrackingResult
+from heatflat.flatness import FlatSum, TrackingResult
 from heatflat.heatsim import SimResult
 
 
@@ -256,6 +256,12 @@ class TestCli:
         ("mittag-type", {"x_range": [15.0, 200.0]},  # ln|E_2(iy)| off by 27 at x = 200
          "x_range upper end 200 loses 25.4 float64 digits to cancellation at beta = 2, "
          "above the limit of 8"),
+        ("track", {"K": -3}, "K must be at least 1, got -3"),
+        ("track", {"K": 0}, "K must be at least 1, got 0"),
+        ("track", {"K_low": -1}, "K_low must be 0 (no comparison) or lie in [1, K = 25), got -1"),
+        ("track", {"K_low": 30}, "K_low must be 0 (no comparison) or lie in [1, K = 25), got 30"),
+        ("track", {"K_low": 25}, "K_low must be 0 (no comparison) or lie in [1, K = 25), got 25"),
+        ("track", {"target": "foo"}, "target must be 'bump' or 'zero', got 'foo'"),
     ])
     @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
@@ -274,8 +280,7 @@ class TestCli:
         def nan_for_one_bump(sig, p, N):
             res = norm_time(sig, p, N)
             if sig.params == {"center": 1.0, "halfwidth": 2.0, "gamma_exp": 1.5}:
-                return gevrey.GevreyNormResult(res.partial_sums * math.nan, res.increments,
-                                               res.converged, res.quadrature_ok)
+                return dataclasses.replace(res, partial_sums=res.partial_sums * math.nan)
             return res
 
         monkeypatch.setattr(gevrey, "gevrey_norm_time", nan_for_one_bump)
@@ -435,7 +440,7 @@ def test_csv_format(tmp_path):
     t = np.array([0.0, 0.1])
     sim = SimResult(t, np.array([0.0, 1 / 3]), np.array([1.0, 2.0]), np.array([0.0, 1.0]),
                     np.array([[0.0, 0.5], [0.25, 1 / 3]]), True, 0.0)
-    TrackingResult(sim, np.array([0.0, 0.3]), 0.0, ControlSynthesis(sim.u, 0.0, False),
+    TrackingResult(sim, np.array([0.0, 0.3]), 0.0, FlatSum(sim.u, 0.0, True),
                    1).to_csv(tmp_path / "track.csv")
     _write_csv(tmp_path / "rows.csv", ["name", "n", "x"], [("a;b", 3, -2.5e-20)])
     read = lambda name: (tmp_path / name).read_text()

@@ -66,11 +66,11 @@ class TestFlatState:
             r = flat_state(provider, 0.0, x, 30)
             want = sum(math.exp(2 * k * (math.log(x) - math.log(rho))) for k in range(0, 200))
             assert r.value == pytest.approx(want, rel=1e-10)
-            assert not r.diverged
+            assert r.converged
         r = flat_state(provider, 0.0, 0.9, 30)  # x > rho: series diverges
-        assert r.diverged
+        assert not r.converged
         r = flat_state(provider, 0.0, rho, 30)  # x = rho: terms of constant size
-        assert r.diverged
+        assert not r.converged
 
 
     @pytest.mark.filterwarnings("error")
@@ -91,7 +91,7 @@ class TestFlatControl:
     def test_zero(self):
         grid = np.linspace(0, 1, 101)
         syn = flat_control(zeros, grid, 10)
-        assert np.all(syn.u == 0.0)
+        assert np.all(syn.value == 0.0)
 
     def test_single_term_probe(self):
         # formal y with y^(1) = 1, all other orders 0: u = 1/1! = 1
@@ -101,7 +101,7 @@ class TestFlatControl:
             return tab
 
         syn = flat_control(provider, np.linspace(0, 1, 11), 6)
-        assert np.allclose(syn.u, 1.0)
+        assert np.allclose(syn.value, 1.0)
 
     def test_linearity(self):
         grid = np.linspace(0, 1, 201)
@@ -109,36 +109,41 @@ class TestFlatControl:
         y2 = bump_gevrey(2.0, t_scale=0.5, grid=grid)
         a, b = 0.7, -1.3
         mix = lambda N, t: a * y1.derivs(N, t) + b * y2.derivs(N, t)
-        u_mix = flat_control(mix, grid, 12).u
-        u_sep = a * flat_control(y1.derivs, grid, 12).u + b * flat_control(y2.derivs, grid, 12).u
+        u_mix = flat_control(mix, grid, 12).value
+        u_sep = (a * flat_control(y1.derivs, grid, 12).value
+                 + b * flat_control(y2.derivs, grid, 12).value)
         assert np.max(np.abs(u_mix - u_sep)) <= 1e-12 * max(1.0, np.abs(u_sep).max())
 
     def test_terms_of_constant_size_diverge(self):
-        # y^(k) = (2k-1)!: every term y^(k)/(2k-1)! is 1, which the one
-        # divergence rule of the flat series flags, as for flat_state at x = rho
+        # y^(k) = (2k-1)!: every term y^(k)/(2k-1)! is 1, a ratio of 1 that the
+        # one series verdict reads as an infinite tail, as for flat_state at
+        # x = rho
         def provider(N, t):
             return np.array([np.full(len(t), float(math.factorial(max(2 * k - 1, 0))))
                              for k in range(N + 1)])
 
         syn = flat_control(provider, np.linspace(0, 1, 11), 10)
-        assert np.allclose(syn.u, 10.0, rtol=1e-14)
-        assert syn.diverged
-        assert not flat_control(provider, np.linspace(0, 1, 11), 5).diverged  # < 5 terms k >= 2
+        assert np.allclose(syn.value, 10.0, rtol=1e-14)
+        assert syn.tail == math.inf and not syn.converged
+        assert not flat_control(provider, np.linspace(0, 1, 11), 5).converged
 
-    # the bump target of ``track``: diverged flag and tail proxy of the control
-    @pytest.mark.parametrize("dt, K, diverged, tail", [
-        (1e-3, 5, False, 0.7970695818211451), (1e-3, 6, True, 0.953885760661167),
-        (1e-3, 10, True, 1.3576757449592678), (1e-3, 25, False, 1.5372142444652352),
-        (1e-3, 40, False, 0.02981515514757791), (1e-3, 60, False, 3.5740827069208273e-06),
-        (2.5e-4, 5, False, 0.7974265913039124), (2.5e-4, 6, True, 0.9561124482848676),
-        (2.5e-4, 10, True, 1.354994645713266), (2.5e-4, 25, False, 1.237828714666004),
-        (2.5e-4, 40, False, 0.030373264329778042), (2.5e-4, 60, False, 3.5740827069208273e-06),
-    ])
-    def test_synthesis_flags_on_the_track_target(self, dt, K, diverged, tail):
+    # the bump target of ``track``: verdict and tail of the control, the tail
+    # in units of max|u|.  Up to K = 13 the terms grow; at dt = 1e-3 the
+    # sampled maxima of the later terms alternate in size (ratios above 1)
+    @pytest.mark.parametrize("dt, K, converged, tail", [
+        pytest.param(dt, K, converged, tail, id=f"{dt:g}-K{K}") for dt, K, converged, tail in [
+            (1e-3, 5, False, math.inf), (1e-3, 6, False, math.inf),
+            (1e-3, 10, False, math.inf), (1e-3, 25, False, 14.92838475441673),
+            (1e-3, 40, False, math.inf), (1e-3, 60, False, math.inf),
+            (2.5e-4, 5, False, math.inf), (2.5e-4, 6, False, math.inf),
+            (2.5e-4, 10, False, math.inf), (2.5e-4, 25, False, 9.377945061458725),
+            (2.5e-4, 40, False, 0.09102092513369207), (2.5e-4, 60, True, 7.200257303645593e-06),
+        ]])
+    def test_synthesis_flags_on_the_track_target(self, dt, K, converged, tail):
         grid = SimConfig(dt=dt).time_grid()
         syn = flat_control(bump_gevrey(1.5, t_scale=0.2, grid=grid).derivs, grid, K)
-        assert syn.diverged is diverged
-        assert syn.tail_proxy == pytest.approx(tail, rel=1e-12)
+        assert syn.converged is converged
+        assert syn.tail / np.max(np.abs(syn.value)) == pytest.approx(tail, rel=1e-12)
 
     def test_overflowing_row_is_a_clean_error(self):
         # rows >= 89 of this bump's table exceed float range near t = 0.01
@@ -146,7 +151,7 @@ class TestFlatControl:
         y = bump_gevrey(1.5, t_scale=0.2, grid=grid)
         with pytest.raises(ValueError, match=r"K=100: derivative row 89 "):
             flat_control(y.derivs, grid, 100)
-        assert np.all(np.isfinite(flat_control(y.derivs, grid, 88).u))
+        assert np.all(np.isfinite(flat_control(y.derivs, grid, 88).value))
 
 
 class TestTracking:
@@ -238,6 +243,15 @@ class TestTrackableInfinite:
             log_w = gammaln(2 * k + 1) + k * math.log(2.0) + 0.75 * math.log1p(k)
             a, b = chk.increments[k], math.exp(2.0 * (log_norm - log_w))
             assert abs(a - b) <= 1e-12 * max(a, b, 1e-300)
+
+
+    def test_order_1_91_target_converges_only_by_N48(self):
+        # y' of bump_gevrey(1.1, 0.2) is of Gevrey order 1.91, inside the
+        # class, but at N = 16 about 16.5 of its 109.13 are still missing
+        chk16, chk48 = (check_trackable_infinite(bump_gevrey(1.1, 0.2), N) for N in (16, 48))
+        missing = chk48.total - chk16.total
+        assert not chk16.converged and missing <= chk16.tail <= 3.0 * missing
+        assert chk48.converged
 
 
 @pytest.mark.parametrize("N", range(1, 6))

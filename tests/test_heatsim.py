@@ -253,6 +253,18 @@ class TestSimulate:
                       - 2.0 * a * erfc(a / np.sqrt(t))).sum(axis=1)
         assert np.max(np.abs(res.y[1:] - want)) < 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    def test_step_response_with_65536_modes(self):
+        # j^4 of a mode index past 55 108 wraps in int64; the closure sums
+        # run over j^2 and j^4 of every mode up to J
+        cfg = SimConfig(J=65536, dt=1e-3, T=0.05)
+        res = simulate(np.ones(len(cfg.time_grid())), cfg)
+        a = np.arange(3) + 0.5
+        t = res.t[1:, None]
+        want = 2.0 * (2.0 * np.sqrt(t / np.pi) * np.exp(-a**2 / t)
+                      - 2.0 * a * erfc(a / np.sqrt(t))).sum(axis=1)
+        assert np.max(np.abs(res.y[1:] - want)) < 1e-15
+
     def test_output_is_the_state_at_x0(self):
         # one synthesis over x = [0, *x_grid]: y is its x = 0 column, bit for
         # bit, and state points do not move it

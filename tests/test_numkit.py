@@ -17,6 +17,8 @@ from heatflat.numkit import (
     log_mittag_leffler,
     mittag_type_imaginary,
     polylog,
+    series_converged,
+    series_tail,
     theta_dps,
     theta_gauss_sum,
     write_csv,
@@ -124,6 +126,38 @@ class TestMittagTypeImaginary:
         y = np.exp(np.linspace(beta * math.log(0.5 * x), beta * math.log(1.01 * x), 8))
         with pytest.raises(ValueError, match="float64 digits to cancellation"):
             mittag_type_imaginary(beta, y)
+
+
+class TestSeriesTail:
+    def test_exact_on_a_geometric_sequence(self):
+        # terms 2^-n for n <= 10: the missing part is 2^-10 exactly
+        mags = [2.0**-n for n in range(11)]
+        assert series_tail(mags) == 2.0**-10
+        assert series_converged(math.fsum(mags), series_tail(mags))
+
+    def test_largest_of_the_last_five_ratios(self):
+        # ratios 7/8 (one term too far back), then 3/4, 1/2, 1/2, 1/2, 1/2: r = 3/4
+        mags = [1.0, 0.875, 0.65625, 0.328125, 0.1640625, 0.08203125, 0.041015625]
+        assert series_tail(mags) == 3.0 * 0.041015625
+
+    def test_constant_terms_are_infinite(self):
+        assert series_tail([1.0] * 8) == math.inf
+        assert not series_converged(8.0, math.inf)
+
+    def test_trailing_zeros_are_zero(self):
+        assert series_tail([3.0, 1.0, 0.0, 0.0]) == 0.0
+        assert series_tail([0.0]) == 0.0
+
+    def test_a_term_not_finite_is_infinite(self):
+        assert series_tail([1.0, 0.5, math.inf, 0.1]) == math.inf
+        assert series_tail([1.0, 0.5, math.nan]) == math.inf
+
+    def test_a_single_term_is_infinite(self):
+        assert series_tail([0.5]) == math.inf
+
+    def test_non_finite_sum_is_not_converged(self):
+        assert not series_converged(math.inf, math.inf)
+        assert not series_converged(math.nan, 0.0)
 
 
 class TestPolylog:
