@@ -25,8 +25,10 @@ Membership in A^2 is undecidable from finite data; the judgment calls are:
   members), cross-validated at two orders,
 * a convergent / divergent / undecided rule over the coefficient evidence
   (entire type, validated singularities) and the per-margin norms, stated
-  once in _classify; radius_Ra asks it for the class alone, which skips the
-  quadrature the coefficients make needless.
+  once in _classify.  radius_Ra and the counterexample's flat series ask it
+  for the class alone: it reads only the divergence and continuation masks
+  where the class needs no norm, so no raw series is summed there, and no
+  margin at all where the coefficients settle the class.
 """
 
 from __future__ import annotations
@@ -330,6 +332,16 @@ def _poly_eval(c, x):
     return out
 
 
+def _raw_diverged(terms, w):
+    """Per-node divergence mask of g at w (or at |w|, which gives the same
+    mask): dead or growing (see _raw_terms), whatever the sign pattern of
+    the terms.  No term is summed."""
+    _, _, dead_at, grow_at, _ = terms
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(w))
+    return (logw > dead_at) | (dead_at == -math.inf) | (logw > grow_at)
+
+
 def _raw_sum(terms, w):
     """Per-point part of _raw_eval: (values, diverged_mask) of g at w.
 
@@ -337,25 +349,22 @@ def _raw_sum(terms, w):
     sum_{j>=n} |b_j| max|w|^j falls below 1e-17 of its largest term: one
     cutoff per call, so each node's value depends on the node and that
     cutoff alone.  The terms are summed by blocked Horner (_poly_eval), over
-    chunks of at most _CHUNK nodes.  A node is diverged when it is dead or
-    growing (see _raw_terms), whatever the sign pattern of the terms; values
-    at diverged nodes may be non-finite.
+    chunks of at most _CHUNK nodes.  The mask is _raw_diverged; values at
+    diverged nodes may be non-finite.
     """
-    b, absb, dead_at, grow_at, _ = terms
+    b, absb = terms[:2]
     w = np.asarray(w, dtype=complex)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        absw = np.abs(w)
-        logw = np.log(absw)
+    absw = np.abs(w)
+    with np.errstate(over="ignore", invalid="ignore"):
         m = float(np.max(absw, initial=0.0))
         t = absb * m ** np.arange(len(b))
         small = np.cumsum(t[::-1])[::-1] < 1e-17 * np.max(t, initial=0.0)
         acc = _poly_eval(b[:np.argmax(small) if m < 1.0 and small.any() else len(b)], w)
-    diverged = (logw > dead_at) | (dead_at == -math.inf) | (logw > grow_at)
-    return acc, diverged
+    return acc, _raw_diverged(terms, absw)
 
 
 def _raw_eval(lg, ph, w, kmax=None):
-    """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by Horner's rule.
+    """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by blocked Horner (_poly_eval).
 
     Returns (values, tail_proxy_per_node, diverged_mask); the tail proxy is
     the last finite term over the sum.  See _raw_terms and _raw_sum.
@@ -465,28 +474,42 @@ class SeriesEvaluator:
     def values(self, zeta):
         """f_1 at the given points; returns (values, unresolved_mask, raw_diverged_mask).
         Values at raw-diverged points may be non-finite."""
+        return self._evaluate(zeta, masks_only=False)
+
+    def _evaluate(self, zeta, masks_only):
+        """values(zeta); with masks_only, (None, unresolved_mask, raw_diverged_mask)
+        with the same masks and no raw sum: raw nodes take _raw_diverged alone,
+        while Pade nodes still take both fits, whose disagreement is the mask."""
         zeta = np.asarray(zeta, dtype=complex)
         v = zeta * zeta / self.unit
-        vals = np.empty_like(v)
+        vals = None if masks_only else np.empty_like(v)
         unresolved = np.zeros(v.shape, dtype=bool)
         rawdiv = np.zeros(v.shape, dtype=bool)
         if math.isfinite(self.log_r):
             inner = np.abs(v) <= 0.85
         else:
             inner = np.ones(v.shape, dtype=bool)
+
+        def raw(at):  # one call per node set: its cutoff is that set's own
+            if masks_only:
+                rawdiv[at] = _raw_diverged(self.terms, v[at])
+            else:
+                vals[at], rawdiv[at] = _raw_sum(self.terms, v[at])
+
         if inner.any():
-            vals[inner], rawdiv[inner] = _raw_sum(self.terms, v[inner])
+            raw(inner)
         outer = ~inner
         if outer.any():
             if self.pade_valid:
                 a = self.pade(v[outer])
                 bb = self.pade_hi(v[outer])
-                vals[outer] = bb
+                if not masks_only:
+                    vals[outer] = bb
                 scale = np.maximum(np.abs(bb), 1e-300)
                 unresolved[outer] = np.abs(a - bb) > 1e-5 * scale
             else:
-                vals[outer], rawdiv[outer] = _raw_sum(self.terms, v[outer])
-        if self.odd:
+                raw(outer)
+        if self.odd and not masks_only:
             vals = vals * zeta
         return vals, unresolved, rawdiv
 
@@ -550,22 +573,28 @@ class BergmanReport:
         )
 
 
-def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int):
+def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int,
+                 masks_only: bool = False):
     """Quadrature of |f_R|^2 over Omega_eps, each node pair +-zeta evaluated once.
 
     The grid is point-symmetric (zeta[::-1] == -zeta, W[::-1] == W) and
     |f_1(-zeta)| = |f_1(zeta)| for either parity, so the first half of the
     grid (with the centre node when n is odd) is evaluated and mirrored back
     into grid order: the sum runs in the same order as over the full grid.
+    With masks_only the evaluator sums no raw series and a resolved margin's
+    norm is NaN; the failure reasons and fractions are the same.
     """
     zeta, W = OmegaDomain.quad_nodes(eps, n)
     h = len(zeta) // 2
-    vals, unresolved, rawdiv = ev.values(R * zeta[:len(zeta) - h])
+    half = R * zeta[:len(zeta) - h]
+    vals, unresolved, rawdiv = ev._evaluate(half, True) if masks_only else ev.values(half)
     mirror = lambda a: np.concatenate([a, a[:h][::-1]])
     if rawdiv.any():
         return None, "raw-divergence", float(np.mean(mirror(rawdiv)))
     if unresolved.any():
         return None, "continuation-disagreement", float(np.mean(mirror(unresolved)))
+    if masks_only:
+        return math.nan, "", 0.0
     return float(np.sum(W * mirror(np.abs(vals) ** 2))), "", 0.0
 
 
@@ -602,12 +631,15 @@ def _classify(ev: SeriesEvaluator, R: float, nodes: int,
       when their increments vanish or decay geometrically (ratio <= 0.7),
       undecided else.
 
-    With class_only, a scale that the coefficient evidence settles (inside,
-    entire or certified outside) reads only what the rule needs: no 3/2-node
-    refinement and no slope fit, no margin when inside, the first three
-    margins when certified outside, and every margin for an entire-type
-    series, where a later margin can still diverge.  Its report is then good
-    for the class alone.
+    With class_only the report is good for the class alone, and no raw
+    series is summed where the rule reads only the divergence and
+    continuation masks.  A scale that the coefficient evidence settles
+    (inside, entire or certified outside) reads the masks of no margin when
+    inside, of the first three when certified outside, and of every margin
+    for an entire-type series, where a later margin can still diverge; its
+    norms are NaN and its slope is not fitted.  Any other scale reads the
+    masks at `nodes` and the norm at 3/2 nodes, or at `nodes` when the finer
+    grid does not resolve.  Its quad_refinement (refine_gap) is then 0.
     """
     # tail increments of log|g_R| below -25: superexponential decay, effectively
     # entire on our domain, so the continuation and its singularities play no part
@@ -627,7 +659,7 @@ def _classify(ev: SeriesEvaluator, R: float, nodes: int,
     notes = ""
     refine_gap = 0.0
     for eps in margins:
-        val, why, frac = _margin_norm(ev, R, eps, nodes)
+        val, why, frac = _margin_norm(ev, R, eps, nodes, masks_only=class_only)
         if val is None:
             if why == "raw-divergence" and not pade_valid:
                 return BergmanReport(tuple(margins[: len(norms)]), tuple(norms),
@@ -639,8 +671,11 @@ def _classify(ev: SeriesEvaluator, R: float, nodes: int,
         if not settled:
             val2, _, _ = _margin_norm(ev, R, eps, nodes + nodes // 2)
             if val2 is not None:
-                refine_gap = max(refine_gap, abs(val2 - val) / max(abs(val2), 1e-300))
+                if not class_only:
+                    refine_gap = max(refine_gap, abs(val2 - val) / max(abs(val2), 1e-300))
                 val = val2
+            elif class_only:  # the masks carried no norm
+                val, _, _ = _margin_norm(ev, R, eps, nodes)
         norms.append(val)
 
     if inside:
@@ -785,8 +820,9 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
 
     # membership series of the reachable/trackable class: odd parity, shift 1
     track = borel_range_test(seq, p=1, parity="odd", R=1.0 / math.sqrt(2.0))
-    # the flat series itself (even, R = 1/sqrt2): integrable boundary blow-up
-    fn = bergman_norm_estimate(seq, 1.0 / math.sqrt(2.0))
+    # the flat series itself (even, R = 1/sqrt2): integrable boundary blow-up;
+    # only its class is reported
+    fn = _classify(SeriesEvaluator(seq), 1.0 / math.sqrt(2.0), 64, class_only=True)
     return CounterexampleReport(
         residual_exponent=float(expo),
         residual_amplitude=float(math.exp(amp)),

@@ -355,6 +355,60 @@ def test_scale_class_equals_full_report_class(name, parity):
         assert got.classification == want, R
 
 
+# the battery with two sequences whose raw series diverges on the grids: no
+# Pade fit (30 terms), and an entire type whose a_1 kills the outer nodes
+MASK_SEQS = {**BATTERY,
+             "geometric(1.0)[30]": lambda: CoeffSeq.geometric(1.0, 30),
+             "dead a_1": lambda: CoeffSeq.from_values([1.0, 1e100 / 0.5, 1.0])}
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("name", list(MASK_SEQS))
+def test_masks_only_path_gives_the_masks_of_values(name, parity):
+    # the class-only read takes the masks without the raw sums: they must be
+    # the masks of the full evaluation, bit for bit, on every grid it reads
+    base = MASK_SEQS[name]()
+    ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
+    for n in (64, 96):
+        for eps in holo.DEFAULT_MARGINS:
+            zeta, _ = OmegaDomain.quad_nodes(eps, n)
+            half = zeta[:len(zeta) - len(zeta) // 2]
+            for R in BATTERY_R:
+                _, unresolved, rawdiv = ev.values(R * half)
+                vals, got_unresolved, got_rawdiv = ev._evaluate(R * half, masks_only=True)
+                assert vals is None
+                assert np.array_equal(got_unresolved, unresolved), (n, eps, R)
+                assert np.array_equal(got_rawdiv, rawdiv), (n, eps, R)
+
+
+class _FineGridDiverges(SeriesEvaluator):
+    """An evaluator whose values report raw divergence on the 96-node grid only."""
+
+    def values(self, zeta):
+        vals, unresolved, rawdiv = super().values(zeta)
+        if len(zeta) == 96 * 96 // 2:
+            rawdiv = np.ones_like(rawdiv)
+        return vals, unresolved, rawdiv
+
+
+@pytest.mark.parametrize("parity, R, want", [
+    ("even", 0.5, "convergent"),  # by the decay of the norm increments
+    ("odd", 0.8, "divergent"),    # by the slope of the norms
+    ("even", 0.75, "divergent"),  # by raw divergence at the third margin
+])
+def test_class_only_falls_back_to_the_coarse_grid(parity, R, want):
+    # 30 terms: no Pade fit and no entire type, so no scale is settled and
+    # the class reads the norms; with the 3/2-node grid unresolved, both
+    # reads keep the norms of the 64-node grid
+    base = CoeffSeq.geometric(1.0, 30)
+    ev = _FineGridDiverges(CoeffSeq(base.log_mag, base.phase, parity))
+    assert not ev.pade_valid and math.isfinite(ev.log_r)
+    full = holo._classify(ev, R, 64)
+    got = holo._classify(ev, R, 64, class_only=True)
+    assert full.classification == got.classification == want
+    assert got.norms == full.norms and all(math.isfinite(v) for v in got.norms)
+
+
 @pytest.mark.parametrize("parity, a1, R, first_unresolved", [
     ("even", 1e100 / 0.93, 1.0, 3),
     ("odd", 1e100 / 0.5, 1.05, 4),
@@ -506,6 +560,17 @@ class TestRadiusRa:
         assert len(builds) == 1
         assert len(scales) == len(set(scales)) > 5
 
+    @pytest.mark.parametrize("make", [lambda: CoeffSeq.geometric(1.0, 700),
+                                      lambda: CoeffSeq.sharp_radius(700)])
+    def test_raw_sums_per_bracket(self, monkeypatch, make):
+        # the Pade validation ring plus 2 unsettled scales x 5 margins at
+        # 3/2 nodes: settled scales and the 64-node grid read masks only
+        calls = []
+        raw_sum = holo._raw_sum
+        monkeypatch.setattr(holo, "_raw_sum", lambda *a: calls.append(a) or raw_sum(*a))
+        assert radius_Ra(make(), tol=0.01) == pytest.approx((0.703125, 0.7125), abs=1e-12)
+        assert len(calls) == 11
+
     def test_bracket_classifications_consistent(self):
         seq = CoeffSeq.geometric(1.0, 700)
         lo, hi = radius_Ra(seq, tol=0.01)
@@ -539,6 +604,10 @@ class TestCounterexample:
         assert math.isfinite(rep.growth_sup)
         # growth ratio tends to sqrt(pi) from the sharper Stirling estimate
         assert abs(rep.growth_tail - math.sqrt(math.pi)) < 0.01
+
+    def test_fn_class_is_the_full_report_class(self):
+        full = bergman_norm_estimate(CoeffSeq.factorial_pair(1000), INV_SQRT2)
+        assert interpolation_counterexample(1000).fn_class == full.classification == "undecided"
 
     def test_N_validation(self):
         with pytest.raises(ValueError):
