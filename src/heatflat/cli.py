@@ -296,7 +296,7 @@ def run_bergman_radius(cfg, out):
 def run_counterexample(cfg, out):
     rep = holo.interpolation_counterexample(int(cfg["N"]))
     with open(os.path.join(out, "counterexample.json"), "w") as f:
-        f.write(rep.to_json())
+        f.write(json.dumps(vars(rep)))
     ok = (cfg["exponent_lo"] <= rep.residual_exponent <= cfg["exponent_hi"]
           and rep.trackability_class == "divergent" and math.isfinite(rep.growth_sup))
     return ok, (f"residual exponent {rep.residual_exponent:.3f}, trackability "

@@ -208,6 +208,6 @@ def check_trackable_finite(y: Signal, N: int, K: int) -> Trackable2Result:
     cond13 = check_trackable_infinite(y, N)
     T = y.t1
     a = y.derivs(K, np.array([T]))[:, 0].tolist()
-    seq = CoeffSeq.from_values(a, parity="even", name="terminal")
+    seq = CoeffSeq.from_values(a, parity="even")
     even, deriv = terminal_state_report(seq)
     return Trackable2Result(cond13, even, deriv)

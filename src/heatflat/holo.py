@@ -34,9 +34,8 @@ Membership in A^2 is undecidable from finite data; the judgment calls are:
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_MARGINS = (0.2, 0.1, 0.05, 0.025, 0.0125)
+_NODES = 64  # Gauss-Legendre nodes per axis of a margin's grid (3/2 of it to refine)
 _POLE_GUARD = 0.005  # ~5x the observed Pade pole-location bias
 
 
@@ -104,8 +104,6 @@ class CoeffSeq:
     log_mag: np.ndarray
     phase: np.ndarray
     parity: str = "even"
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.log_mag = np.asarray(self.log_mag, dtype=float)
@@ -129,11 +127,11 @@ class CoeffSeq:
         else:
             lm = np.concatenate([np.full(-p, -math.inf), self.log_mag])
             ph = np.concatenate([np.ones(-p, dtype=complex), self.phase])
-        return CoeffSeq(lm, ph, self.parity, name=f"{self.name}[shift {p}]", params=self.params)
+        return CoeffSeq(lm, ph, self.parity)
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def from_values(cls, values, parity="even", name="custom") -> "CoeffSeq":
+    def from_values(cls, values, parity="even") -> "CoeffSeq":
         """A value v becomes (log|v|, v/|v|), and 0 becomes (-inf, 1).
 
         log|v| is taken by math.log one entry at a time: np.log can differ
@@ -147,7 +145,7 @@ class CoeffSeq:
                 ph.append(v / r if r else 1.0)
             else:
                 ph.append(1.0 if v >= 0 else -1.0)
-        return cls(lm, ph, parity, name=name)
+        return cls(lm, ph, parity)
 
     @classmethod
     def geometric(cls, c: float = 1.0, N: int = 600) -> "CoeffSeq":
@@ -155,7 +153,7 @@ class CoeffSeq:
         k = np.arange(N)
         lm = log_gamma(2 * k + 1) + k * math.log(abs(c))
         ph = np.sign(c) ** k + 0j
-        return cls(lm, ph.astype(complex), "even", name=f"geometric({c})", params={"c": c})
+        return cls(lm, ph.astype(complex), "even")
 
     @classmethod
     def polylog_seq(cls, s: float, N: int = 600) -> "CoeffSeq":
@@ -163,7 +161,7 @@ class CoeffSeq:
         k = np.arange(N)
         lm = np.full(N, -math.inf)
         lm[1:] = log_gamma(2 * k[1:] + 1) - s * np.log(k[1:])
-        return cls(lm, np.ones(N, dtype=complex), "even", name=f"polylog({s})", params={"s": s})
+        return cls(lm, np.ones(N, dtype=complex), "even")
 
     @classmethod
     def sharp_radius(cls, N: int = 600) -> "CoeffSeq":
@@ -172,7 +170,7 @@ class CoeffSeq:
         lm = np.full(N, -math.inf)
         lm[1:] = log_gamma(2 * k[1:] + 1) + k[1:] * math.log(2.0) - 0.5 * np.log(k[1:])
         ph = np.exp(1j * (math.pi / 2.0) * k)
-        return cls(lm, ph, "even", name="sharp_radius")
+        return cls(lm, ph, "even")
 
     @classmethod
     def factorial_pair(cls, N: int = 600) -> "CoeffSeq":
@@ -180,41 +178,7 @@ class CoeffSeq:
         n = np.arange(N)
         lm = np.zeros(N)
         lm[1:] = n[1:] * math.log(4.0) + log_gamma(n[1:]) + log_gamma(n[1:] + 1)
-        return cls(lm, np.ones(N, dtype=complex), "even", name="factorial_pair")
-
-    @classmethod
-    def from_json(cls, obj) -> "CoeffSeq":
-        """JSON array of {log_mag, sign} entries, or {"generator": name, ...}."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if isinstance(obj, dict):
-            gen = obj["generator"]
-            N = obj.get("N", 600)
-            if (isinstance(N, bool) or not isinstance(N, (int, float))
-                    or not (N >= 1 and N % 1 == 0)):
-                raise ValueError(f"N must be a positive integer, got {N!r}")
-            N = int(N)
-            if gen in ("factorial_pair", "prop1"):  # second form: legacy alias
-                return cls.factorial_pair(N)
-            if gen == "sharp_radius":
-                return cls.sharp_radius(N)
-            if gen.startswith("geometric"):
-                c = float(gen[len("geometric("):-1]) if "(" in gen else float(obj.get("c", 1.0))
-                return cls.geometric(c, N)
-            if gen.startswith("polylog"):
-                s = float(gen[len("polylog("):-1]) if "(" in gen else float(obj.get("s", 0.5))
-                return cls.polylog_seq(s, N)
-            raise ValueError(f"unknown generator {gen!r}")
-        lm, ph = [], []
-        for i, e in enumerate(obj):
-            if "log_mag" not in e:
-                raise ValueError(f"entry {i} has no 'log_mag'")
-            sign = e.get("sign", 1)
-            if isinstance(sign, bool) or sign not in (1, -1):
-                raise ValueError(f"entry {i}: 'sign' must be +1 or -1, got {sign!r}")
-            lm.append(e["log_mag"])
-            ph.append(sign)
-        return cls(lm, ph, "even", name="json")
+        return cls(lm, np.ones(N, dtype=complex), "even")
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +216,18 @@ def _radius_units(lg):
     return log_r, lg + np.arange(len(lg)) * log_unit, math.exp(log_unit)
 
 
-def _raw_terms(lg, ph, kmax=None):
+def _raw_terms(lg, ph):
     """Coefficient part of _raw_eval, set up once per coefficient sequence.
 
     Returns (b, |b|, dead_at, grow_at, k_last): the terms b_k = exp(lg_k) ph_k
-    of g(w) = sum b_k w^k (k < kmax), the two divergence thresholds on log|w|
+    of g(w) = sum b_k w^k, the two divergence thresholds on log|w|
     and the index of the last finite term (-1 if none).  A node is dead when
     a term exceeds 1e100, log|w| > dead_at; dead_at = -inf marks every node
     dead (b_0 itself past 1e100).  A node is growing when each of the last 26
     finite terms exceeds the one before by 1 + 1e-12, log|w| > grow_at.
     """
-    K = len(lg) if kmax is None else min(kmax, len(lg))
-    k = np.flatnonzero(np.isfinite(lg[:K]))
-    b = np.zeros(K, dtype=complex)
+    k = np.flatnonzero(np.isfinite(lg))
+    b = np.zeros(len(lg), dtype=complex)
     b[k] = np.exp(np.minimum(lg[k], 690.0)) * ph[k]
     absb = np.abs(b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -363,13 +326,13 @@ def _raw_sum(terms, w):
     return acc, _raw_diverged(terms, absw)
 
 
-def _raw_eval(lg, ph, w, kmax=None):
+def _raw_eval(lg, ph, w):
     """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by blocked Horner (_poly_eval).
 
     Returns (values, tail_proxy_per_node, diverged_mask); the tail proxy is
     the last finite term over the sum.  See _raw_terms and _raw_sum.
     """
-    _, absb, _, _, k_last = terms = _raw_terms(lg, ph, kmax)
+    _, absb, _, _, k_last = terms = _raw_terms(lg, ph)
     acc, diverged = _raw_sum(terms, w)
     with np.errstate(over="ignore", invalid="ignore"):
         last = absb[k_last] * np.abs(w) ** k_last if k_last >= 0 else np.zeros(acc.shape)
@@ -521,26 +484,20 @@ def _scale(R_scale) -> float:
     return R
 
 
-def eval_series(c: CoeffSeq, zeta: complex, R_scale: float, K: int = None) -> EvalResult:
+def eval_series(c: CoeffSeq, zeta: complex, R_scale: float) -> EvalResult:
     """Partial sum of the coefficient series at one point of Omega.
 
-    Raw Taylor sum of the first K terms (all by default) with a last-term
-    tail proxy, in units of the estimated radius of g as in SeriesEvaluator.
+    Raw Taylor sum of all terms with a last-term tail proxy, in units of the estimated radius of g as in SeriesEvaluator.
     A diverged result (|zeta| past the scaled Gevrey radius) may carry a
     non-finite value.
     """
     if OmegaDomain.l1(zeta) > 1.0 + 1e-12:
         raise ValueError("zeta lies outside the closed tilted square")
-    if K is not None:
-        if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-            raise ValueError(f"K must be an integer, got {K!r}")
-        if K < 1:
-            raise ValueError(f"K must be at least 1, got {K!r}")
     R = _scale(R_scale)
     lg, ph = _series_coeffs_g(c)
     _, lb, unit = _radius_units(lg)
     z = R * complex(zeta)
-    vals, tail, div = _raw_eval(lb, ph, np.array([z * z / unit]), kmax=K)
+    vals, tail, div = _raw_eval(lb, ph, np.array([z * z / unit]))
     v = vals[0] * z if c.parity == "odd" else vals[0]
     return EvalResult(complex(v), float(tail[0]), bool(div[0]))
 
@@ -558,19 +515,6 @@ class BergmanReport:
     singularity_l1: float
     notes: str
     quad_refinement: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "margins": list(self.margins),
-                "norms": list(self.norms),
-                "classification": self.classification,
-                "slope": self.slope,
-                "singularity_l1": None if math.isinf(self.singularity_l1) else self.singularity_l1,
-                "notes": self.notes,
-                "quad_refinement": self.quad_refinement,
-            }
-        )
 
 
 def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int,
@@ -598,19 +542,17 @@ def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int,
     return float(np.sum(W * mirror(np.abs(vals) ** 2))), "", 0.0
 
 
-def bergman_norm_estimate(c: CoeffSeq, R_scale: float, nodes: int = 64) -> BergmanReport:
+def bergman_norm_estimate(c: CoeffSeq, R_scale: float) -> BergmanReport:
     """Per-margin A^2(Omega_eps) norms of the scaled series plus a trend class.
 
     The margins are DEFAULT_MARGINS and the class follows the rule stated in
-    _classify.  Norms are quadrature refinement-checked (nodes vs 3/2 nodes).
+    _classify.  Norms are quadrature refinement-checked (_NODES vs 3/2 _NODES).
     """
     R = _scale(R_scale)
-    if not (isinstance(nodes, (int, np.integer)) and nodes >= 8):
-        raise ValueError(f"nodes must be an integer >= 8, got {nodes!r}")
     if c.is_zero:
         return BergmanReport(DEFAULT_MARGINS, tuple(0.0 for _ in DEFAULT_MARGINS),
                              "convergent", 0.0, math.inf, "zero sequence", 0.0)
-    return _classify(SeriesEvaluator(c), R, nodes)
+    return _classify(SeriesEvaluator(c), R, _NODES)
 
 
 def _classify(ev: SeriesEvaluator, R: float, nodes: int,
@@ -737,7 +679,7 @@ def radius_Ra(c: CoeffSeq, tol: float):
 
     def cls(R):
         if R not in memo:
-            memo[R] = _classify(ev, R, 64, class_only=True).classification
+            memo[R] = _classify(ev, R, _NODES, class_only=True).classification
         return memo[R]
 
     # initial bracket
@@ -792,9 +734,6 @@ class CounterexampleReport:
     trackability_slope: float
     fn_class: str
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
-
 
 def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
     """Numerical audit of the two-sided interpolation counterexample.
@@ -822,7 +761,7 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
     track = borel_range_test(seq, p=1, parity="odd", R=1.0 / math.sqrt(2.0))
     # the flat series itself (even, R = 1/sqrt2): integrable boundary blow-up;
     # only its class is reported
-    fn = _classify(SeriesEvaluator(seq), 1.0 / math.sqrt(2.0), 64, class_only=True)
+    fn = _classify(SeriesEvaluator(seq), 1.0 / math.sqrt(2.0), _NODES, class_only=True)
     return CounterexampleReport(
         residual_exponent=float(expo),
         residual_amplitude=float(math.exp(amp)),
@@ -838,9 +777,7 @@ def borel_range_test(c: CoeffSeq, p: int, parity: str, R: float) -> BergmanRepor
     """Range test for the shifted Borel sequence: reindex by p, set the series
     parity, and delegate to the Bergman estimate at scale R."""
     shifted = c.shifted(p)
-    shifted = CoeffSeq(shifted.log_mag, shifted.phase, parity,
-                       name=f"{c.name}[p={p},{parity}]", params=c.params)
-    return bergman_norm_estimate(shifted, R)
+    return bergman_norm_estimate(CoeffSeq(shifted.log_mag, shifted.phase, parity), R)
 
 
 def loss_factors(s_grid):

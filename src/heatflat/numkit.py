@@ -162,8 +162,9 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
     if not beta > 1:
         raise ValueError("mittag_type_imaginary requires beta > 1")
     y = np.asarray(y_grid, dtype=float)
-    if y.ndim != 1 or len(y) < 4 or np.any(np.diff(y) <= 0) or np.any(y <= 0):
-        raise ValueError("y_grid must be increasing, positive, length >= 4")
+    if (y.ndim != 1 or len(y) < 4 or not np.all(np.isfinite(y))
+            or np.any(np.diff(y) <= 0) or np.any(y <= 0)):
+        raise ValueError("y_grid must be finite, increasing, positive, length >= 4")
     if y[-1] ** (1.0 / beta) < 20.0:
         raise ValueError(
             "insufficient grid range: need max(y)^(1/beta) >= 20 to expose the exponential regime"

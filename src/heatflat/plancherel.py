@@ -41,6 +41,7 @@ __all__ = [
 
 MAX_AN_TERMS = 5000  # largest N of convolution_An, O(N^2) terms in blocks of rows
 _AN_BLOCK = 16  # rows per block of convolution_An
+MAX_LAPLACE_N = 1_000_000  # largest n of discrete_laplace: u(k/n) is sampled in a Python loop
 
 
 def varpi_params(p: GevreyParams) -> tuple:
@@ -61,8 +62,7 @@ def varpi_coeffs(p: GevreyParams, N: int) -> CoeffSeq:
     alpha, beta = varpi_params(p)
     k = np.arange(N + 1)
     lm = -log_gamma(alpha * k + beta + 1.0)
-    return CoeffSeq(lm, np.ones(N + 1, dtype=complex), "even",
-                    name="varpi", params={"alpha": alpha, "beta": beta})
+    return CoeffSeq(lm, np.ones(N + 1, dtype=complex), "even")
 
 
 def varpi_log(c: CoeffSeq, xi: float) -> float:
@@ -139,7 +139,7 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
     """(1/n) sum_{k=0}^n e^{-n u(k/n)} against sqrt(2 pi/(u''(x0) n)) e^{-n u(x0)}.
 
     ``u`` must have a strict global minimum at x0 in (0,1) with u''(x0) > 0
-    (``d2u_x0``), and n >= 2.  Sums run in the log domain.
+    (``d2u_x0``), and 2 <= n <= MAX_LAPLACE_N.  Sums run in the log domain.
 
     With ``dps`` set, ``u`` must be its own Gaussian model
     u(x0) + u''(x0)/2 (x - x0)^2: the float values u(k/n) must match it to
@@ -156,6 +156,8 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
     """
     if n < 2:
         raise ValueError(f"discrete Laplace requires n >= 2, got n = {n}")
+    if n > MAX_LAPLACE_N:
+        raise ValueError(f"discrete Laplace with n = {n} is above the cap of {MAX_LAPLACE_N}")
     if not (0.0 < x0 < 1.0):
         raise ValueError("x0 must lie strictly inside (0, 1)")
     if not d2u_x0 > 0:

@@ -262,6 +262,8 @@ class TestCli:
         ("track", {"K_low": 30}, "K_low must be 0 (no comparison) or lie in [1, K = 25), got 30"),
         ("track", {"K_low": 25}, "K_low must be 0 (no comparison) or lie in [1, K = 25), got 25"),
         ("track", {"target": "foo"}, "target must be 'bump' or 'zero', got 'foo'"),
+        ("laplace-discrete", {"n_logh": [1e8]},  # a MemoryError after about 54 s
+         "discrete Laplace with n = 100000000 is above the cap of 1000000"),
     ])
     @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):

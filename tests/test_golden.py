@@ -4,21 +4,36 @@ Every subcommand runs at its default config, in one process, into a fresh
 directory.  Each result file is compared with ``tests/golden/<file>``: byte
 for byte when TOLERANCES gives it no columns, otherwise column by column,
 numbers within the stated bound and everything else as text.  The messages
-must equal ``tests/golden/messages.txt`` line for line.
+must equal ``tests/golden/messages.txt`` line for line.  The 11 runs are
+made again in reverse order into a second directory, with the caches of the
+first runs still warm, and must give the same bytes.
 
 A change that moves a result file updates the golden copy and its bound here
 in the same diff, and says by how much in CHANGES.md.
+
+The first runs are traced with ``sys.setprofile``.  Every module-level
+function and class method of ``src/heatflat`` that none of them calls must
+be in KEEP with the reason it stays, and every entry of KEEP must be such a
+function; methods that ``dataclasses`` generates are not counted.  A new
+function that no default run reaches, or a kept one that becomes reached,
+is a one-line edit of KEEP in the same diff.
 """
 
 import contextlib
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+import heatflat
 from heatflat import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,6 +63,96 @@ TOLERANCES = {
     "fourier_decay.csv": {},
     "mittag_type.csv": {"fitted_type": ("rel", 5e-13), "abs_diff": ("abs", 5e-13)},
 }
+
+
+# qualified name -> why it stays although no default run calls it
+KEEP = {
+    "cli._kind": "config check: runs only when --config is given",
+    "cli._numbers": "config check: runs only when --config is given",
+    "flatness.Trackable2Result.reachable_class":
+        "terminal-state link of the chain (ROADMAP item 5); perfbench chain",
+    "flatness.check_trackable_finite":
+        "finite-horizon trackability test; perfbench chain and its tracer",
+    "flatness.check_trackable_infinite":
+        "infinite-horizon trackability series; perfbench norms and chain",
+    "flatness.flat_state": "flat state z(t, x) of the chain (ROADMAP item 5); test_flatness",
+    "flatness.terminal_state_report":
+        "reachability of a terminal Taylor sequence (ROADMAP item 5); test_flatness",
+    "gevrey.Signal.deriv": "one derivative row; perfbench's tracer wraps it",
+    "gevrey.bump_gevrey": "the one-sided bump target as a Signal; perfbench norms and chain",
+    "gevrey.gevrey_cutoff": "Gevrey cutoff of order s; test_gevrey and test_flatness",
+    "heatsim.TransferKind.__post_init__":
+        "checks a transfer kind; runs at import for the module constants",
+    "heatsim.interior": "interior-observation transfer kind; test_heatsim",
+    "heatsim.kernel_laplace_quadrature":
+        "oracle of the kernel's Laplace transform; test_acceptance and test_heatsim",
+    "heatsim.omega_characterization":
+        "frequency weight of the trackable class; test_heatsim",
+    "heatsim.omega_log": "log of that weight; test_heatsim",
+    "heatsim.transfer": "closed-form transfer functions; test_acceptance and test_heatsim",
+    "holo.CoeffSeq.from_values":
+        "builds the terminal sequence of check_trackable_finite; test_holo",
+    "holo.CoeffSeq.polylog_seq": "Li_s-type sequences of the classifier tests; test_holo",
+    "holo.OmegaDomain.l1": "the |Re| + |Im| gauge of eval_series's domain check",
+    "holo._raw_eval": "raw series with its tail proxy, for eval_series; test_holo",
+    "holo.eval_series": "one-point series value, the oracle path of test_holo",
+    "numkit.MLParams.__post_init__": "checks Mittag-Leffler parameters; test_numkit",
+    "numkit._ml_asymptotic_log": "large-x branch of log_mittag_leffler; test_numkit",
+    "numkit._ml_series_log": "series branch of log_mittag_leffler; test_numkit",
+    "numkit.log_mittag_leffler": "log E_{alpha,beta}(x) of the paper; test_numkit",
+    "numkit.polylog": "Li_s oracle of test_holo and test_numkit",
+    "plancherel._log_h": "log h of laplace_remainder_split; perfbench's references",
+    "plancherel.an_vs_Mn_bridge": "A_n against M_n bridge bound; test_plancherel",
+    "plancherel.laplace_remainder_split":
+        "the two remainder sums of the A_n derivation; test_plancherel",
+    "plancherel.varpi_log": "log of the weight varpi; test_plancherel",
+}
+
+
+def _library():
+    """(module, qualified name, object) of every module-level name and class
+    attribute of src/heatflat, functions still wrapped (an lru_cache, say)."""
+    for info in pkgutil.iter_modules(heatflat.__path__):
+        mod = importlib.import_module(f"heatflat.{info.name}")
+        for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                for attr, m in vars(obj).items():
+                    m = getattr(m, "__func__", m)  # staticmethod, classmethod
+                    accessors = (m.fget, m.fset, m.fdel) if isinstance(m, property) else (m,)
+                    for a in accessors:
+                        yield mod, f"{info.name}.{name}.{attr}", a
+            else:
+                yield mod, f"{info.name}.{name}", obj
+
+
+def _library_functions() -> dict:
+    """Qualified name -> code object; dataclass-generated methods have no
+    code in the module's file and are left out."""
+    out = {}
+    for mod, name, obj in _library():
+        fn = inspect.unwrap(obj)
+        if inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__:
+            out[name] = fn.__code__
+    return out
+
+
+def _run_all(names, out: Path) -> dict:
+    messages = {}
+    for name in names:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli.main([name, "--out", str(out)])
+        messages[name] = buf.getvalue()
+    return messages
+
+
+@dataclass
+class DefaultRun:
+    out: Path
+    messages: str
+    reverse_out: Path
+    reverse_messages: str  # in forward order
+    called: set  # code objects the first runs entered
 
 
 def _close(new: str, old: str, bound) -> bool:
@@ -86,28 +191,56 @@ def _mismatches(new: Path, old: Path, tols: dict) -> list:
 
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    lines = []
-    for name in cli.SUBCOMMANDS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            cli.main([name, "--out", str(out)])
-        lines.append(buf.getvalue())
-    return out, "".join(lines)
+    # earlier tests may have filled the caches: cleared, a cached function's
+    # body is entered by the traced runs whatever ran before
+    for _, _, obj in _library():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    out, reverse_out = tmp_path_factory.mktemp("golden"), tmp_path_factory.mktemp("reverse")
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        messages = _run_all(cli.SUBCOMMANDS, out)
+    finally:
+        sys.setprofile(previous)
+    reverse = _run_all(list(cli.SUBCOMMANDS)[::-1], reverse_out)
+    return DefaultRun(out, "".join(messages.values()), reverse_out,
+                      "".join(reverse[name] for name in cli.SUBCOMMANDS), called)
 
 
 def test_every_result_file_has_a_golden_copy(default_run):
-    out, _ = default_run
+    out = default_run.out
     assert sorted(p.name for p in out.iterdir()) == sorted(TOLERANCES)
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*TOLERANCES, "messages.txt"])
 
 
 @pytest.mark.parametrize("name", sorted(TOLERANCES))
 def test_result_file_matches_golden(default_run, name):
-    out, _ = default_run
-    assert _mismatches(out / name, GOLDEN / name, TOLERANCES[name]) == []
+    assert _mismatches(default_run.out / name, GOLDEN / name, TOLERANCES[name]) == []
 
 
 def test_messages_match_golden(default_run):
-    _, messages = default_run
-    assert messages == (GOLDEN / "messages.txt").read_text()
+    assert default_run.messages == (GOLDEN / "messages.txt").read_text()
+
+
+def test_reverse_order_gives_the_same_bytes(default_run):
+    # process-wide caches (OmegaDomain.quad_nodes, numkit._line_format) are
+    # warm for the reverse runs and must not change what they write
+    files = sorted(p.name for p in default_run.out.iterdir())
+    assert sorted(p.name for p in default_run.reverse_out.iterdir()) == files
+    assert [f for f in files if (default_run.out / f).read_bytes()
+            != (default_run.reverse_out / f).read_bytes()] == []
+    assert default_run.reverse_messages == default_run.messages
+
+
+def test_unreached_functions_are_kept_on_purpose(default_run):
+    unreached = {name for name, code in _library_functions().items()
+                 if code not in default_run.called}
+    assert sorted(unreached - set(KEEP)) == []  # add to KEEP, with the reason
+    assert sorted(set(KEEP) - unreached) == []  # reached or gone: drop from KEEP

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -53,33 +52,6 @@ class TestOmegaDomain:
 
 
 class TestCoeffSeq:
-    def test_json_entries(self):
-        seq = CoeffSeq.from_json([{"log_mag": 0.0, "sign": 1}, {"log_mag": 1.0, "sign": -1}])
-        assert len(seq) == 2
-        assert seq.phase[1].real * math.exp(seq.log_mag[1]) == pytest.approx(-math.e)
-
-    @pytest.mark.parametrize("entry, match", [
-        ({"log_mag": 0.0, "sign": 2}, "'sign' must be \\+1 or -1, got 2"),
-        ({"log_mag": 0.0, "sign": 0}, "'sign' must be \\+1 or -1, got 0"),
-        ({"sign": 1}, "entry 1 has no 'log_mag'"),
-    ])
-    def test_json_entries_validated(self, entry, match):
-        with pytest.raises(ValueError, match=match):
-            CoeffSeq.from_json([{"log_mag": 1.0}, entry])
-
-    def test_json_generators(self):
-        for gen in ("factorial_pair", "prop1", "geometric(1.0)", "polylog(-0.5)"):
-            seq = CoeffSeq.from_json(json.dumps({"generator": gen, "N": 50}))
-            assert len(seq) == 50
-
-    @pytest.mark.parametrize("N", [700.7, -5, 0, True, float("inf")])
-    def test_json_generator_N_validated(self, N):
-        with pytest.raises(ValueError, match="N must be a positive integer"):
-            CoeffSeq.from_json({"generator": "geometric(1.0)", "N": N})
-
-    def test_json_generator_integral_float_N(self):
-        assert len(CoeffSeq.from_json({"generator": "geometric(1.0)", "N": 50.0})) == 50
-
     def test_from_values_bit_exact(self):
         values = [1.0, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -2.5, 0.1, 3,
                   math.pi, -1e-300, 3.0 - 4.0j, -1e-200 + 1e-200j, 0j]
@@ -158,16 +130,6 @@ class TestEvalSeries:
         with pytest.raises(ValueError):
             eval_series(CoeffSeq.from_values([1.0]), 0.9 + 0.2j, 1.0)
 
-    @pytest.mark.parametrize("K", [-5, 0])
-    def test_term_count_validation(self, K):
-        with pytest.raises(ValueError, match="K must be at least 1"):
-            eval_series(CoeffSeq.geometric(1.0, 100), 0.3, 0.5, K=K)
-
-    @pytest.mark.parametrize("K", [2.5, True, 10.0])
-    def test_term_count_must_be_an_integer(self, K):
-        with pytest.raises(ValueError, match="K must be an integer"):
-            eval_series(CoeffSeq.geometric(1.0, 100), 0.3, 0.5, K=K)
-
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_scale_dilates_the_argument(self, parity):
         # f_R(zeta) = f_1(R zeta)
@@ -217,7 +179,7 @@ class TestRawEval:
         inside = np.concatenate([rho * RAW_ANGLES for rho in (0.3, 0.85, 0.95)])
         outside = np.concatenate([rho * RAW_ANGLES for rho in (1.5, 2.0)])
         assert not _raw_eval(lb, ph, inside)[2].any()
-        assert _raw_eval(lb, ph, outside, kmax=700)[2].all()  # terms past 1e100
+        assert _raw_eval(lb, ph, outside)[2].all()  # terms past 1e100
         # terms below 1e100 that grow to the end and outweigh the partial sum
         assert _raw_eval(lb, ph, np.array([1.1 * alternating]))[2].all()
 
@@ -524,11 +486,6 @@ class TestBergmanNormEstimate:
         with pytest.raises(ValueError, match="R_scale must be finite and > 0"):
             bergman_norm_estimate(CoeffSeq.geometric(1.0, 100), R)
 
-    @pytest.mark.parametrize("nodes", [0, 1, 7])
-    def test_nodes_validation(self, nodes):
-        with pytest.raises(ValueError, match="nodes must be an integer >= 8"):
-            bergman_norm_estimate(CoeffSeq.geometric(1.0, 100), 0.5, nodes=nodes)
-
 
 class TestRadiusRa:
     def test_zero_sequence_unbounded(self):
@@ -630,7 +587,7 @@ class TestBorelRangeTest:
         from scipy.special import gammaln
 
         k = np.arange(400)
-        seq = CoeffSeq(gammaln(2 * k + 2), np.ones(400, dtype=complex), "odd", name="odd-geo")
+        seq = CoeffSeq(gammaln(2 * k + 2), np.ones(400, dtype=complex), "odd")
         rep_c = borel_range_test(seq, 0, "odd", 0.5)
         assert rep_c.classification == "convergent"
         rep_d = borel_range_test(seq, 0, "odd", 0.75)

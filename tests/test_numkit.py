@@ -112,6 +112,12 @@ class TestMittagTypeImaginary:
         with pytest.raises(ValueError, match="needs 1.00003e.06 series terms at beta = 2"):
             mittag_type_imaginary(2.0, np.geomspace(1e10, 1e12, 5))
 
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_y_grid_not_finite(self, last):
+        # an inf ended in OverflowError, a NaN in "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="y_grid must be finite"):
+            mittag_type_imaginary(2.0, np.array([100.0, 200.0, 400.0, 800.0, last]))
+
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_digit_limit_against_mpmath(self, beta):
         # at the largest x = y^(1/beta) the limit admits, ln|E_beta(iy)| is

@@ -6,6 +6,7 @@ import pytest
 
 from heatflat.gevrey import GevreyParams
 from heatflat.plancherel import (
+    MAX_LAPLACE_N,
     an_vs_Mn_bridge,
     convolution_An,
     discrete_laplace,
@@ -178,6 +179,14 @@ class TestDiscreteLaplace:
         for n in (1, 0, -5):
             with pytest.raises(ValueError, match="requires n >= 2"):
                 discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, n)
+
+    @pytest.mark.parametrize("n", [MAX_LAPLACE_N + 1, 10**8])
+    def test_large_n_rejected_before_sampling_u(self, n):
+        sampled = []
+        u = lambda x: sampled.append(x) or (x - 0.5) ** 2
+        with pytest.raises(ValueError, match=f"n = {n} is above the cap of {MAX_LAPLACE_N}"):
+            discrete_laplace(u, 2.0, 0.5, n)
+        assert sampled == []
 
     def test_log_h_case(self):
         # u = log h, h(x) = x^{alpha x}(1-x)^{alpha(1-x)}, alpha = 4:

@@ -4,8 +4,12 @@
 
 Run from the root of the repository.  The base commit (``--base``, HEAD by
 default: the parent of an uncommitted change) is exported with ``git
-archive`` into a temporary directory (under $TMPDIR), so the repository
-itself is not touched.  Then, for each pair and workload, ``perfbench/run.py --workload
+archive`` into a temporary directory (under $TMPDIR), and the working tree
+is copied next to it: the files ``git ls-files --cached --others
+--exclude-standard`` lists, so new files come along and ignored ones
+(``perfbench/out/``, ``__pycache__``) stay behind.  Both sides thus run from
+fresh directories of the same kind, and the repository itself is not
+touched.  Then, for each pair and workload, ``perfbench/run.py --workload
 <w>`` runs once on each side, alternating which side goes first.  Each side
 runs its own copy of ``perfbench/`` on its own ``src/``.
 
@@ -26,6 +30,7 @@ import filecmp
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +48,18 @@ def export(rev: str, dest: Path) -> Path:
                              stdout=subprocess.PIPE, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+    return dest
+
+
+def snapshot(dest: Path) -> Path:
+    """Copy the working tree's tracked and untracked files, not the ignored ones."""
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], stdout=subprocess.PIPE, check=True).stdout
+    for name in filter(None, names.split(b"\0")):
+        src = ROOT / os.fsdecode(name)
+        if src.is_file():  # a tracked file deleted in the working tree is left out
+            (dest / src.relative_to(ROOT)).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / src.relative_to(ROOT))
     return dest
 
 
@@ -138,7 +155,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        trees = {"parent": export(args.base, work / "base"), "change": ROOT}
+        trees = {"parent": export(args.base, work / "base"), "change": snapshot(work / "change")}
         record = {"base": subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
                                          stdout=subprocess.PIPE, text=True,
                                          check=True).stdout.strip(),
