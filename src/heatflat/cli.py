@@ -2,13 +2,12 @@
 
 Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert]
 
-Each subcommand reads an optional JSON config ({"schema": 1, ...}; unknown
-keys, values or list entries of the wrong type, numbers that are not finite
-or lie beyond the float range, and fractional numbers where the default is
-an integer are rejected), writes
+Each subcommand reads an optional JSON config ({"schema": 1, ...}), writes
 CSV/JSON results with 17 significant digits, and -- with --assert -- exits
-nonzero when its acceptance threshold is violated; a rejected config or a
-value out of range ends in an ERROR line and exit code 2.
+nonzero when its acceptance threshold is violated.  Unknown keys, values of the
+wrong kind, numbers not finite or beyond the float range, fractions where the
+default is an integer, and values outside the range RULES declares for their
+key are rejected before any work: one ERROR line names the key, exit code 2.
 All computations are deterministic (fixed summation orders), so re-running
 with an identical config reproduces byte-identical output.
 """
@@ -18,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 
@@ -46,7 +46,7 @@ def _numbers(v) -> list:
     return [v] if _kind(v) == "number" else []
 
 
-def _load_config(path, defaults: dict) -> dict:
+def _load_config(path, defaults: dict, rules: dict) -> dict:
     cfg = dict(defaults)
     if path is not None:
         try:
@@ -56,19 +56,16 @@ def _load_config(path, defaults: dict) -> dict:
             raise ValueError(f"cannot read config {path}: {e}") from None
         if not isinstance(user, dict) or user.get("schema") != 1:
             raise ValueError("config must be a JSON object carrying \"schema\": 1")
-        unknown = set(user) - set(defaults) - {"schema"}
-        if unknown:
+        if unknown := set(user) - set(defaults) - {"schema"}:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         for k in sorted(set(user) - {"schema"}):
-            if _kind(user[k]) != _kind(defaults[k]):
-                raise ValueError(f"config key {k!r} must be a {_kind(defaults[k])}, "
-                                 f"not a {_kind(user[k])}")
+            d, v = defaults[k], user[k]
+            if _kind(v) != _kind(d):
+                raise ValueError(f"config key {k!r} must be a {_kind(d)}, not a {_kind(v)}")
             # integer keys, and the all-integer lists n_quadratic and n_logh, take
             # integral values only, and integral floats such as 25.0 become ints
-            d, v = defaults[k], user[k]
             if isinstance(d, int) or (isinstance(d, list) and all(isinstance(x, int) for x in d)):
-                bad = [x for x in (v if isinstance(v, list) else [v]) if not _integral(x)]
-                if bad:
+                if bad := [x for x in (v if isinstance(v, list) else [v]) if not _integral(x)]:
                     raise ValueError(f"config key {k!r} takes integers only, got {bad[0]!r}")
                 user[k] = [int(x) for x in v] if isinstance(v, list) else int(v)
             # json reads NaN, Infinity, -Infinity and integers of any size
@@ -76,24 +73,39 @@ def _load_config(path, defaults: dict) -> dict:
                 raise ValueError(f"config key {k!r} takes finite numbers within the float "
                                  "range only")
         cfg.update({k: v for k, v in user.items() if k != "schema"})
+    for key, rule in ((k, r) for k, rs in rules.items() for r in rs):
+        if broken := _broken(rule, cfg[key], cfg):
+            raise ValueError(f"{key} {broken}")
     return cfg
 
 
-# --------------------------------------------------------------------------
-# subcommand implementations: return (ok, message)
-# --------------------------------------------------------------------------
+_OPS = {">": (operator.gt, "be >"), ">=": (operator.ge, "be at least"), "<": (operator.lt, "be <"),
+        "<=": (operator.le, "be at most"), "in": (lambda x, allowed: x in allowed, "be")}
 
+
+def _broken(rule, v, cfg):
+    """What follows the key in the ERROR line when its value v breaks rule, else None."""
+    show = lambda x: format(x, "g") if isinstance(x, float) else repr(x)
+    if callable(rule):
+        return rule(v, cfg) or None
+    op, lim, must, cost = (*rule, None, None)[:4]
+    lim = lim(cfg) if callable(lim) else lim
+    for x in v if isinstance(v, list) else [v]:
+        n = cost(x, cfg) if cost else x
+        if not _OPS[op][0](n, lim):
+            if cost:
+                return (f"{'entry' if isinstance(v, list) else '='} {show(x)} needs {n:g} "
+                        f"{must.format(**cfg)}, above the cap of {lim}")
+            must = must.format(**cfg) if must else f"{_OPS[op][1]} " + (
+                " or ".join(map(repr, lim)) if op == "in" else show(lim))
+            return f"{'entries ' * isinstance(v, list)}must {must}, got {show(x)}"
+    return None
+
+
+# subcommand implementations: each returns (ok, message)
 def run_kernel_check(cfg, out):
-    if cfg["n_points"] < 2:
-        raise ValueError(f"n_points must be at least 2, got {cfg['n_points']}")
-    if cfg["t_min"] < 3.51e-4:  # k(t) ~ 2 e^{-1/(4t)} / sqrt(pi t) falls below 2.2e-308 there
-        raise ValueError(f"t_min must be at least 3.51e-4, where k(t) leaves the normal "
-                         f"float range, got {cfg['t_min']:g}")
-    if not cfg["t_max"] > cfg["t_min"]:
-        raise ValueError(f"t_max must exceed t_min = {cfg['t_min']:g}, got {cfg['t_max']:g}")
     t = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["n_points"])
-    ke = heatsim.kernel_k(t, "eigen")
-    kp = heatsim.kernel_k(t, "poisson")
+    ke, kp = heatsim.kernel_k(t, "eigen"), heatsim.kernel_k(t, "poisson")
     gap = np.abs(ke - kp) / np.abs(kp)
     _write_csv(os.path.join(out, "kernel_check.csv"), ["t", "eigen", "poisson", "rel_gap"],
                zip(t, ke, kp, gap))
@@ -110,19 +122,10 @@ def run_track(cfg, out):
     (a provider's row n does not depend on the table's size).  The flatness
     check at t = 0 goes to the target's own provider.
     """
-    if cfg["target"] not in ("bump", "zero"):
-        raise ValueError(f"target must be 'bump' or 'zero', got {cfg['target']!r}")
-    if cfg["K"] < 1:
-        raise ValueError(f"K must be at least 1, got {cfg['K']}")
-    if cfg["K_low"] and not 1 <= cfg["K_low"] < cfg["K"]:
-        raise ValueError(f"K_low must be 0 (no comparison) or lie in [1, K = {cfg['K']}), "
-                         f"got {cfg['K_low']}")
     sim_cfg = heatsim.SimConfig(J=int(cfg["J"]), dt=cfg["dt"], T=cfg["T"])
     tgrid = sim_cfg.time_grid()
-    if cfg["target"] == "zero":
-        derivs = lambda N, t: np.zeros((N + 1, len(t)))
-    else:
-        derivs = gevrey.bump_derivs(cfg["gamma_exp"], t_scale=cfg["t_scale"])
+    derivs = (gevrey.bump_derivs(cfg["gamma_exp"], t_scale=cfg["t_scale"])
+              if cfg["target"] == "bump" else lambda N, t: np.zeros((N + 1, len(t))))
     with np.errstate(over="ignore", invalid="ignore"):  # flat_control names a row that overflows
         table = derivs(max(int(cfg["K"]), int(cfg["K_low"])), tgrid)
 
@@ -148,27 +151,19 @@ def run_track(cfg, out):
 
 
 def _ratio_family():
-    fam = [gevrey.gaussian_signal(0.0, 1.0), gevrey.gaussian_signal(2.0, 0.7),
-           gevrey.gaussian_signal(-1.0, 1.4),
-           gevrey.two_sided_bump(0.0, 3.0, 1.5), gevrey.two_sided_bump(1.0, 2.0, 1.5),
-           gevrey.two_sided_bump(0.0, 2.5, 2.0)]
-    g1 = gevrey.gaussian_signal(0.0, 1.0, grid=np.linspace(-14, 14, 2049))
-    g2 = gevrey.gaussian_signal(2.0, 0.7, grid=np.linspace(-14, 14, 2049))
-    g3 = gevrey.gaussian_signal(-1.0, 1.4, grid=np.linspace(-14, 14, 2049))
-    b1 = gevrey.two_sided_bump(1.0, 2.0, 1.5, grid=np.linspace(-14, 14, 2049))
-    fam.append(g1 + g2)
-    fam.append(g3 + b1)
-    return fam
+    g, b, grid = gevrey.gaussian_signal, gevrey.two_sided_bump, np.linspace(-14, 14, 2049)
+    return [g(0.0, 1.0), g(2.0, 0.7), g(-1.0, 1.4), b(0.0, 3.0, 1.5), b(1.0, 2.0, 1.5),
+            b(0.0, 2.5, 2.0), g(0.0, 1.0, grid=grid) + g(2.0, 0.7, grid=grid),
+            g(-1.0, 1.4, grid=grid) + b(1.0, 2.0, 1.5, grid=grid)]
 
 
 def run_plancherel_ratio(cfg, out):
     p = gevrey.GevreyParams(cfg["s"], cfg["R"], cfg["gamma"])
-    rows, ratios, unconverged, unresolved, above_s = [], [], [], [], []
+    rows, unconverged, unresolved, above_s = [], [], [], []
     for sig in _ratio_family():
         name = sig.family + json.dumps(sig.params, sort_keys=True).replace(",", ";")
         tn = gevrey.gevrey_norm_time(sig, p, int(cfg["N"]))
         fn = gevrey.weighted_fourier_norm(sig, p)
-        ratios.append(fn / tn.total)
         rows.append((name, tn.total, fn, fn / tn.total))
         if not tn.converged:
             unconverged.append(name)
@@ -186,21 +181,15 @@ def run_plancherel_ratio(cfg, out):
         ("time norm quadrature not converged", unresolved)) if names]
     if fails:
         return False, "; ".join(fails)
-    # a signal of nominal order above s has infinite norms, though N rows
-    # and a finite grid may not show it
+    # a nominal order above s means infinite norms, which N rows on a grid may not show
     if above_s:
         return False, f"nominal Gevrey order above s = {cfg['s']:g} for {', '.join(above_s)}"
+    ratios = [r[3] for r in rows]
     chat = max(max(ratios), 1.0 / min(ratios))
     return chat <= cfg["c_hat"], f"ratio band needs C_hat = {chat:.2f} (allowed {cfg['c_hat']:g})"
 
 
 def run_an_asymptotics(cfg, out):
-    if cfg["n_max"] < 1:
-        raise ValueError(f"n_max must be at least 1, got {cfg['n_max']}")
-    if cfg["n_max"] > plancherel.MAX_AN_TERMS:
-        raise ValueError(f"n_max must be at most {plancherel.MAX_AN_TERMS}, got {cfg['n_max']}")
-    if not 1 <= cfg["n_min"] <= cfg["n_max"]:
-        raise ValueError(f"n_min must lie in [1, n_max = {cfg['n_max']}], got {cfg['n_min']}")
     p = gevrey.GevreyParams(cfg["s"], 1.0, cfg["gamma"])
     alpha, beta = plancherel.varpi_params(p)
     N = int(cfg["n_max"])
@@ -223,24 +212,20 @@ def _log10_truncation_law(n: int) -> float:
             - 0.5 * math.log10(math.pi * n))
 
 
+def _quadratic_dps(n: int) -> int:
+    """Working precision of the quadratic case: 40 digits below its truncation error."""
+    return int(0.25 * n / math.log(10)) + 40
+
+
 def run_laplace_discrete(cfg, out):
-    if not cfg["threshold"] > 0:
-        raise ValueError(f"threshold must be > 0, got {cfg['threshold']:g}")
-    # 40 digits below the truncation error
-    dps = {n: int(0.25 * n / math.log(10)) + 40 for n in cfg["n_quadratic"]}
-    for n, d in dps.items():
-        if d > numkit.MAX_DPS:
-            raise ValueError(f"n_quadratic entry {n} needs {d} digits of working precision, "
-                             f"above the cap of {numkit.MAX_DPS}")
-    rows = []
-    ok = True
-    log_rels = []
+    rows, log_rels = [], []
     for n in cfg["n_quadratic"]:
-        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, int(n), dps=dps[n])
+        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, int(n),
+                                        dps=_quadratic_dps(n))
         log_rels.append(r.log10_rel_err)
         rows.append(("quadratic", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err,
                      _log10_truncation_law(int(n))))
-    ok = ok and log_rels[-1] < math.log10(cfg["threshold"])
+    ok = log_rels[-1] < math.log10(cfg["threshold"])
     ok = ok and all(b < a for a, b in zip(log_rels, log_rels[1:]))
     alpha = cfg["alpha"]
     for n in cfg["n_logh"]:
@@ -257,36 +242,24 @@ def run_laplace_discrete(cfg, out):
 
 
 def run_theta_identity(cfg, out):
-    if any(len(case) != 3 for case in cfg["cases"]):
-        raise ValueError(f"cases entries must be [n, a, b] triples, got {cfg['cases']}")
-    for n, _, _ in cfg["cases"]:
-        if not _integral(n):
-            raise ValueError(f"cases entries need an integer n, got {n!r}")
-    cases = [(int(n), a, b) for n, a, b in cfg["cases"]]
-    for n, a, _ in cases:  # every case's precision is checked before any sum runs
-        numkit.theta_dps(n, a)
-    rows = []
-    worst = 0.0
-    for n, a, b in cases:
-        r = numkit.theta_gauss_sum(n, a, b)
-        rows.append((n, a, b, r.sum, r.predicted, r.log10_gap, r.log10_bound, r.c_uniform))
+    rows, worst = [], 0.0
+    for n, a, b in cfg["cases"]:
+        r = numkit.theta_gauss_sum(int(n), a, b)
+        rows.append((int(n), a, b, r.sum, r.predicted, r.log10_gap, r.log10_bound, r.c_uniform))
         worst = max(worst, r.c_uniform)
     _write_csv(os.path.join(out, "theta_identity.csv"),
                ["n", "a", "b", "sum", "predicted", "log10_gap", "log10_bound", "c_uniform"], rows)
     return worst < cfg["c_max"], f"uniform constant {worst:.3f} (allowed {cfg['c_max']:g})"
 
 
+_SEQUENCES = {"geometric": lambda: holo.CoeffSeq.geometric(1.0, 700),
+              "sharp_radius": lambda: holo.CoeffSeq.sharp_radius(700)}
+
+
 def run_bergman_radius(cfg, out):
-    target = 1.0 / math.sqrt(2.0)
-    rows = []
-    ok = True
-    seqs = {"geometric": holo.CoeffSeq.geometric(1.0, 700),
-            "sharp_radius": holo.CoeffSeq.sharp_radius(700)}
-    unknown = sorted(set(cfg["sequences"]) - set(seqs))
-    if unknown:
-        raise ValueError(f"unknown sequences {unknown}; allowed: {sorted(seqs)}")
+    target, rows, ok = 1.0 / math.sqrt(2.0), [], True
     for name in cfg["sequences"]:
-        lo, hi = holo.radius_Ra(seqs[name], tol=cfg["tol"])
+        lo, hi = holo.radius_Ra(_SEQUENCES[name](), tol=cfg["tol"])
         rows.append((name, lo, hi))
         ok = ok and (target - cfg["window"] <= lo) and (hi <= target + cfg["window"])
     _write_csv(os.path.join(out, "bergman_radius.csv"), ["sequence", "R_lo", "R_hi"], rows)
@@ -308,30 +281,25 @@ def run_loss_table(cfg, out):
     _write_csv(os.path.join(out, "loss_table.csv"), ["s", "rho_s", "Gamma_s", "rho_mrr", "sign"],
                [(r["s"], r["rho_s"], r["Gamma_s"], r["rho_mrr"], r["sign"]) for r in rows])
     cross = holo.loss_crossover()
-    ok = all(r["sign"] > 0 for r in rows if 1 < r["s"] < 3)
-    ok = ok and all(r["sign"] < 0 for r in rows if r["s"] > 4)
-    ok = ok and (3.0 < cross < 4.0)
-    for r in rows:
-        if r["s"] == 2.0:
-            ok = ok and abs(r["rho_s"] - 0.7071067811865476) < 1e-12
-            ok = ok and abs(r["rho_mrr"] - 0.8319859539411386) < 1e-12
+    ok = (all(r["sign"] > 0 for r in rows if 1 < r["s"] < 3) and 3.0 < cross < 4.0
+          and all(r["sign"] < 0 for r in rows if r["s"] > 4)
+          and all(abs(r["rho_s"] - 0.7071067811865476) < 1e-12
+                  and abs(r["rho_mrr"] - 0.8319859539411386) < 1e-12
+                  for r in rows if r["s"] == 2.0))
     return ok, f"crossover at s = {cross:.6f}; rho_2 = {1/math.sqrt(2):.7f}, mrr = {math.exp(-1/(2*math.e)):.7f}"
 
 
 def run_fourier_decay(cfg, out):
-    if not all(g > 0 for g in cfg["gamma_exps"]):
-        raise ValueError(f"gamma_exps entries must be > 0, got {cfg['gamma_exps']}")
-    rows = []
-    ok = True
+    rows, ok = [], True
     for gamma_exp in cfg["gamma_exps"]:
         s_nom = 1.0 + 1.0 / gamma_exp
         sig = gevrey.two_sided_bump(0.0, cfg["halfwidth"], gamma_exp)
         fit = gevrey.fourier_decay_fit(sig, s_nom)
         rows.append((f"bump({gamma_exp})", s_nom, fit.delta, fit.residual_rms, int(fit.mismatch)))
         ok = ok and fit.delta > 0 and not fit.mismatch
-    g = gevrey.gaussian_signal(0.0, 1.0, grid=np.linspace(-10, 10, 2049))
-    gc = gevrey.product_signal(g, gevrey.two_sided_bump(0.0, 9.0, 2.0,
-                                                        grid=np.linspace(-10, 10, 2049)))
+    grid = np.linspace(-10, 10, 2049)
+    gc = gevrey.product_signal(gevrey.gaussian_signal(0.0, 1.0, grid=grid),
+                               gevrey.two_sided_bump(0.0, 9.0, 2.0, grid=grid))
     fit = gevrey.fourier_decay_fit(gc, 1.0)
     rows.append(("gaussian-vs-s1", 1.0, fit.delta, fit.residual_rms, int(fit.mismatch)))
     ok = ok and fit.mismatch
@@ -341,28 +309,7 @@ def run_fourier_decay(cfg, out):
 
 
 def run_mittag_type(cfg, out):
-    if cfg["n_points"] < 4:  # the type fit needs four points
-        raise ValueError(f"n_points must be at least 4, got {cfg['n_points']}")
-    if not (len(cfg["x_range"]) == 2 and 0 < cfg["x_range"][0] < cfg["x_range"][1] < math.inf):
-        raise ValueError(f"x_range must be [lo, hi] with 0 < lo < hi, got {cfg['x_range']}")
-    lo, hi = cfg["x_range"]
-    for beta in cfg["betas"]:  # every beta is checked before any series is summed
-        if not beta > 1:
-            raise ValueError(f"betas entries must be > 1, got {beta:g}")
-        terms = numkit._imag_series_terms(beta, hi)
-        if terms > numkit.MAX_SERIES_TERMS:
-            raise ValueError(f"x_range upper end {hi:g} needs {terms:.6g} series terms at "
-                             f"beta = {beta:g}, above the cap of {numkit.MAX_SERIES_TERMS}")
-        if beta * math.log(hi) > math.log(sys.float_info.max):
-            raise ValueError(f"x_range upper end {hi:g} gives y = hi^beta beyond the float "
-                             f"range at beta = {beta:g}")
-        lost = numkit._imag_digits_lost(beta, hi)
-        if lost > numkit.MAX_LOST_DIGITS:
-            raise ValueError(f"x_range upper end {hi:g} loses {lost:.3g} float64 digits to "
-                             f"cancellation at beta = {beta:g}, above the limit of "
-                             f"{numkit.MAX_LOST_DIGITS:g}")
-    rows = []
-    ok = True
+    (lo, hi), rows, ok = cfg["x_range"], [], True
     for beta in cfg["betas"]:
         y = np.exp(np.linspace(beta * math.log(lo), beta * math.log(hi), int(cfg["n_points"])))
         fit = numkit.mittag_type_imaginary(beta, y)
@@ -378,8 +325,8 @@ SUBCOMMANDS = {
     "kernel-check": (run_kernel_check, {"t_min": 0.01, "t_max": 10.0, "n_points": 200,
                                         "threshold": 1e-10}),
     "track": (run_track, {"target": "bump", "gamma_exp": 1.5, "t_scale": 0.2, "K": 25,
-                          "K_low": 10, "J": 128, "dt": 1e-3, "T": 1.0,
-                          "threshold": 1e-4, "shrink_factor": 10.0}),
+                          "K_low": 10, "J": 128, "dt": 1e-3, "T": 1.0, "threshold": 1e-4,
+                          "shrink_factor": 10.0}),
     "plancherel-ratio": (run_plancherel_ratio, {"s": 2.0, "R": 0.5, "gamma": 0.0, "N": 16,
                                                 "c_hat": 50.0}),
     "an-asymptotics": (run_an_asymptotics, {"s": 2.0, "gamma": -0.5, "n_min": 50,
@@ -391,19 +338,74 @@ SUBCOMMANDS = {
                                                       [200, 3.0, 0.7]], "c_max": 10.0}),
     "bergman-radius": (run_bergman_radius, {"sequences": ["geometric", "sharp_radius"],
                                             "tol": 0.01, "window": 0.02}),
-    "counterexample": (run_counterexample, {"N": 1000, "exponent_lo": -1.6,
-                                            "exponent_hi": -1.4}),
+    "counterexample": (run_counterexample, {"N": 1000, "exponent_lo": -1.6, "exponent_hi": -1.4}),
     "loss-table": (run_loss_table, {"s_grid": [1.5, 2.0, 3.0, 5.0]}),
     "fourier-decay": (run_fourier_decay, {"gamma_exps": [1.0, 1.5], "halfwidth": 1.0}),
     "mittag-type": (run_mittag_type, {"betas": [2.0, 3.0], "x_range": [15.0, 25.0],
                                       "n_points": 12, "tolerance": 0.01}),
 }
 
+_K_LOW, _N_MIN = "be 0 (no comparison) or lie in [1, K = {K})", "lie in [1, n_max = {n_max}]"
+_DPS = "digits of working precision"
+
+# Every config key's range, checked in order before any work; [] leaves a threshold open (README's
+# "Config ranges" gives what each limit rests on).  A rule is (op, limit[, must[, cost]]): x, each
+# entry of a list, or cost(x, config) op limit (a number or a function of the config), where must
+# (formatted with the config) replaces "be <op> <limit>" or names what cost counts; or a function.
+RULES = {
+    "kernel-check": {
+        "t_min": [(">=", 3.51e-4, "be at least 3.51e-4, where k(t) leaves the normal float range")],
+        "n_points": [(">=", 2), ("<=", 10_000)], "threshold": [],
+        "t_max": [(">", lambda c: c["t_min"], "exceed t_min = {t_min:g}"),
+                  ("<=", 10**6, "Poisson terms over {n_points} points",
+                   lambda t, c: c["n_points"] * heatsim._poisson_terms(t))]},
+    "track": {
+        "target": [("in", ("bump", "zero"))], "gamma_exp": [(">", 0)], "T": [(">", 0)],
+        "t_scale": [(">", 0, "be finite and > 0")], "J": [(">=", 1), ("<=", 65536)],
+        "dt": [(">", 0), ("<=", heatsim.MAX_STEPS, "time steps over T = {T:g}",
+                          lambda dt, c: c["T"] / dt),
+               lambda dt, c: not heatsim._whole_steps(c["T"], dt) and (
+                   f"must divide T = {c['T']:g} into whole steps, got {dt:g}")],
+        "K": [(">=", 1), ("<=", 10**9, "steps of the target's derivative recurrence",
+                          lambda K, c: (K + 1.0) * (K + 1.0) * (round(c["T"] / c["dt"]) + 1))],
+        "K_low": [(">=", 0, _K_LOW), ("<", lambda c: c["K"], _K_LOW)],
+        "threshold": [], "shrink_factor": []},
+    "plancherel-ratio": {"s": [(">=", 1)], "R": [(">", 0)], "gamma": [(">=", -300), ("<=", 200)],
+                         "N": [(">=", 1), ("<=", 512)], "c_hat": []},
+    "an-asymptotics": {"s": [(">", 0)], "gamma": [("<", 0)], "band_factor": [],
+                       "n_max": [(">=", 1), ("<=", plancherel.MAX_AN_TERMS)],
+                       "n_min": [(">=", 1, _N_MIN), ("<=", lambda c: c["n_max"], _N_MIN)]},
+    "laplace-discrete": {
+        "n_quadratic": [(">=", 2), ("<=", numkit.MAX_DPS, _DPS, lambda n, c: _quadratic_dps(n))],
+        "n_logh": [(">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
+        "alpha": [(">", 0)], "threshold": [(">", 0)]},
+    "theta-identity": {"c_max": [], "cases": [
+        lambda v, c: any(len(e) != 3 for e in v) and f"entries must be [n, a, b] triples, got {v}",
+        lambda v, c: next((f"entries need an integer n, got {e[0]!r}"
+                           for e in v if not _integral(e[0])), None),
+        lambda v, c: next((f"entries need n >= 1 and a > 0, got {e}"
+                           for e in v if not (e[0] >= 1 and e[1] > 0)), None),
+        ("<=", numkit.MAX_DPS, _DPS, lambda e, c: numkit._theta_digits(e[0], e[1]))]},
+    "bergman-radius": {"sequences": [("in", _SEQUENCES)], "tol": [(">", 1e-4)], "window": []},
+    "counterexample": {"N": [(">=", 100), ("<=", 10**6)], "exponent_lo": [], "exponent_hi": []},
+    "loss-table": {"s_grid": [(">", 1)]},
+    "fourier-decay": {
+        "gamma_exps": [lambda v, c: not all(g > 0 for g in v) and f"entries must be > 0, got {v}"],
+        "halfwidth": [(">", 0), ("<=", 1e164)]},
+    "mittag-type": {
+        "betas": [(">", 1)], "tolerance": [],
+        "x_range": [lambda v, c: not (len(v) == 2 and 0 < v[0] < v[1]) and (
+                        f"must be [lo, hi] with 0 < lo < hi, got {v}"),
+                    lambda v, c: next((f"upper end {v[1]:g} {why}" for b in c["betas"]
+                                       if (why := numkit._imag_beyond_reach(b, v[1]))), None)],
+        "n_points": [(">=", 4), ("<=", 100_000, "series sums, one per point and beta",
+                                 lambda n, c: float(n) * len(c["betas"]))]},
+}
+
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="heatflat", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog="heatflat", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, defaults) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"defaults: {defaults}")
@@ -414,17 +416,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fn, defaults = SUBCOMMANDS[args.subcommand]
     try:
-        cfg = _load_config(args.config, defaults)
+        cfg = _load_config(args.config, defaults, RULES[args.subcommand])
         os.makedirs(args.out, exist_ok=True)
         ok, msg = fn(cfg, args.out)
     except ValueError as e:  # a rejected config, or a value of the right kind out of its range
         print(f"{args.subcommand}: ERROR: {e}")
         return 2
-    status = "PASS" if ok else "FAIL"
-    print(f"{args.subcommand}: {status}: {msg}")
-    if args.do_assert and not ok:
-        return 1
-    return 0
+    print(f"{args.subcommand}: {'PASS' if ok else 'FAIL'}: {msg}")
+    return 1 if args.do_assert and not ok else 0
 
 
 if __name__ == "__main__":

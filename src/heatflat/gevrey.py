@@ -416,7 +416,8 @@ def _exp_series_rows(g: float, N: int, terms, r, out: np.ndarray, cols) -> None:
     0.0, and points where rho underflows are left as they are.
     """
     n = np.arange(N + 1, dtype=np.longdouble)
-    jC = -n * np.cumprod(np.concatenate([[1.0], (-g - n[:-1]) / n[1:]]))  # j H_j / sum u c^j
+    with np.errstate(over="ignore"):  # a coefficient past the range makes its rows not finite
+        jC = -n * np.cumprod(np.concatenate([[1.0], (-g - n[:-1]) / n[1:]]))  # j H_j / sum u c^j
     log_fact = np.cumsum(np.log(n.clip(1.0)))
     step = max(1, min(1024, (1 << 16) // (N + 1)))
     for lo in range(0, len(cols), step):

@@ -90,7 +90,7 @@ class SimConfig:
         if self.T / self.dt > MAX_STEPS:  # before any grid of that length is allocated
             raise ValueError(f"SimConfig with dt={self.dt:g} needs {self.T / self.dt:.4g} "
                              f"time steps over T={self.T:g}, above the cap of {MAX_STEPS}")
-        if not abs(round(self.T / self.dt) * self.dt - self.T) <= 1e-9 * self.T:
+        if not _whole_steps(self.T, self.dt):
             raise ValueError(f"SimConfig requires T to be a multiple of dt "
                              f"(T={self.T:g}, dt={self.dt:g})")
         if len(self.x_grid) and (min(self.x_grid) < 0 or max(self.x_grid) > 1):
@@ -100,15 +100,25 @@ class SimConfig:
         return np.arange(0.0, self.T + 0.5 * self.dt, self.dt)
 
 
+def _whole_steps(T: float, dt: float) -> bool:
+    """Whether T is a multiple of dt, to 1e-9 of T."""
+    return abs(round(T / dt) * dt - T) <= 1e-9 * T
+
+
 # ---------------------------------------------------------------------------
 # The kernel k(t)
 # ---------------------------------------------------------------------------
 
+def _poisson_terms(t: float) -> int:
+    """Image terms m = 0, 1, ... of k(t) that _kernel_poisson sums: those with
+    (m + 1/2)^2 / t up to 42, and one more; finite for every finite t."""
+    return int(math.sqrt(42.0) * math.sqrt(t)) + 2
+
+
 def _kernel_poisson(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
     for i, ti in enumerate(t):
-        mmax = int(math.sqrt(42.0 * ti)) + 1
-        m = np.arange(0, mmax + 1)
+        m = np.arange(_poisson_terms(ti))
         out[i] = 2.0 * np.exp(-((m + 0.5) ** 2) / ti).sum() / math.sqrt(math.pi * ti)
     return out
 

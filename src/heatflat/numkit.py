@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -169,14 +170,9 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
         raise ValueError(
             "insufficient grid range: need max(y)^(1/beta) >= 20 to expose the exponential regime"
         )
-    terms = _imag_series_terms(beta, y[-1] ** (1.0 / beta))
-    if terms > MAX_SERIES_TERMS:
-        raise ValueError(f"max(y) = {y[-1]:g} needs {terms:.6g} series terms at beta = {beta:g}, "
-                         f"above the cap of {MAX_SERIES_TERMS}")
-    lost = _imag_digits_lost(beta, y[-1] ** (1.0 / beta))
-    if lost > MAX_LOST_DIGITS:
-        raise ValueError(f"max(y) = {y[-1]:g} loses {lost:.3g} float64 digits to cancellation "
-                         f"at beta = {beta:g}, above the limit of {MAX_LOST_DIGITS:g}")
+    beyond = _imag_beyond_reach(beta, y[-1] ** (1.0 / beta))
+    if beyond:
+        raise ValueError(f"max(y) = {y[-1]:g} {beyond}")
 
     logabs = np.array([_log_abs_E_beta_imag(beta, yi) for yi in y])
     xfit = y ** (1.0 / beta)
@@ -191,16 +187,34 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
     )
 
 
-def _imag_series_terms(beta: float, x: float) -> int:
+def _imag_series_terms(beta: float, x: float) -> int | float:
     """Terms the series of E_beta(i y) at y = x^beta starts from: twice its
-    peak index x / beta, plus 32."""
-    return int(2 * x / beta) + 32
+    peak index x / beta, plus 32; inf past the float range."""
+    terms = 2 * (x / beta)
+    return int(terms) + 32 if terms < math.inf else math.inf
 
 
 def _imag_digits_lost(beta: float, x: float) -> float:
     """Decimal digits the series of E_beta(i y) at y = x^beta loses to
     cancellation: (1 - cos(pi/(2 beta))) x / ln 10."""
     return (1.0 - math.cos(math.pi / (2.0 * beta))) * x / math.log(10.0)
+
+
+def _imag_beyond_reach(beta: float, hi: float):
+    """Why the series of E_beta(i y) at y = hi^beta is not summed, or None: it
+    needs more than MAX_SERIES_TERMS terms, y is beyond the float range, or it
+    loses more than MAX_LOST_DIGITS digits."""
+    terms = _imag_series_terms(beta, hi)
+    if terms > MAX_SERIES_TERMS:
+        return (f"needs {terms:.6g} series terms at beta = {beta:g}, above the cap of "
+                f"{MAX_SERIES_TERMS}")
+    if beta * math.log(hi) > math.log(sys.float_info.max):
+        return f"gives y = hi^beta beyond the float range at beta = {beta:g}"
+    lost = _imag_digits_lost(beta, hi)
+    if lost > MAX_LOST_DIGITS:
+        return (f"loses {lost:.3g} float64 digits to cancellation at beta = {beta:g}, above "
+                f"the limit of {MAX_LOST_DIGITS:g}")
+    return None
 
 
 def _log_abs_E_beta_imag(beta: float, y: float) -> float:
@@ -366,14 +380,21 @@ class ThetaResult:
     b: float
 
 
+def _theta_digits(n: int, a: float):
+    """40 digits below the gap bound exp(-2 n pi^2 / a), for n >= 1 and a > 0:
+    an int, or inf where the bound's exponent passes the float range."""
+    digits = 2.0 * n * math.pi**2 / a / math.log(10)
+    return int(digits) + 40 if digits < math.inf else math.inf
+
+
 def theta_dps(n: int, a: float) -> int:
-    """Working precision (decimal digits) of theta_gauss_sum(n, a, b): 40 digits
-    below the gap bound exp(-2 n pi^2 / a).  Raises ValueError above MAX_DPS."""
+    """Working precision (decimal digits) of theta_gauss_sum(n, a, b):
+    :func:`_theta_digits`.  Raises ValueError above MAX_DPS."""
     if n < 1:
         raise ValueError("theta_gauss_sum requires n >= 1")
     if not a > 0:
         raise ValueError("theta_gauss_sum requires a > 0")
-    dps = int(2 * n * math.pi**2 / a / math.log(10)) + 40
+    dps = _theta_digits(n, a)
     if dps > MAX_DPS:
         raise ValueError(f"the theta sum with n = {n}, a = {a:g} needs {dps} digits of "
                          f"working precision, above the cap of {MAX_DPS}")

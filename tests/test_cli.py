@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from heatflat import cli, flatness, gevrey, heatsim
+from heatflat import cli, flatness, gevrey, heatsim, numkit
 from heatflat.cli import _write_csv, main
 from heatflat.flatness import FlatSum, TrackingResult
 from heatflat.heatsim import SimResult
@@ -203,11 +203,12 @@ class TestCli:
         assert not (tmp_path / "theta_identity.csv").exists()
 
     @pytest.mark.parametrize("cfg", [
-        ("track", {"dt": 0.0}, "SimConfig requires"),
-        ("track", {"dt": 0.3}, "SimConfig requires"),
+        ("track", {"dt": 0.0}, "dt must be > 0, got 0"),
+        ("track", {"dt": 0.3}, "dt must divide T = 1 into whole steps, got 0.3"),
         ("bergman-radius", {"sequences": ["foo"]},
-         "unknown sequences ['foo']; allowed: ['geometric', 'sharp_radius']"),
-        ("laplace-discrete", {"n_quadratic": [-5]}, "discrete Laplace requires n >= 2"),
+         "sequences entries must be 'geometric' or 'sharp_radius', got 'foo'"),
+        ("laplace-discrete", {"n_quadratic": [-5]},
+         "n_quadratic entries must be at least 2, got -5"),
         ("kernel-check", {"n_points": 0}, "n_points must be at least 2"),
         ("theta-identity", {"cases": [[100, 2.0]]},
          "cases entries must be [n, a, b] triples, got [[100, 2.0]]"),
@@ -226,25 +227,21 @@ class TestCli:
         ("track", {"K": 100},
          "flat control with K=100: derivative row 89 of the target is not finite"),
         ("theta-identity", {"cases": [[100, 2.0, 0.5], [1, 1e-5, 0.0]]},
-         "the theta sum with n = 1, a = 1e-05 needs 857302 digits of working precision, "
+         "cases entry [1, 1e-05, 0.0] needs 857302 digits of working precision, "
          "above the cap of 10000"),
         ("laplace-discrete", {"n_quadratic": [100, 1000000]},
          "n_quadratic entry 1000000 needs 108613 digits of working precision, "
          "above the cap of 10000"),
-        ("plancherel-ratio", {"s": 1e-12},
-         "the weight e^(2 R xi^(1/s)) overflows on the frequency grid at s = 1e-12, R = 0.5"),
-        ("plancherel-ratio", {"s": 0.05},  # finite, but 1e-16 of its peak is below an ulp
-         "the weight e^(2 R xi^(1/s)) overflows on the frequency grid at s = 0.05, R = 0.5"),
+        ("plancherel-ratio", {"s": 1e-12}, "s must be at least 1, got 1e-12"),
+        ("plancherel-ratio", {"s": 0.05}, "s must be at least 1, got 0.05"),
         ("an-asymptotics", {"n_max": 20000}, "n_max must be at most 5000, got 20000"),
         ("laplace-discrete", {"threshold": 0}, "threshold must be > 0, got 0"),
         ("mittag-type", {"n_points": -1}, "n_points must be at least 4, got -1"),
         ("kernel-check", {"t_max": -1}, "t_max must exceed t_min = 0.01, got -1"),
         ("track", {"dt": 1e-12},  # a 7.28 TiB time grid
-         "SimConfig with dt=1e-12 needs 1e+12 time steps over T=1, above the cap of 1000000"),
+         "dt = 1e-12 needs 1e+12 time steps over T = 1, above the cap of 1000000"),
         ("track", {"t_scale": 0}, "t_scale must be finite and > 0, got 0"),
-        ("plancherel-ratio", {"s": 0.5},
-         "the substitution xi = rho^s removes the cusp of the weight only for s >= 1, "
-         "got s = 0.5"),
+        ("plancherel-ratio", {"s": 0.5}, "s must be at least 1, got 0.5"),
         ("mittag-type", {"x_range": [0.0, 25.0]},
          "x_range must be [lo, hi] with 0 < lo < hi, got [0.0, 25.0]"),
         ("mittag-type", {"x_range": [15.0, 1e300]},  # y = x^2 overflowed at 1e300
@@ -263,7 +260,9 @@ class TestCli:
         ("track", {"K_low": 25}, "K_low must be 0 (no comparison) or lie in [1, K = 25), got 25"),
         ("track", {"target": "foo"}, "target must be 'bump' or 'zero', got 'foo'"),
         ("laplace-discrete", {"n_logh": [1e8]},  # a MemoryError after about 54 s
-         "discrete Laplace with n = 100000000 is above the cap of 1000000"),
+         "n_logh entries must be at most 1000000, got 100000000"),
+        ("track", {"gamma_exp": 1e300},  # the exponent's binomial coefficients overflow
+         "flat control with K=25: derivative row 2 of the target is not finite"),
     ])
     @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):
@@ -272,6 +271,52 @@ class TestCli:
         cfgp.write_text(json.dumps(dict(values, schema=1)))
         assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().out.startswith(f"{cmd}: ERROR: {msg}")
+
+    @pytest.mark.parametrize("values, msg", [
+        ({"t_max": 1e300},  # killed with exit code 137: GBs of image terms for each point
+         "t_max = 1e+300 needs 1.29615e+153 Poisson terms over 200 points, above the cap of "
+         "1000000"),
+        ({"n_points": 10**8}, "n_points must be at most 10000, got 100000000")],
+        ids=["t_max", "n_points"])
+    def test_kernel_check_budget_stops_before_any_kernel_sum(self, tmp_path, capsys, monkeypatch,
+                                                             values, msg):
+        monkeypatch.setattr(heatsim, "kernel_k", lambda *a: pytest.fail("kernel_k was called"))
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run(["kernel-check", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().out == f"kernel-check: ERROR: {msg}\n"
+
+    def test_plancherel_ratio_N_budget(self, tmp_path, capsys, monkeypatch):
+        # N = 5000 ran past 60 s; every row past N ~ 400 overflows anyway
+        monkeypatch.setattr(gevrey, "gevrey_norm_time", lambda *a: pytest.fail("a norm ran"))
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "N": 5000}))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == (
+            "plancherel-ratio: ERROR: N must be at most 512, got 5000\n")
+
+    def test_mittag_type_n_points_budget(self, tmp_path, capsys, monkeypatch):
+        # 10^8 points ran past 60 s, 10^5 took 5.9 s
+        monkeypatch.setattr(numkit, "mittag_type_imaginary", lambda *a: pytest.fail("a fit ran"))
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "n_points": 1e8}))
+        assert run(["mittag-type", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == (
+            "mittag-type: ERROR: n_points = 100000000 needs 2e+08 series sums, one per point "
+            "and beta, above the cap of 100000\n")
+
+    @pytest.mark.parametrize("gamma_exps, halfwidth, code", [
+        ([1.0, 1.5], 1e300, 2),  # LAPACK wrote to stderr, then "SVD did not converge"
+        ([1.0, 1e8], 1e164, 0)],  # the bound: the fit is clean there at any gamma_exp
+        ids=["above", "at"])
+    def test_fourier_decay_halfwidth_bound(self, tmp_path, capfd, gamma_exps, halfwidth, code):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "gamma_exps": gamma_exps, "halfwidth": halfwidth}))
+        assert run(["fourier-decay", "--config", str(cfgp), "--out", str(tmp_path)]) == code
+        out, err = capfd.readouterr()
+        assert err == ""
+        if code:
+            assert out == "fourier-decay: ERROR: halfwidth must be at most 1e+164, got 1e+300\n"
 
     def test_plancherel_ratio_non_finite_norm_fails(self, tmp_path, capsys, monkeypatch):
         # N >= 100 gave NaN bump norms that max/min skipped, and a PASS

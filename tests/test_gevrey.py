@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -447,6 +448,15 @@ class TestGevreyNormTime:
 
 
 class TestWeightedFourierNorm:
+    @pytest.mark.parametrize("s, msg", [
+        (1e-12, "overflows on the frequency grid at s = 1e-12, R = 0.5"),
+        (0.05, "overflows on the frequency grid at s = 0.05, R = 0.5"),  # 1e-16 of its peak
+        (0.5, "removes the cusp of the weight only for s >= 1, got s = 0.5")])
+    def test_orders_below_one_are_refused(self, s, msg):
+        # the CLI declares s >= 1 for plancherel-ratio; a library caller meets this check
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            weighted_fourier_norm(gaussian_signal(0.0, 1.0), GevreyParams(s, 0.5, 0.0))
+
     def test_parseval_at_tiny_R(self):
         sig = gaussian_signal(0.0, 1.0)
         val = weighted_fourier_norm(sig, GevreyParams(2.0, 1e-12, 0.0))
@@ -519,6 +529,12 @@ class TestWeightedFourierNorm:
 
 
 class TestBumpGevrey:
+    @pytest.mark.filterwarnings("error")
+    def test_exponent_coefficients_past_the_range_warn_nothing(self):
+        # at gamma_exp = 1e300 the exponent's binomial coefficients overflow; the
+        # flatness check at t = 0 reads the table quietly, and its rows are 0
+        assert not gevrey.bump_derivs(1e300, 0.2)(25, np.array([0.0])).any()
+
     def test_flat_at_zero(self):
         sig = bump_gevrey(1.0)
         t = np.array([-1.0, -0.1, 0.0])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import time
 import tracemalloc
 
@@ -16,6 +17,7 @@ from heatflat.heatsim import (
     NEU_NEU,
     SimConfig,
     TransferKind,
+    _poisson_terms,
     interior,
     kernel_k,
     kernel_laplace_quadrature,
@@ -27,6 +29,13 @@ from heatflat.heatsim import (
 
 
 class TestKernel:
+    def test_poisson_term_count(self):
+        # sqrt(42) sqrt(t) gives the count of sqrt(42 t) on the kernel checks' grids, and
+        # stays finite where 42 t passes the float range
+        for t in np.concatenate([np.geomspace(0.01, 10.0, 200), np.geomspace(3.51e-4, 1e9, 4001)]):
+            assert _poisson_terms(t) == int(math.sqrt(42.0 * t)) + 2
+        assert 8.6e154 < _poisson_terms(sys.float_info.max) < 8.7e154
+
     def test_cross_representation_at_03(self):
         e = kernel_k(0.3, "eigen")
         p = kernel_k(0.3, "poisson")
@@ -286,6 +295,14 @@ class TestSimulate:
         cfg = SimConfig(J=32, dt=1e-3, T=0.1)
         with pytest.raises(ValueError, match="control array must have length 101"):
             simulate(np.ones(100), cfg)
+
+    def test_sim_config_checks_for_library_callers(self):
+        # the CLI declares these ranges for track; a library caller meets them here
+        with pytest.raises(ValueError, match="SimConfig requires J >= 1, dt > 0"):
+            SimConfig(dt=0.0)
+        with pytest.raises(ValueError, match=r"dt=1e-12 needs 1e\+12 time steps over T=1, "
+                                             "above the cap of 1000000"):
+            SimConfig(dt=1e-12)
 
     def test_T_must_be_a_multiple_of_dt(self):
         with pytest.raises(ValueError, match="multiple of dt"):

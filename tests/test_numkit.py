@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +10,11 @@ from heatflat.numkit import (
     MAX_LOST_DIGITS,
     MLParams,
     _imag_digits_lost,
+    _imag_series_terms,
     _log_abs_E_beta_imag,
     _ml_asymptotic_log,
     _ml_series_log,
+    _theta_digits,
     gauss_sum,
     log_gamma,
     log_mittag_leffler,
@@ -112,6 +115,10 @@ class TestMittagTypeImaginary:
         with pytest.raises(ValueError, match="needs 1.00003e.06 series terms at beta = 2"):
             mittag_type_imaginary(2.0, np.geomspace(1e10, 1e12, 5))
 
+    def test_series_terms_past_the_float_range(self):
+        assert _imag_series_terms(2.0, 1e300) == int(1e300) + 32
+        assert _imag_series_terms(1.5, sys.float_info.max) == math.inf
+
     @pytest.mark.parametrize("last", [math.inf, math.nan])
     def test_y_grid_not_finite(self, last):
         # an inf ended in OverflowError, a NaN in "cannot convert float NaN to integer"
@@ -206,6 +213,13 @@ class TestPolylog:
 
 
 class TestThetaGaussSum:
+    def test_precision_cap_for_library_callers(self):
+        # the CLI declares this budget for theta-identity; a library caller meets it here
+        with pytest.raises(ValueError, match="n = 1, a = 1e-05 needs 857302 digits of working "
+                                             "precision, above the cap of 10000"):
+            theta_dps(1, 1e-5)
+        assert _theta_digits(10**300, 1e-300) == math.inf  # the exponent passes the float range
+
     def test_uniform_constant_bound(self):
         r = theta_gauss_sum(100, 2.0, 0.5)
         assert r.c_uniform < 10.0
