@@ -108,7 +108,7 @@ def run_kernel_check(cfg, out):
     ke, kp = heatsim.kernel_k(t, "eigen"), heatsim.kernel_k(t, "poisson")
     gap = np.abs(ke - kp) / np.abs(kp)
     _write_csv(os.path.join(out, "kernel_check.csv"), ["t", "eigen", "poisson", "rel_gap"],
-               zip(t, ke, kp, gap))
+               np.column_stack((t, ke, kp, gap)))
     mx = float(gap.max())
     return mx < cfg["threshold"], f"max relative gap {mx:.3e} (threshold {cfg['threshold']:g})"
 
@@ -197,13 +197,18 @@ def run_an_asymptotics(cfg, out):
     n = np.arange(1, N + 1)
     logpred = alpha * n * (np.log(2.0 * math.e) - np.log(alpha * n)) + (-2 * beta - 0.5) * np.log(n)
     ratio = np.exp(logA[1:] - logpred)
+    # n <= MAX_AN_TERMS goes as a float, which %.17g writes with the digits of the integer
     _write_csv(os.path.join(out, "an_asymptotics.csv"), ["n", "log_An", "log_pred", "ratio"],
-               zip(n, logA[1:], logpred, ratio))
-    sel = (n >= int(cfg["n_min"]))
-    band = float(ratio[sel].max() / ratio[sel].min())
+               np.column_stack((n, logA[1:], logpred, ratio)))
+    r = ratio[n >= int(cfg["n_min"])]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a ratio of 0 or inf is named below
+        band = float(r.max() / r.min())
+    span = f"over n in [{cfg['n_min']}, {N}]"
+    if not math.isfinite(band):
+        return False, (f"A_n/prediction band factor {band:g} {span} is not finite: the ratio "
+                       f"under- or overflows float64 there (min {r.min():.3g}, max {r.max():.3g})")
     return band <= cfg["band_factor"], (
-        f"A_n/prediction band factor {band:.3f} over n in [{cfg['n_min']}, {N}] "
-        f"(allowed {cfg['band_factor']:g})")
+        f"A_n/prediction band factor {band:.3f} {span} (allowed {cfg['band_factor']:g})")
 
 
 def _log10_truncation_law(n: int) -> float:
@@ -290,22 +295,29 @@ def run_loss_table(cfg, out):
 
 
 def run_fourier_decay(cfg, out):
-    rows, ok = [], True
+    rows, fails = [], []
     for gamma_exp in cfg["gamma_exps"]:
         s_nom = 1.0 + 1.0 / gamma_exp
         sig = gevrey.two_sided_bump(0.0, cfg["halfwidth"], gamma_exp)
         fit = gevrey.fourier_decay_fit(sig, s_nom)
-        rows.append((f"bump({gamma_exp})", s_nom, fit.delta, fit.residual_rms, int(fit.mismatch)))
-        ok = ok and fit.delta > 0 and not fit.mismatch
+        name = f"bump({gamma_exp})"
+        rows.append((name, s_nom, fit.delta, fit.residual_rms, int(fit.mismatch)))
+        if not fit.delta > 0:  # NaN fails too
+            fails.append(f"{name} delta {fit.delta:.3g} not positive")
+        if fit.mismatch:
+            fails.append(f"{name} flagged as mismatch")
     grid = np.linspace(-10, 10, 2049)
     gc = gevrey.product_signal(gevrey.gaussian_signal(0.0, 1.0, grid=grid),
                                gevrey.two_sided_bump(0.0, 9.0, 2.0, grid=grid))
     fit = gevrey.fourier_decay_fit(gc, 1.0)
     rows.append(("gaussian-vs-s1", 1.0, fit.delta, fit.residual_rms, int(fit.mismatch)))
-    ok = ok and fit.mismatch
+    if not fit.mismatch:
+        fails.append("gaussian not flagged as mismatch for s=1")
     _write_csv(os.path.join(out, "fourier_decay.csv"),
                ["signal", "s_nominal", "delta", "residual_rms", "mismatch"], rows)
-    return ok, "bump fits positive and clean; gaussian flagged as mismatch for s=1"
+    if fails:
+        return False, "; ".join(fails)
+    return True, "bump fits positive and clean; gaussian flagged as mismatch for s=1"
 
 
 def run_mittag_type(cfg, out):

@@ -125,7 +125,7 @@ class TrackingResult:
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t", "y_target", "y_sim", "u"],
-                  zip(self.sim.t, self.y_target, self.sim.y, self.sim.u))
+                  np.column_stack((self.sim.t, self.y_target, self.sim.y, self.sim.u)))
 
 
 def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingResult:

@@ -115,20 +115,39 @@ def _poisson_terms(t: float) -> int:
     return int(math.sqrt(42.0) * math.sqrt(t)) + 2
 
 
-def _kernel_poisson(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for i, ti in enumerate(t):
-        m = np.arange(_poisson_terms(ti))
-        out[i] = 2.0 * np.exp(-((m + 0.5) ** 2) / ti).sum() / math.sqrt(math.pi * ti)
+def _by_term_count(t: np.ndarray, counts: np.ndarray, row_sums) -> np.ndarray:
+    """row_sums(n, ts) on each group ts of the points t with count n: one 2-D
+    sum per group, whose contiguous rows reduce in the pairwise order of a
+    point's own 1-D sum."""
+    out = np.empty_like(t)
+    for n in np.unique(counts):
+        sel = counts == n
+        out[sel] = row_sums(int(n), t[sel])
     return out
 
+
+def _kernel_poisson(t: np.ndarray) -> np.ndarray:
+    # _poisson_terms of each point, as a float (exact below 2^53): np.sqrt
+    # rounds as math.sqrt does
+    counts = np.floor(math.sqrt(42.0) * np.sqrt(t)) + 2
+
+    def row_sums(n, ts):
+        a = -((np.arange(n) + 0.5) ** 2)
+        return 2.0 * np.exp(a / ts[:, None]).sum(axis=1) / np.sqrt(math.pi * ts)
+
+    return _by_term_count(t, counts, row_sums)
+
+
 def _kernel_eigen_f64(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    for i, ti in enumerate(t):
-        jmax = int(math.sqrt(42.0 / (math.pi**2 * ti))) + 1
-        j = np.arange(1, jmax + 1)
-        out[i] = 1.0 + 2.0 * np.sum((-1.0) ** j * np.exp(-(math.pi**2) * j**2 * ti))
-    return out
+    # terms j = 1 .. jmax: those with (j pi)^2 t up to 42, and one more
+    jmax = np.floor(np.sqrt(42.0 / (math.pi**2 * t))) + 1
+
+    def row_sums(n, ts):
+        j = np.arange(1, n + 1)
+        c = -(math.pi**2) * j**2
+        return 1.0 + 2.0 * ((-1.0) ** j * np.exp(c * ts[:, None])).sum(axis=1)
+
+    return _by_term_count(t, jmax, row_sums)
 
 def _kernel_eigen_small_t(ti: float, k_est: float) -> float:
     # alternating eigen sum cancels to ~k(t); extend precision to keep the
@@ -176,9 +195,8 @@ def kernel_k(t, rep: str = "auto"):
     else:
         out = _kernel_eigen_f64(tarr)
         est = _kernel_poisson(tarr)
-        for i, ti in enumerate(tarr):
-            if est[i] < 1e-3:
-                out[i] = _kernel_eigen_small_t(ti, est[i])
+        for i in np.flatnonzero(est < 1e-3):
+            out[i] = _kernel_eigen_small_t(tarr[i], est[i])
     return out if np.ndim(t) else float(out[0])
 
 

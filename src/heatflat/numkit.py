@@ -445,15 +445,31 @@ def _line_format(types: tuple) -> str:
     return ",".join("%.17g" if issubclass(t, _NUMBER) else "%s" for t in types) + "\n"
 
 
+def _blocks(rows):
+    """(%-format, values) of each block of up to 256 rows."""
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        # the format comes from the dtype, and tolist hands % Python scalars:
+        # int and bool columns are written by str, as np.int64 and np.bool_ are
+        line = _line_format((rows.dtype.type,) * rows.shape[1])
+        for i in range(0, len(rows), 256):
+            block = rows[i:i + 256]
+            yield line * len(block), tuple(block.ravel().tolist())
+        return
+    rows = iter(rows)
+    while block := [tuple(r) for r in itertools.islice(rows, 256)]:
+        yield ("".join([_line_format(tuple(map(type, r))) for r in block]),
+               tuple([v for r in block for v in r]))
+
+
 def write_csv(path, header, rows) -> None:
     """Header line, then one line per row: numbers as repr-exact ``.17g``, the rest by str.
 
-    Each block of up to 256 rows is formatted by one %-format, built from
-    each row's value types.
+    ``rows`` is an iterable of rows or a 2-D array.  Each block of up to 256
+    rows is formatted by one %-format, built from the array's dtype (an
+    object array's rows go by their values' types) or from each row's value
+    types.  An array row is written as the row of its numpy scalars would be.
     """
-    rows = iter(rows)
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
-        while block := [tuple(r) for r in itertools.islice(rows, 256)]:
-            fmt = "".join([_line_format(tuple(map(type, r))) for r in block])
-            f.write(fmt % tuple([v for r in block for v in r]))
+        for fmt, values in _blocks(rows):
+            f.write(fmt % values)

@@ -318,6 +318,43 @@ class TestCli:
         if code:
             assert out == "fourier-decay: ERROR: halfwidth must be at most 1e+164, got 1e+300\n"
 
+    def test_fourier_decay_fail_names_the_failed_fits(self, tmp_path, capsys):
+        # at halfwidth 100 both bump fits are flagged; the line said "bump fits positive and clean"
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "halfwidth": 100}))
+        assert run(["fourier-decay", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        assert capsys.readouterr().out == ("fourier-decay: FAIL: bump(1.0) flagged as mismatch; "
+                                           "bump(1.5) flagged as mismatch\n")
+
+    def test_fourier_decay_fail_names_delta_and_gaussian(self, tmp_path, capsys, monkeypatch):
+        fit = gevrey.fourier_decay_fit
+
+        def flipped(sig, s):  # bump(1.5) loses its slope, the Gaussian its mismatch flag
+            res = fit(sig, s)
+            if sig.params.get("gamma_exp") == 1.5:
+                return dataclasses.replace(res, delta=-0.25)
+            return dataclasses.replace(res, mismatch=False) if s == 1.0 else res
+
+        monkeypatch.setattr(gevrey, "fourier_decay_fit", flipped)
+        assert run(["fourier-decay", "--out", str(tmp_path), "--assert"]) == 1
+        assert capsys.readouterr().out == (
+            "fourier-decay: FAIL: bump(1.5) delta -0.25 not positive; "
+            "gaussian not flagged as mismatch for s=1\n")
+
+    @pytest.mark.filterwarnings("error")  # the band's 0/0 warned on stderr before the FAIL
+    @pytest.mark.parametrize("values", [{"s": 1000}, {"gamma": -1000}], ids=["s", "gamma"])
+    def test_an_asymptotics_non_finite_band_fails_by_name(self, tmp_path, capfd, values):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run(["an-asymptotics", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        out, err = capfd.readouterr()
+        assert err == ""
+        assert out == ("an-asymptotics: FAIL: A_n/prediction band factor nan over n in "
+                       "[50, 2000] is not finite: the ratio under- or overflows float64 there "
+                       "(min 0, max 0)\n")
+
     def test_plancherel_ratio_non_finite_norm_fails(self, tmp_path, capsys, monkeypatch):
         # N >= 100 gave NaN bump norms that max/min skipped, and a PASS
         from heatflat import gevrey

@@ -17,6 +17,8 @@ from heatflat.heatsim import (
     NEU_NEU,
     SimConfig,
     TransferKind,
+    _kernel_eigen_f64,
+    _kernel_poisson,
     _poisson_terms,
     interior,
     kernel_k,
@@ -35,6 +37,27 @@ class TestKernel:
         for t in np.concatenate([np.geomspace(0.01, 10.0, 200), np.geomspace(3.51e-4, 1e9, 4001)]):
             assert _poisson_terms(t) == int(math.sqrt(42.0 * t)) + 2
         assert 8.6e154 < _poisson_terms(sys.float_info.max) < 8.7e154
+
+    @pytest.mark.parametrize("t", [np.geomspace(0.01, 10.0, 200),
+                                   np.geomspace(3.51e-4, 1e3, 5000)], ids=["default", "wide"])
+    def test_grouped_sums_match_per_point_formulas(self, t):
+        # the sums over each point's own terms, which one 2-D sum per term count replaces
+        def poisson(ti):
+            m = np.arange(_poisson_terms(ti))
+            return 2.0 * np.exp(-((m + 0.5) ** 2) / ti).sum() / math.sqrt(math.pi * ti)
+
+        def eigen(ti):
+            j = np.arange(1, int(math.sqrt(42.0 / (math.pi**2 * ti))) + 2)
+            return 1.0 + 2.0 * np.sum((-1.0) ** j * np.exp(-(math.pi**2) * j**2 * ti))
+
+        assert _kernel_poisson(t).tobytes() == np.array([poisson(ti) for ti in t]).tobytes()
+        assert _kernel_eigen_f64(t).tobytes() == np.array([eigen(ti) for ti in t]).tobytes()
+
+    @pytest.mark.parametrize("rep", ["eigen", "poisson", "auto"])
+    def test_scalar_gives_float(self, rep):
+        for t in (3.4e-4, 0.05, 0.3, 2.0):
+            v = kernel_k(t, rep)
+            assert type(v) is float and v == kernel_k(np.array([t]), rep)[0]
 
     def test_cross_representation_at_03(self):
         e = kernel_k(0.3, "eigen")

@@ -318,3 +318,38 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     assert (tmp_path / "block.csv").read_text() == per_value(header, rows)
     write_csv(tmp_path / "empty.csv", header, [])
     assert (tmp_path / "empty.csv").read_text() == "c0,c1,c2,c3\n"
+
+
+def test_write_csv_array_matches_per_value_formatting(tmp_path):
+    # a 2-D array is written as the rows of its numpy scalars would be, although
+    # tolist hands the format Python int and bool, which %.17g would write as numbers
+    def per_value(header, rows):
+        return ",".join(header) + "\n" + "".join(
+            ",".join(f"{float(v):.17g}" if isinstance(v, (int, float, np.floating)) else str(v)
+                     for v in row) + "\n" for row in rows)
+
+    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1.0 / 3.0, 1e300, 0.1]
+    ints = [0, -3, 2**53 + 1, -(2**63), 2**63 - 1]
+    header = ["c0", "c1", "c2", "c3"]
+    for n in (1, 257):
+        pick = lambda vals, k: [vals[(i + k) % len(vals)] for i in range(n)]
+        columns = {"float": np.array([pick(floats, k) for k in range(4)]).T}
+        with np.errstate(over="ignore"):  # 1e300 becomes inf
+            columns["float32"] = columns["float"].astype(np.float32)
+        columns |= {
+            "int64": np.array([pick(ints, k) for k in range(4)], dtype=np.int64).T,
+            "bool": np.array([pick([True, False, False], k) for k in range(4)]).T,
+        }
+        # an object table: float, int64 and bool columns, and one of floats and ""
+        mixed = np.empty((n, 4), dtype=object)
+        mixed[:, 0] = list(columns["float"][:, 0])
+        mixed[:, 1] = list(columns["int64"][:, 0])
+        mixed[:, 2] = list(columns["bool"][:, 0])
+        mixed[:, 3] = pick([1.5, "", -0.0, ""], 0)
+        columns["object"] = mixed
+        for name, table in columns.items():
+            path = tmp_path / f"{name}_{n}.csv"
+            write_csv(path, header, table)
+            assert path.read_text() == per_value(header, list(table)), (name, n)
+    write_csv(tmp_path / "empty.csv", header, np.empty((0, 4)))
+    assert (tmp_path / "empty.csv").read_text() == "c0,c1,c2,c3\n"
