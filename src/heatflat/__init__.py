@@ -2,10 +2,10 @@
 
 Modules
 -------
-numkit      Mittag-Leffler, polylogarithm, theta sums, the series verdict, the CSV writer
+numkit      log-gamma, Mittag-Leffler type fit, theta sums, the series verdict, the CSV writer
 gevrey      Gevrey weight sequences, time/Fourier norms, test signals
-plancherel  Mittag-Leffler weight expansion, A_n asymptotics, discrete Laplace
-heatsim     spectral heat simulator, kernel k(t), transfer catalogue
+plancherel  Mittag-Leffler weight coefficients, A_n asymptotics, discrete Laplace
+heatsim     spectral heat simulator, kernel k(t)
 flatness    flat-output control synthesis and trackability checks
 holo        tilted-square Bergman tests, interpolation radius, loss factors
 cli         batch experiment runner (``heatflat <subcommand>``)

@@ -196,19 +196,21 @@ def run_an_asymptotics(cfg, out):
     logA = plancherel.convolution_An(p, N)
     n = np.arange(1, N + 1)
     logpred = alpha * n * (np.log(2.0 * math.e) - np.log(alpha * n)) + (-2 * beta - 0.5) * np.log(n)
-    ratio = np.exp(logA[1:] - logpred)
+    log_ratio = logA[1:] - logpred
     # n <= MAX_AN_TERMS goes as a float, which %.17g writes with the digits of the integer
     _write_csv(os.path.join(out, "an_asymptotics.csv"), ["n", "log_An", "log_pred", "ratio"],
-               np.column_stack((n, logA[1:], logpred, ratio)))
-    r = ratio[n >= int(cfg["n_min"])]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a ratio of 0 or inf is named below
-        band = float(r.max() / r.min())
+               np.column_stack((n, logA[1:], logpred, np.exp(log_ratio))))
+    # the band from the log ratios: the ratios themselves underflow long before it leaves
+    # the float range
+    lr = log_ratio[n >= int(cfg["n_min"])]
+    width = float(lr.max() - lr.min())
     span = f"over n in [{cfg['n_min']}, {N}]"
-    if not math.isfinite(band):
-        return False, (f"A_n/prediction band factor {band:g} {span} is not finite: the ratio "
-                       f"under- or overflows float64 there (min {r.min():.3g}, max {r.max():.3g})")
+    if not width <= math.log(sys.float_info.max):  # NaN too
+        return False, (f"A_n/prediction band factor e^{width:.4g} {span} is beyond the float "
+                       f"range (log ratio from {lr.min():.6g} to {lr.max():.6g})")
+    band = math.exp(width)
     return band <= cfg["band_factor"], (
-        f"A_n/prediction band factor {band:.3f} {span} (allowed {cfg['band_factor']:g})")
+        f"A_n/prediction band factor {band:.4g} {span} (allowed {cfg['band_factor']:g})")
 
 
 def _log10_truncation_law(n: int) -> float:
@@ -390,7 +392,9 @@ RULES = {
     "laplace-discrete": {
         "n_quadratic": [(">=", 2), ("<=", numkit.MAX_DPS, _DPS, lambda n, c: _quadratic_dps(n))],
         "n_logh": [(">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
-        "alpha": [(">", 0)], "threshold": [(">", 0)]},
+        "alpha": [(">=", 1.6e-14, "be at least 1.6e-14, below which log h spans under 1e-14 "
+                                  "on the grid of n = 3 and reads as constant"), ("<=", 1e300)],
+        "threshold": [(">", 0)]},
     "theta-identity": {"c_max": [], "cases": [
         lambda v, c: any(len(e) != 3 for e in v) and f"entries must be [n, a, b] triples, got {v}",
         lambda v, c: next((f"entries need an integer n, got {e[0]!r}"
@@ -402,8 +406,13 @@ RULES = {
     "counterexample": {"N": [(">=", 100), ("<=", 10**6)], "exponent_lo": [], "exponent_hi": []},
     "loss-table": {"s_grid": [(">", 1)]},
     "fourier-decay": {
-        "gamma_exps": [lambda v, c: not all(g > 0 for g in v) and f"entries must be > 0, got {v}"],
-        "halfwidth": [(">", 0), ("<=", 1e164)]},
+        "gamma_exps": [lambda v, c: not all(g > 0 for g in v) and f"entries must be > 0, got {v}",
+                       ("<=", 250)],
+        "halfwidth": [(">", 0), ("<=", 1e164),
+                      lambda hw, c: next((f"must keep the bump's peak exp(-2 halfwidth^-gamma_exp) "
+                                          f"at least e^-700, got {hw:g} at gamma_exp = {g:g}"
+                                          for g in c["gamma_exps"]
+                                          if -g * math.log(hw) > math.log(350.0)), None)]},
     "mittag-type": {
         "betas": [(">", 1)], "tolerance": [],
         "x_range": [lambda v, c: not (len(v) == 2 and 0 < v[0] < v[1]) and (

@@ -7,12 +7,10 @@ with e_0 = 1, e_j = sqrt(2) cos(j pi x).  The input kernel
     k(t) = 1 + 2 sum_j (-1)^j e^{-(j pi)^2 t}
          = (pi t)^{-1/2} sum_m e^{-(m+1/2)^2 / t}
 
-gives y = k * u, and the Laplace-domain transfer function catalogue covers
-the four boundary configurations plus interior-point observation.
-``simulate`` computes that convolution in blocks of time steps: the kernel
-integrated over one step acts on the control and its slopes by Toeplitz
-products, and only the mode state carried from block to block steps in
-sequence.
+gives y = k * u.  ``simulate`` computes that convolution in blocks of time
+steps: the kernel integrated over one step acts on the control and its
+slopes by Toeplitz products, and only the mode state carried from block to
+block steps in sequence.
 """
 
 from __future__ import annotations
@@ -27,50 +25,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .numkit import gauss_sum
 
 __all__ = [
-    "TransferKind",
-    "NEU_DIR",
-    "NEU_NEU",
-    "DIR_NEU",
-    "DIR_DIR",
-    "interior",
     "SimConfig",
     "MAX_STEPS",
     "SimResult",
     "kernel_k",
     "simulate",
-    "transfer",
-    "omega_characterization",
-    "omega_log",
-    "kernel_laplace_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class TransferKind:
-    """One of the five boundary-observation configurations."""
-
-    tag: str  # "NeuDir" | "NeuNeu" | "DirNeu" | "DirDir" | "InteriorX0"
-    x0: float = None
-
-    def __post_init__(self):
-        if self.tag not in ("NeuDir", "NeuNeu", "DirNeu", "DirDir", "InteriorX0"):
-            raise ValueError(f"unknown transfer kind {self.tag!r}")
-        if self.tag == "InteriorX0":
-            if self.x0 is None or not (0.0 < self.x0 < 1.0):
-                raise ValueError("InteriorX0 requires x0 strictly inside (0, 1)")
-        elif self.x0 is not None:
-            raise ValueError("x0 only applies to InteriorX0")
-
-
-NEU_DIR = TransferKind("NeuDir")
-NEU_NEU = TransferKind("NeuNeu")
-DIR_NEU = TransferKind("DirNeu")
-DIR_DIR = TransferKind("DirDir")
-
-
-def interior(x0: float) -> TransferKind:
-    return TransferKind("InteriorX0", x0)
-
 
 # cap on the time steps T/dt of one run: dt = 1e-6 at T = 1, where the target's
 # float64 derivative table alone takes 0.2 GB at K = 25
@@ -198,20 +158,6 @@ def kernel_k(t, rep: str = "auto"):
         for i in np.flatnonzero(est < 1e-3):
             out[i] = _kernel_eigen_small_t(tarr[i], est[i])
     return out if np.ndim(t) else float(out[0])
-
-
-def kernel_laplace_quadrature(s: float) -> float:
-    """Numerical Laplace transform of k: mpmath's tanh-sinh quadrature on
-    [0, 3] plus the analytic integral of the eigen tail beyond it."""
-    val = float(mp.quad(lambda t: math.exp(-s * float(t)) * kernel_k(float(t), "auto"),
-                        [0.0, 3.0]))
-    # beyond t = 3: k(t) = 1 + 2 sum (-1)^j e^{-lam_j t}, integrated exactly
-    # over its first 8 modes (the ninth is below e^{-2398})
-    tail = math.exp(-s * 3.0) / s
-    for j in range(1, 9):
-        lam = (j * math.pi) ** 2
-        tail += 2.0 * (-1) ** j * math.exp(-(s + lam) * 3.0) / (s + lam)
-    return val + tail
 
 
 # ---------------------------------------------------------------------------
@@ -347,50 +293,3 @@ def simulate(u, cfg: SimConfig) -> SimResult:
     umax = float(np.max(np.abs(uval))) if nt else 0.0
     return SimResult(tgrid, z[:, 0], uval, x[1:], z[:, 1:], True, umax * math.exp(-lamJ1 * dt))
 
-
-# ---------------------------------------------------------------------------
-# Transfer functions
-# ---------------------------------------------------------------------------
-
-def transfer(kind: TransferKind, s):
-    """Closed-form transfer function at Re s > 0, cancellation-safe.
-
-    NeuDir 1/(sqrt(s) sinh sqrt(s)); NeuNeu and DirDir 1/cosh sqrt(s);
-    DirNeu sqrt(s)/sinh sqrt(s); interior cosh(sqrt(s) x0)/(sqrt(s) sinh sqrt(s)).
-    """
-    sarr = np.atleast_1d(np.asarray(s, dtype=complex))
-    if np.any(sarr.real <= 0):
-        raise ValueError("transfer requires Re s > 0")
-    w = np.sqrt(sarr)  # principal branch, Re w > 0
-    em = np.exp(-w)
-    em2 = em * em
-    if kind.tag == "NeuDir":
-        out = 2.0 * em / (w * (1.0 - em2))
-    elif kind.tag in ("NeuNeu", "DirDir"):
-        out = 2.0 * em / (1.0 + em2)
-    elif kind.tag == "DirNeu":
-        out = 2.0 * w * em / (1.0 - em2)
-    else:  # InteriorX0
-        x0 = kind.x0
-        out = np.exp(-w * (1.0 - x0)) * (1.0 + np.exp(-2.0 * w * x0)) / (w * (1.0 - em2))
-    return out if np.ndim(s) else complex(out[0])
-
-
-def omega_log(xi, kind: TransferKind) -> np.ndarray:
-    """log of the frequency weight characterizing the trackable class."""
-    x = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
-    root = np.sqrt(x)
-    if kind.tag == "NeuDir":
-        out = np.sqrt(x / 2.0) - 0.5 * np.log1p(x)
-    elif kind.tag == "InteriorX0":
-        out = (1.0 - kind.x0) / math.sqrt(2.0) * root - np.log1p(root)
-    elif kind.tag in ("NeuNeu", "DirDir"):
-        out = np.sqrt(x / 2.0)
-    else:  # DirNeu: gamma = -1/2 class weight
-        out = np.sqrt(x / 2.0) - 0.5 * np.log1p(x)
-    return out if np.ndim(xi) else float(out[0])
-
-
-def omega_characterization(xi, kind: TransferKind):
-    """The weight itself (use omega_log for large xi)."""
-    return np.exp(omega_log(xi, kind))

@@ -45,9 +45,7 @@ from .numkit import log_gamma
 __all__ = [
     "OmegaDomain",
     "CoeffSeq",
-    "EvalResult",
     "BergmanReport",
-    "eval_series",
     "bergman_norm_estimate",
     "radius_Ra",
     "interpolation_counterexample",
@@ -66,11 +64,6 @@ class OmegaDomain:
     """The tilted square |Re zeta| + |Im zeta| < 1 and its exhaustion."""
 
     area = 2.0
-
-    @staticmethod
-    def l1(zeta) -> np.ndarray:
-        z = np.asarray(zeta, dtype=complex)
-        return np.abs(z.real) + np.abs(z.imag)
 
     @staticmethod
     @functools.lru_cache(maxsize=32)
@@ -156,14 +149,6 @@ class CoeffSeq:
         return cls(lm, ph.astype(complex), "even")
 
     @classmethod
-    def polylog_seq(cls, s: float, N: int = 600) -> "CoeffSeq":
-        """a_k = (2k)! k^{-s} (k >= 1): the series is Li_s(2 R^2 zeta^2)-type."""
-        k = np.arange(N)
-        lm = np.full(N, -math.inf)
-        lm[1:] = log_gamma(2 * k[1:] + 1) - s * np.log(k[1:])
-        return cls(lm, np.ones(N, dtype=complex), "even")
-
-    @classmethod
     def sharp_radius(cls, N: int = 600) -> "CoeffSeq":
         """a_k = (2k)! 2^k i^k / sqrt(k) (k >= 1), a_0 = 0."""
         k = np.arange(N)
@@ -185,13 +170,6 @@ class CoeffSeq:
 # Series evaluation: raw Taylor + scaled diagonal Pade continuation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: complex
-    tail_proxy: float
-    diverged: bool
-
-
 def _series_coeffs_g(c: CoeffSeq):
     """Coefficients of g(w): f_1(zeta) = g(zeta^2) (even) or zeta*g(zeta^2) (odd)."""
     p = 2 * np.arange(len(c)) + (c.parity == "odd")
@@ -211,20 +189,23 @@ def _radius_units(lg):
     log_r = math.inf
     if len(idx) >= 8:
         ks = idx[-min(60, len(idx) // 2):]
-        log_r = -float(np.median(np.diff(lg[ks]) / np.diff(ks)))
+        # the median by np.sort: np.median imports numpy.ma on its first call
+        d = np.sort(np.diff(lg[ks]) / np.diff(ks))
+        m = len(d) // 2
+        log_r = -float(d[m] if len(d) % 2 else (d[m - 1] + d[m]) / 2)
     log_unit = min(max(log_r, -700.0), 700.0) if math.isfinite(log_r) else 0.0
     return log_r, lg + np.arange(len(lg)) * log_unit, math.exp(log_unit)
 
 
 def _raw_terms(lg, ph):
-    """Coefficient part of _raw_eval, set up once per coefficient sequence.
+    """Coefficient part of the raw series, set up once per coefficient sequence.
 
-    Returns (b, |b|, dead_at, grow_at, k_last): the terms b_k = exp(lg_k) ph_k
-    of g(w) = sum b_k w^k, the two divergence thresholds on log|w|
-    and the index of the last finite term (-1 if none).  A node is dead when
-    a term exceeds 1e100, log|w| > dead_at; dead_at = -inf marks every node
-    dead (b_0 itself past 1e100).  A node is growing when each of the last 26
-    finite terms exceeds the one before by 1 + 1e-12, log|w| > grow_at.
+    Returns (b, |b|, dead_at, grow_at): the terms b_k = exp(lg_k) ph_k of
+    g(w) = sum b_k w^k and the two divergence thresholds on log|w|.  A node is
+    dead when a term exceeds 1e100, log|w| > dead_at; dead_at = -inf marks
+    every node dead (b_0 itself past 1e100).  A node is growing when each of
+    the last 26 finite terms exceeds the one before by 1 + 1e-12, log|w| >
+    grow_at.
     """
     k = np.flatnonzero(np.isfinite(lg))
     b = np.zeros(len(lg), dtype=complex)
@@ -239,7 +220,7 @@ def _raw_terms(lg, ph):
         kg, logb_g = np.append(-1, k)[-27:], np.append(-math.inf, logb)[-27:]
         grow_at = (np.max((math.log1p(1e-12) - np.diff(logb_g)) / np.diff(kg))
                    if len(kg) == 27 else math.inf)
-    return b, absb, dead_at, grow_at, (k[-1] if len(k) else -1)
+    return b, absb, dead_at, grow_at
 
 
 _BLOCK = 24         # at most this many coefficients per block of _poly_eval
@@ -299,14 +280,14 @@ def _raw_diverged(terms, w):
     """Per-node divergence mask of g at w (or at |w|, which gives the same
     mask): dead or growing (see _raw_terms), whatever the sign pattern of
     the terms.  No term is summed."""
-    _, _, dead_at, grow_at, _ = terms
+    _, _, dead_at, grow_at = terms
     with np.errstate(divide="ignore"):
         logw = np.log(np.abs(w))
     return (logw > dead_at) | (dead_at == -math.inf) | (logw > grow_at)
 
 
 def _raw_sum(terms, w):
-    """Per-point part of _raw_eval: (values, diverged_mask) of g at w.
+    """Per-point part of the raw series: (values, diverged_mask) of g at w.
 
     When max|w| < 1 the sum stops where the majorant tail
     sum_{j>=n} |b_j| max|w|^j falls below 1e-17 of its largest term: one
@@ -324,20 +305,6 @@ def _raw_sum(terms, w):
         small = np.cumsum(t[::-1])[::-1] < 1e-17 * np.max(t, initial=0.0)
         acc = _poly_eval(b[:np.argmax(small) if m < 1.0 and small.any() else len(b)], w)
     return acc, _raw_diverged(terms, absw)
-
-
-def _raw_eval(lg, ph, w):
-    """Sum of g(w) = sum b_k w^k, b_k = exp(lg_k) ph_k, by blocked Horner (_poly_eval).
-
-    Returns (values, tail_proxy_per_node, diverged_mask); the tail proxy is
-    the last finite term over the sum.  See _raw_terms and _raw_sum.
-    """
-    _, absb, _, _, k_last = terms = _raw_terms(lg, ph)
-    acc, diverged = _raw_sum(terms, w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        last = absb[k_last] * np.abs(w) ** k_last if k_last >= 0 else np.zeros(acc.shape)
-        tail = last / np.maximum(np.abs(acc), 1e-300)
-    return acc, tail, diverged
 
 
 class _Pade:
@@ -482,24 +449,6 @@ def _scale(R_scale) -> float:
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"R_scale must be finite and > 0, got {R_scale!r}")
     return R
-
-
-def eval_series(c: CoeffSeq, zeta: complex, R_scale: float) -> EvalResult:
-    """Partial sum of the coefficient series at one point of Omega.
-
-    Raw Taylor sum of all terms with a last-term tail proxy, in units of the estimated radius of g as in SeriesEvaluator.
-    A diverged result (|zeta| past the scaled Gevrey radius) may carry a
-    non-finite value.
-    """
-    if OmegaDomain.l1(zeta) > 1.0 + 1e-12:
-        raise ValueError("zeta lies outside the closed tilted square")
-    R = _scale(R_scale)
-    lg, ph = _series_coeffs_g(c)
-    _, lb, unit = _radius_units(lg)
-    z = R * complex(zeta)
-    vals, tail, div = _raw_eval(lb, ph, np.array([z * z / unit]))
-    v = vals[0] * z if c.parity == "odd" else vals[0]
-    return EvalResult(complex(v), float(tail[0]), bool(div[0]))
 
 
 # ---------------------------------------------------------------------------

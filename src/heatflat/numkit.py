@@ -1,8 +1,8 @@
 """Log-domain special functions, extended-precision sums and the CSV writer.
 
 Everything factorial-sized in this package -- (2k)!, R^{ns}, Mittag-Leffler
-tails -- is carried as a natural-log magnitude plus a unit phase, so products
-and positive sums stay representable far beyond float range.
+coefficients -- is carried as a natural-log magnitude plus a unit phase, so
+products and positive sums stay representable far beyond float range.
 
 All functions are pure.  The one caveat for concurrent use: theta_gauss_sum
 temporarily raises mpmath's working precision, and that context is global,
@@ -21,11 +21,8 @@ import mpmath as mp
 import numpy as np
 
 __all__ = [
-    "MLParams",
     "log_gamma",
-    "log_mittag_leffler",
     "mittag_type_imaginary",
-    "polylog",
     "gauss_sum",
     "MAX_DPS",
     "MAX_SERIES_TERMS",
@@ -67,18 +64,6 @@ MAX_LOST_DIGITS = 8.0
 SERIES_RTOL = 1e-2
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Parameters of the two-parameter Mittag-Leffler function E_{alpha,beta}."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("MLParams requires alpha > 0 and beta > 0")
-
-
 _LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
 
 
@@ -99,48 +84,8 @@ def log_gamma(x):
 
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler on the positive real axis
+# Mittag-Leffler type on the imaginary axis
 # ---------------------------------------------------------------------------
-
-def _ml_series_log(alpha: float, beta: float, x: float) -> float:
-    """log E_{alpha,beta}(x) for x >= 0 by log-domain summation of the series."""
-    if x == 0.0:
-        return -math.lgamma(beta)
-    logx = math.log(x)
-    # peak index ~ x^{1/alpha}/alpha; sum well past it
-    kpeak = max(8, int(x ** (1.0 / alpha) / alpha) + 8)
-    kmax = 2 * kpeak + 64
-    while True:
-        k = np.arange(kmax + 1)
-        logt = k * logx - log_gamma(alpha * k + beta)
-        m = logt.max()
-        # positive terms; ratio of successive terms at the end
-        ratio = x / (alpha * kmax + beta) ** alpha
-        if ratio < 0.5 and logt[-1] - m < math.log(1e-15) - 4:
-            s = np.exp(logt - m).sum()
-            return m + math.log(s)
-        kmax *= 2
-
-
-def _ml_asymptotic_log(alpha: float, beta: float, x: float) -> float:
-    """log of (1/alpha) x^{(1-beta)/alpha} exp(x^{1/alpha}) (leading growth term)."""
-    return -math.log(alpha) + (1.0 - beta) / alpha * math.log(x) + x ** (1.0 / alpha)
-
-
-def log_mittag_leffler(p: MLParams, x: float) -> float:
-    """log E_{alpha,beta}(x) for x >= 0.
-
-    The power series is summed in the log domain until the relative tail is
-    below 1e-14; once x^{1/alpha} reaches 35 the dominant-exponential
-    asymptotic form is used instead (the two branches agree to ~1e-12
-    there, see the tests).
-    """
-    if not x >= 0:
-        raise ValueError(f"log_mittag_leffler requires x >= 0, got x = {x!r}")
-    if x > 0 and x ** (1.0 / p.alpha) >= 35.0:
-        return _ml_asymptotic_log(p.alpha, p.beta, x)
-    return float(_ml_series_log(p.alpha, p.beta, x))
-
 
 @dataclass(frozen=True)
 class MittagTypeFit:
@@ -264,40 +209,6 @@ def series_tail(mags) -> float:
 def series_converged(total: float, tail: float) -> bool:
     """The one convergence verdict: the sum is finite and its tail at most SERIES_RTOL of it."""
     return bool(math.isfinite(total) and tail <= SERIES_RTOL * abs(total))
-
-
-# ---------------------------------------------------------------------------
-# Polylogarithm inside the unit disc
-# ---------------------------------------------------------------------------
-
-def polylog(s: float, zeta: complex) -> complex:
-    """Li_s(zeta) = sum_{n>=1} zeta^n / n^s for |zeta| < 1.
-
-    Plain series, summed in vectorized blocks with a geometric tail bound.
-    Relative accuracy target 1e-13, relaxed to 1e-8 for |zeta| > 0.999.
-    No analytic continuation past the unit circle is attempted.
-    """
-    zeta = complex(zeta)
-    r = abs(zeta)
-    if r >= 1.0:
-        raise ValueError(f"polylog requires |zeta| < 1, got |zeta| = {r}")
-    if r == 0.0:
-        return 0.0 + 0.0j
-    rtol = 1e-8 if r > 0.999 else 1e-13
-    block = 4096
-    total = 0.0 + 0.0j
-    n0 = 1
-    # tail bound: for q = r ((n0+1)/n0)^{-s} < 1 the terms beyond n0 are
-    # dominated by the geometric series term(n0) * q / (1-q)
-    while True:
-        n = np.arange(n0, n0 + block)
-        total += np.sum(zeta**n / n.astype(float) ** s)
-        n0 += block
-        q = r * math.exp(-s * math.log1p(1.0 / n0))
-        if q < 1.0:
-            tail_log = n0 * math.log(r) - s * math.log(n0) + math.log(q / (1.0 - q))
-            if tail_log < math.log(rtol) + math.log(max(abs(total), 1e-300)):
-                return total
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ comparable to the entire even function
 
 whose square has Taylor-type coefficients A_n = sum_k a_k a_{n-k}.  The
 machinery checked here: the asymptotics A_n ~ (2e/(alpha n))^{alpha n}
-n^{-2 beta - 1/2}, the bridge M_n ~ 1/sqrt(A_n) to the derivative-weight
-sequence, the discrete Laplace method behind it, and the epsilon_n = n^{-mu}
-remainder split.
+n^{-2 beta - 1/2} and the discrete Laplace method behind it.
 """
 
 from __future__ import annotations
@@ -22,21 +20,16 @@ import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gevrey import GevreyParams, _log_Mn
+from .gevrey import GevreyParams
 from .holo import CoeffSeq
 from .numkit import gauss_sum, log_gamma
 
 __all__ = [
     "varpi_params",
     "varpi_coeffs",
-    "varpi_log",
     "convolution_An",
-    "an_vs_Mn_bridge",
     "discrete_laplace",
-    "laplace_remainder_split",
-    "BridgeResult",
     "LaplaceResult",
-    "RemainderSplit",
 ]
 
 MAX_AN_TERMS = 5000  # largest N of convolution_An, O(N^2) terms in blocks of rows
@@ -63,14 +56,6 @@ def varpi_coeffs(p: GevreyParams, N: int) -> CoeffSeq:
     k = np.arange(N + 1)
     lm = -log_gamma(alpha * k + beta + 1.0)
     return CoeffSeq(lm, np.ones(N + 1, dtype=complex), "even")
-
-
-def varpi_log(c: CoeffSeq, xi: float) -> float:
-    """log varpi(xi) = log sum_k a_k xi^{2k} by log-domain summation."""
-    k = np.arange(len(c))
-    logt = c.log_mag + 2.0 * k * math.log(abs(xi)) if xi != 0 else c.log_mag
-    m = np.max(logt)
-    return float(m + math.log(np.exp(logt - m).sum()))
 
 
 def convolution_An(p: GevreyParams, N: int):
@@ -101,26 +86,6 @@ def convolution_An(p: GevreyParams, N: int):
         for i, n in enumerate(range(n0, n1)):
             logA[n] = m[i] + math.log(T[i, :n + 1].sum())
     return logA
-
-
-@dataclass(frozen=True)
-class BridgeResult:
-    band_width: float
-    median: float
-    values: np.ndarray
-
-
-def an_vs_Mn_bridge(p: GevreyParams, N: int) -> BridgeResult:
-    """Bounds max_n |log(M_n sqrt(A_n)) - median| over n <= N.
-
-    A bounded band confirms M_n ~ 1/sqrt(A_n) for the weight sequence of the
-    class (s, 1, gamma).
-    """
-    logA = convolution_An(p, N)
-    logM = _log_Mn(p, np.arange(N + 1, dtype=float))
-    v = logM + 0.5 * logA
-    med = float(np.median(v))
-    return BridgeResult(float(np.max(np.abs(v - med))), med, v)
 
 
 # ---------------------------------------------------------------------------
@@ -192,53 +157,3 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
         log10_rel = float(mp.log10(rel)) if rel > 0 else -math.inf
         return LaplaceResult(float(mp.log(s)), float(mp.log(pred)), float(rel), log10_rel)
 
-
-# ---------------------------------------------------------------------------
-# Remainder split of the A_n derivation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RemainderSplit:
-    near: float
-    far: float
-    gn_half: float
-    eps_n: float
-
-
-def _log_h(x: np.ndarray, alpha: float) -> np.ndarray:
-    # h(x) = x^{alpha x} (1-x)^{alpha(1-x)}; xlogx -> 0 at the endpoints
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(x > 0, x * np.log(x), 0.0)
-        t2 = np.where(x < 1, (1 - x) * np.log(1 - x), 0.0)
-    return alpha * (t1 + t2)
-
-
-def laplace_remainder_split(alpha: float, beta: float, n: int, mu: float) -> RemainderSplit:
-    """The two remainder sums of the A_n derivation, normalized by 2^{alpha n}/sqrt(n).
-
-    Splits (1/n) sum_k (g_n(k/n) - g_n(1/2)) h(k/n)^{-n} at |k/n - 1/2| =
-    eps_n = n^{-mu} with 1/4 < mu < 1/2; both normalized magnitudes must
-    vanish as n grows for the Laplace asymptotics to absorb the remainder.
-    """
-    if not (0.25 < mu < 0.5):
-        raise ValueError("mu must lie in (1/4, 1/2)")
-    eps_n = float(n) ** (-mu)
-    k = np.arange(n + 1)
-    x = k / n
-    i_n = (1.0 / n + x) * (1.0 / n + 1.0 - x)
-    g = i_n ** (-beta - 0.5)
-    g_half = (1.0 / n + 0.5) ** (2.0 * (-beta - 0.5))
-    dg = np.abs(g - g_half)
-    logterms = np.where(dg > 0, np.log(np.maximum(dg, 1e-300)), -math.inf) - n * _log_h(x, alpha)
-    near_mask = np.abs(x - 0.5) <= eps_n
-    log_norm = alpha * n * math.log(2.0) - 0.5 * math.log(n) + math.log(n)
-
-    def normed(mask):
-        lt = logterms[mask]
-        lt = lt[np.isfinite(lt)]
-        if len(lt) == 0:
-            return 0.0
-        m = lt.max()
-        return math.exp(m + math.log(math.fsum(np.exp(lt - m))) - log_norm)
-
-    return RemainderSplit(normed(near_mask), normed(~near_mask), float(g_half), eps_n)

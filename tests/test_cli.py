@@ -222,8 +222,8 @@ class TestCli:
         ("an-asymptotics", {"n_min": 0}, "n_min must lie in [1, n_max = 2000], got 0"),
         ("an-asymptotics", {"n_max": 0}, "n_max must be at least 1, got 0"),
         ("fourier-decay", {"gamma_exps": [10.0], "halfwidth": 0.5},
-         "the bump's peak exp(-2 halfwidth^-gamma_exp) underflows to 0 "
-         "(halfwidth = 0.5, gamma_exp = 10)"),
+         "halfwidth must keep the bump's peak exp(-2 halfwidth^-gamma_exp) at least e^-700, "
+         "got 0.5 at gamma_exp = 10"),
         ("track", {"K": 100},
          "flat control with K=100: derivative row 89 of the target is not finite"),
         ("theta-identity", {"cases": [[100, 2.0, 0.5], [1, 1e-5, 0.0]]},
@@ -272,6 +272,25 @@ class TestCli:
         assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().out.startswith(f"{cmd}: ERROR: {msg}")
 
+    @pytest.mark.parametrize("cmd, values, msg", [
+        ("laplace-discrete", {"alpha": 1e-300},  # "u appears constant: no strict minimum"
+         "alpha must be at least 1.6e-14, below which log h spans under 1e-14 on the grid of "
+         "n = 3 and reads as constant, got 1e-300"),
+        ("fourier-decay", {"gamma_exps": [1e300]},  # "decay window too small"
+         "gamma_exps entries must be at most 250, got 1e+300"),
+        ("fourier-decay", {"gamma_exps": [10.0], "halfwidth": 0.5},  # the peak underflowed
+         "halfwidth must keep the bump's peak exp(-2 halfwidth^-gamma_exp) at least e^-700, "
+         "got 0.5 at gamma_exp = 10")],
+        ids=["laplace-alpha", "fourier-gamma", "fourier-peak"])
+    def test_library_refusals_are_declared(self, tmp_path, capfd, cmd, values, msg):
+        # each config was refused by the library after the output directory was made,
+        # in a line that did not name the key
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert capfd.readouterr() == (f"{cmd}: ERROR: {msg}\n", "")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("values, msg", [
         ({"t_max": 1e300},  # killed with exit code 137: GBs of image terms for each point
          "t_max = 1e+300 needs 1.29615e+153 Poisson terms over 200 points, above the cap of "
@@ -307,7 +326,7 @@ class TestCli:
 
     @pytest.mark.parametrize("gamma_exps, halfwidth, code", [
         ([1.0, 1.5], 1e300, 2),  # LAPACK wrote to stderr, then "SVD did not converge"
-        ([1.0, 1e8], 1e164, 0)],  # the bound: the fit is clean there at any gamma_exp
+        ([1.0, 250], 1e164, 0)],  # the bound: the fit is clean there at any gamma_exp
         ids=["above", "at"])
     def test_fourier_decay_halfwidth_bound(self, tmp_path, capfd, gamma_exps, halfwidth, code):
         cfgp = tmp_path / "cfg.json"
@@ -343,7 +362,7 @@ class TestCli:
             "gaussian not flagged as mismatch for s=1\n")
 
     @pytest.mark.filterwarnings("error")  # the band's 0/0 warned on stderr before the FAIL
-    @pytest.mark.parametrize("values", [{"s": 1000}, {"gamma": -1000}], ids=["s", "gamma"])
+    @pytest.mark.parametrize("values", [{"gamma": -1000}], ids=["gamma"])
     def test_an_asymptotics_non_finite_band_fails_by_name(self, tmp_path, capfd, values):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(dict(values, schema=1)))
@@ -351,9 +370,24 @@ class TestCli:
                     "--assert"]) == 1
         out, err = capfd.readouterr()
         assert err == ""
-        assert out == ("an-asymptotics: FAIL: A_n/prediction band factor nan over n in "
-                       "[50, 2000] is not finite: the ratio under- or overflows float64 there "
-                       "(min 0, max 0)\n")
+        assert out == ("an-asymptotics: FAIL: A_n/prediction band factor e^7923 over n in "
+                       "[50, 2000] is beyond the float range (log ratio from -11564.1 to "
+                       "-3641.37)\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, band, span", [
+        # the log ratio spans -6942.1 to -6920.1: the ratios underflowed and the band read nan
+        ({"s": 1000}, "3.513e+09", "[50, 2000]"),
+        # the band printed with .3f ran to 83 digits
+        ({"s": 1, "gamma": -150, "n_max": 300}, "3.588e+82", "[50, 300]")],
+        ids=["s", "gamma-150"])
+    def test_an_asymptotics_band_from_the_log_ratios(self, tmp_path, capfd, values, band, span):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run(["an-asymptotics", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        assert capfd.readouterr() == (f"an-asymptotics: FAIL: A_n/prediction band factor {band} "
+                                      f"over n in {span} (allowed 10)\n", "")
 
     def test_plancherel_ratio_non_finite_norm_fails(self, tmp_path, capsys, monkeypatch):
         # N >= 100 gave NaN bump norms that max/min skipped, and a PASS
@@ -550,8 +584,9 @@ def test_cli_does_not_import_scipy_interpolate_or_integrate():
     assert out.strip() == "False False"
 
 
-def test_cli_imports_no_scipy():
-    # numpy and mpmath are the whole runtime; scipy serves the tests as an oracle
+def test_cli_imports_no_scipy(tmp_path):
+    # numpy and mpmath are the whole runtime; scipy serves the tests as an oracle.  A
+    # bergman-radius run imports no numpy.ma either (np.median did, 13.9 ms on first use)
     import os
     import subprocess
     import sys
@@ -560,7 +595,10 @@ def test_cli_imports_no_scipy():
 
     src = os.path.dirname(os.path.dirname(heatflat.__file__))
     code = ("import sys, heatflat.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            f"heatflat.cli.main(['bergman-radius', '--out', {str(tmp_path)!r}]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.split('.')[:2] == ['numpy', 'ma']))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
+    assert out.startswith("bergman-radius: PASS")

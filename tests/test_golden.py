@@ -1,12 +1,13 @@
 """The 11 default result files and messages against their committed copies.
 
 Every subcommand runs at its default config, in one process, into a fresh
-directory.  Each result file is compared with ``tests/golden/<file>``: byte
-for byte when TOLERANCES gives it no columns, otherwise column by column,
-numbers within the stated bound and everything else as text.  The messages
-must equal ``tests/golden/messages.txt`` line for line.  The 11 runs are
-made again in reverse order into a second directory, with the caches of the
-first runs still warm, and must give the same bytes.
+directory, with its defaults spelled out in a ``--config`` file.  Each
+result file is compared with ``tests/golden/<file>``: byte for byte when
+TOLERANCES gives it no columns, otherwise column by column, numbers within
+the stated bound and everything else as text.  The messages must equal
+``tests/golden/messages.txt`` line for line.  The 11 runs are made again in
+reverse order into a second directory, without a config and with the caches
+of the first runs still warm, and must give the same bytes.
 
 A change that moves a result file updates the golden copy and its bound here
 in the same diff, and says by how much in CHANGES.md.
@@ -65,10 +66,9 @@ TOLERANCES = {
 }
 
 
-# qualified name -> why it stays although no default run calls it
+# qualified name -> why it stays although no default run calls it: the links
+# of the chain that no run reaches yet
 KEEP = {
-    "cli._kind": "config check: runs only when --config is given",
-    "cli._numbers": "config check: runs only when --config is given",
     "flatness.Trackable2Result.reachable_class":
         "terminal-state link of the chain (ROADMAP item 5); perfbench chain",
     "flatness.check_trackable_finite":
@@ -81,31 +81,8 @@ KEEP = {
     "gevrey.Signal.deriv": "one derivative row; perfbench's tracer wraps it",
     "gevrey.bump_gevrey": "the one-sided bump target as a Signal; perfbench norms and chain",
     "gevrey.gevrey_cutoff": "Gevrey cutoff of order s; test_gevrey and test_flatness",
-    "heatsim.TransferKind.__post_init__":
-        "checks a transfer kind; runs at import for the module constants",
-    "heatsim.interior": "interior-observation transfer kind; test_heatsim",
-    "heatsim.kernel_laplace_quadrature":
-        "oracle of the kernel's Laplace transform; test_acceptance and test_heatsim",
-    "heatsim.omega_characterization":
-        "frequency weight of the trackable class; test_heatsim",
-    "heatsim.omega_log": "log of that weight; test_heatsim",
-    "heatsim.transfer": "closed-form transfer functions; test_acceptance and test_heatsim",
     "holo.CoeffSeq.from_values":
         "builds the terminal sequence of check_trackable_finite; test_holo",
-    "holo.CoeffSeq.polylog_seq": "Li_s-type sequences of the classifier tests; test_holo",
-    "holo.OmegaDomain.l1": "the |Re| + |Im| gauge of eval_series's domain check",
-    "holo._raw_eval": "raw series with its tail proxy, for eval_series; test_holo",
-    "holo.eval_series": "one-point series value, the oracle path of test_holo",
-    "numkit.MLParams.__post_init__": "checks Mittag-Leffler parameters; test_numkit",
-    "numkit._ml_asymptotic_log": "large-x branch of log_mittag_leffler; test_numkit",
-    "numkit._ml_series_log": "series branch of log_mittag_leffler; test_numkit",
-    "numkit.log_mittag_leffler": "log E_{alpha,beta}(x) of the paper; test_numkit",
-    "numkit.polylog": "Li_s oracle of test_holo and test_numkit",
-    "plancherel._log_h": "log h of laplace_remainder_split; perfbench's references",
-    "plancherel.an_vs_Mn_bridge": "A_n against M_n bridge bound; test_plancherel",
-    "plancherel.laplace_remainder_split":
-        "the two remainder sums of the A_n derivation; test_plancherel",
-    "plancherel.varpi_log": "log of the weight varpi; test_plancherel",
 }
 
 
@@ -136,12 +113,19 @@ def _library_functions() -> dict:
     return out
 
 
-def _run_all(names, out: Path) -> dict:
+def _run_all(names, out: Path, configs: Path = None) -> dict:
+    """Messages of the runs by name; with ``configs``, each run reads its
+    defaults from a config file written there."""
     messages = {}
     for name in names:
+        args = [name, "--out", str(out)]
+        if configs is not None:
+            path = configs / f"{name}.json"
+            path.write_text(json.dumps({"schema": 1, **cli.SUBCOMMANDS[name][1]}))
+            args += ["--config", str(path)]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            cli.main([name, "--out", str(out)])
+            cli.main(args)
         messages[name] = buf.getvalue()
     return messages
 
@@ -203,10 +187,11 @@ def default_run(tmp_path_factory):
             called.add(frame.f_code)
 
     out, reverse_out = tmp_path_factory.mktemp("golden"), tmp_path_factory.mktemp("reverse")
+    configs = tmp_path_factory.mktemp("configs")
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        messages = _run_all(cli.SUBCOMMANDS, out)
+        messages = _run_all(cli.SUBCOMMANDS, out, configs)
     finally:
         sys.setprofile(previous)
     reverse = _run_all(list(cli.SUBCOMMANDS)[::-1], reverse_out)
@@ -231,7 +216,8 @@ def test_messages_match_golden(default_run):
 
 def test_reverse_order_gives_the_same_bytes(default_run):
     # process-wide caches (OmegaDomain.quad_nodes, numkit._line_format) are
-    # warm for the reverse runs and must not change what they write
+    # warm for the reverse runs and must not change what they write, nor must
+    # the defaults spelled out in the forward runs' config files
     files = sorted(p.name for p in default_run.out.iterdir())
     assert sorted(p.name for p in default_run.reverse_out.iterdir()) == files
     assert [f for f in files if (default_run.out / f).read_bytes()

@@ -11,23 +11,14 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from heatflat.heatsim import (
-    DIR_DIR,
-    DIR_NEU,
-    NEU_DIR,
-    NEU_NEU,
     SimConfig,
-    TransferKind,
     _kernel_eigen_f64,
     _kernel_poisson,
     _poisson_terms,
-    interior,
     kernel_k,
-    kernel_laplace_quadrature,
-    omega_characterization,
-    omega_log,
     simulate,
-    transfer,
 )
+from oracles import kernel_laplace_quadrature, neu_dir_transfer
 
 
 class TestKernel:
@@ -337,82 +328,23 @@ class TestSimulate:
 
 class TestTransfer:
     def test_neu_dir_at_1(self):
-        assert abs(transfer(NEU_DIR, 1.0) - 1.0 / math.sinh(1.0)) < 1e-14
+        assert abs(neu_dir_transfer(1.0) - 1.0 / math.sinh(1.0)) < 1e-14
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 5.0])
     def test_laplace_oracle(self, s):
-        got = transfer(NEU_DIR, s)
+        got = neu_dir_transfer(s)
         want = kernel_laplace_quadrature(s)
         assert abs(got - want) < 1e-8 * abs(want)
-
-    def test_neu_neu_bounded_on_right_half_plane(self):
-        rng = np.random.default_rng(2)
-        re = rng.uniform(1e-3, 50.0, 100)
-        im = rng.uniform(-50.0, 50.0, 100)
-        vals = transfer(NEU_NEU, re + 1j * im)
-        assert np.max(np.abs(vals)) <= 1.1
 
     def test_closed_forms_consistent(self):
         s = 2.3 + 1.1j
         w = cmath.sqrt(s)
-        assert abs(transfer(NEU_DIR, s) - 1.0 / (w * cmath.sinh(w))) < 1e-13
-        assert abs(transfer(NEU_NEU, s) - 1.0 / cmath.cosh(w)) < 1e-13
-        assert abs(transfer(DIR_NEU, s) - w / cmath.sinh(w)) < 1e-13
-        assert abs(transfer(DIR_DIR, s) - 1.0 / cmath.cosh(w)) < 1e-13
-        x0 = 0.37
-        assert abs(transfer(interior(x0), s)
-                   - cmath.cosh(w * x0) / (w * cmath.sinh(w))) < 1e-13
+        assert abs(neu_dir_transfer(s) - 1.0 / (w * cmath.sinh(w))) < 1e-13
 
     def test_large_s_no_overflow(self):
-        v = transfer(NEU_DIR, 1e6 + 1e6j)
+        v = neu_dir_transfer(1e6 + 1e6j)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            transfer(NEU_DIR, -1.0)
-        with pytest.raises(ValueError):
-            TransferKind("InteriorX0", 1.5)
-        with pytest.raises(ValueError):
-            TransferKind("NeuDir", 0.5)
-
-
-class TestOmega:
-    def test_neu_dir_at_zero(self):
-        assert omega_characterization(0.0, NEU_DIR) == 1.0
-
-    def test_band_against_phi(self):
-        # |phi(i xi)| / omega(xi) in [1/c, c], c < 10, phi = sinh(sqrt s)/sqrt s
-        xi = np.geomspace(1.0, 1e6, 200)
-        w = np.sqrt(1j * xi)
-        log_phi = np.log(np.abs(np.sinh(w))) - 0.5 * np.log(xi)
-        # scaled form for large arguments
-        big = w.real > 30
-        log_phi[big] = (w.real[big] + np.log(np.abs(1 - np.exp(-2 * w[big])) / 2.0)
-                        - 0.5 * np.log(xi[big]))
-        ratio = log_phi - omega_log(xi, NEU_DIR)
-        assert np.max(np.abs(ratio)) < math.log(10.0)
-
-    def test_interior_consistency_x0_to_0(self):
-        xi = np.array([4.0, 100.0, 1e4])
-        near = omega_log(xi, TransferKind("InteriorX0", 1e-9))
-        neu = np.sqrt(xi / 2.0) - np.log1p(np.sqrt(xi))
-        assert np.allclose(near, neu, rtol=1e-6)
-
-    def test_interior_band_against_psi(self):
-        # psi(s) = sinh(sqrt s)/(sqrt s cosh(sqrt s x0)): |psi(i xi)| tracks
-        # the interior weight within a fixed multiplicative band
-        x0 = 0.37
-        xi = np.geomspace(1.0, 1e6, 150)
-        w = np.sqrt(1j * xi)
-        # scaled log forms, stable for large |w|
-        log_sinh = w.real + np.log(np.abs(1 - np.exp(-2 * w)) / 2.0)
-        log_cosh = w.real * x0 + np.log(np.abs(1 + np.exp(-2 * w * x0)) / 2.0)
-        log_psi = log_sinh - 0.5 * np.log(xi) - log_cosh
-        ratio = log_psi - omega_log(xi, TransferKind("InteriorX0", x0))
-        assert np.max(np.abs(ratio)) < math.log(10.0)
-
-    def test_gamma_classes(self):
-        xi = 100.0
-        assert abs(omega_log(xi, NEU_NEU) - math.sqrt(xi / 2.0)) < 1e-12
-        assert abs(omega_log(xi, DIR_NEU)
-                   - (math.sqrt(xi / 2.0) - 0.5 * math.log1p(xi))) < 1e-12
+            neu_dir_transfer(-1.0)

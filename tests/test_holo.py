@@ -11,22 +11,20 @@ from scipy.optimize import brentq
 
 import heatflat
 from heatflat import holo
-from heatflat.numkit import polylog
 from heatflat.holo import (
     CoeffSeq,
     OmegaDomain,
     SeriesEvaluator,
     _margin_norm,
-    _raw_eval,
     _series_coeffs_g,
     bergman_norm_estimate,
     borel_range_test,
     interpolation_counterexample,
-    eval_series,
     loss_crossover,
     loss_factors,
     radius_Ra,
 )
+from oracles import eval_series, l1, polylog, polylog_seq, raw_eval
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -34,8 +32,8 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 class TestOmegaDomain:
     def test_l1_and_contains(self):
         # the square contains zeta exactly when l1(zeta) < 1
-        assert OmegaDomain.l1(0.5 + 0.4j) == pytest.approx(0.9)
-        assert OmegaDomain.l1(0.8 + 0.4j) > 1.0
+        assert l1(0.5 + 0.4j) == pytest.approx(0.9)
+        assert l1(0.8 + 0.4j) > 1.0
 
     def test_quadrature_measures_area(self):
         for eps in (0.2, 0.05):
@@ -90,7 +88,7 @@ class TestEvalSeries:
     @pytest.mark.parametrize("zeta", [0.5, 0.7j, 0.55 + 0.3j, 0.9])
     def test_polylog_composition_oracle(self, zeta):
         # coefficients (2k)! k^{1/2}: series at R = 1/sqrt2 is Li_{-1/2}(zeta^2)
-        seq = CoeffSeq.polylog_seq(-0.5, 2000)
+        seq = polylog_seq(-0.5, 2000)
         r = eval_series(seq, zeta, INV_SQRT2)
         want = polylog(-0.5, zeta * zeta)
         assert abs(r.value - want) <= 1e-8 * abs(want)
@@ -133,7 +131,7 @@ class TestEvalSeries:
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_scale_dilates_the_argument(self, parity):
         # f_R(zeta) = f_1(R zeta)
-        base = CoeffSeq.polylog_seq(1.5, 400)
+        base = polylog_seq(1.5, 400)
         seq = CoeffSeq(base.log_mag, base.phase, parity)
         for R, zeta in ((0.5, 0.6 + 0.3j), (0.9, -0.2 + 0.5j), (1.3, 0.3 - 0.2j)):
             want = eval_series(seq, R * zeta, 1.0).value
@@ -146,7 +144,7 @@ class TestEvalSeries:
 RAW_SEQS = {
     "geometric": (CoeffSeq.geometric(1.0, 900), 0.5, -1.0),  # b_k = 2^k
     "sharp_radius": (CoeffSeq.sharp_radius(900), 0.25, 1j),  # b_k = (4i)^k / sqrt(k)
-    "polylog": (CoeffSeq.polylog_seq(-0.5, 900), 0.5, -1.0),  # b_k = 2^k sqrt(k)
+    "polylog": (polylog_seq(-0.5, 900), 0.5, -1.0),  # b_k = 2^k sqrt(k)
 }
 RAW_ANGLES = np.exp(2j * np.pi * (np.arange(5) + 0.17) / 5)
 
@@ -162,7 +160,7 @@ class TestRawEval:
     def test_against_mpmath_termwise_sum(self, name):
         lb, ph, _ = _normalized(name)
         v = np.concatenate([rho * RAW_ANGLES for rho in (0.3, 0.85, 0.95)])
-        vals, _, div = _raw_eval(lb, ph, v)
+        vals, _, div = raw_eval(lb, ph, v)
         assert not div.any()
         with mp.workdps(30):
             for vi, got in zip(v, vals):
@@ -178,10 +176,10 @@ class TestRawEval:
         lb, ph, alternating = _normalized(name)
         inside = np.concatenate([rho * RAW_ANGLES for rho in (0.3, 0.85, 0.95)])
         outside = np.concatenate([rho * RAW_ANGLES for rho in (1.5, 2.0)])
-        assert not _raw_eval(lb, ph, inside)[2].any()
-        assert _raw_eval(lb, ph, outside)[2].all()  # terms past 1e100
+        assert not raw_eval(lb, ph, inside)[2].any()
+        assert raw_eval(lb, ph, outside)[2].all()  # terms past 1e100
         # terms below 1e100 that grow to the end and outweigh the partial sum
-        assert _raw_eval(lb, ph, np.array([1.1 * alternating]))[2].all()
+        assert raw_eval(lb, ph, np.array([1.1 * alternating]))[2].all()
 
 
 class TestPolyEval:
@@ -274,7 +272,7 @@ PINNED_R = (0.5, 0.6, 1.0, 1.1)
 PINNED = {
     "geometric(2.0)": (lambda: CoeffSeq.geometric(2.0, 700), {"even": "uddd", "odd": "cddd"}),
     "geometric(-0.5)": (lambda: CoeffSeq.geometric(-0.5, 700), {"even": "ccud", "odd": "cccd"}),
-    "polylog(-0.5)": (lambda: CoeffSeq.polylog_seq(-0.5, 900), {"even": "ccdd", "odd": "ccdd"}),
+    "polylog(-0.5)": (lambda: polylog_seq(-0.5, 900), {"even": "ccdd", "odd": "ccdd"}),
     "sharp_radius": (lambda: CoeffSeq.sharp_radius(700), {"even": "ccdd", "odd": "ccdd"}),
 }
 CLASS_OF = {"c": "convergent", "d": "divergent", "u": "undecided"}
@@ -296,9 +294,9 @@ BATTERY = {
     "geometric(1.0)": lambda: CoeffSeq.geometric(1.0, 700),
     "geometric(2.0)": lambda: CoeffSeq.geometric(2.0, 700),
     "geometric(-0.5)": lambda: CoeffSeq.geometric(-0.5, 700),
-    "polylog(-0.5)": lambda: CoeffSeq.polylog_seq(-0.5, 700),
-    "polylog(0.5)": lambda: CoeffSeq.polylog_seq(0.5, 700),
-    "polylog(2.0)": lambda: CoeffSeq.polylog_seq(2.0, 700),
+    "polylog(-0.5)": lambda: polylog_seq(-0.5, 700),
+    "polylog(0.5)": lambda: polylog_seq(0.5, 700),
+    "polylog(2.0)": lambda: polylog_seq(2.0, 700),
     "sharp_radius": lambda: CoeffSeq.sharp_radius(700),
     "factorial_pair": lambda: CoeffSeq.factorial_pair(700),
     "constant3": lambda: CoeffSeq.from_values([1.0, 1.0, 1.0]),
@@ -462,7 +460,7 @@ class TestBergmanNormEstimate:
         assert abs(rep.norms[-1] - want) < 1e-8 * want
 
     def test_li_minus_half_divergent_by_slope(self):
-        rep = bergman_norm_estimate(CoeffSeq.polylog_seq(-0.5, 3000), INV_SQRT2)
+        rep = bergman_norm_estimate(polylog_seq(-0.5, 3000), INV_SQRT2)
         assert rep.classification == "divergent"
         # blow-up like integral of |1-zeta|^{-3}: norms ~ 1/eps, slope ~ 1
         assert 0.7 < rep.slope < 1.3
@@ -539,7 +537,7 @@ class TestRadiusRa:
         # outside the square; the certified-outside rule must keep the
         # membership verdict until the singularity actually reaches the
         # boundary (regression: the slope rule used to fire ~5% early)
-        lo, hi = radius_Ra(CoeffSeq.polylog_seq(-0.5, 900), tol=0.01)
+        lo, hi = radius_Ra(polylog_seq(-0.5, 900), tol=0.01)
         assert INV_SQRT2 - 0.02 <= lo <= hi <= INV_SQRT2 + 0.02
 
 

@@ -8,24 +8,20 @@ from scipy.special import gammaln
 
 from heatflat.numkit import (
     MAX_LOST_DIGITS,
-    MLParams,
     _imag_digits_lost,
     _imag_series_terms,
     _log_abs_E_beta_imag,
-    _ml_asymptotic_log,
-    _ml_series_log,
     _theta_digits,
     gauss_sum,
     log_gamma,
-    log_mittag_leffler,
     mittag_type_imaginary,
-    polylog,
     series_converged,
     series_tail,
     theta_dps,
     theta_gauss_sum,
     write_csv,
 )
+from oracles import polylog
 
 
 class TestLogGamma:
@@ -48,43 +44,6 @@ class TestLogGamma:
         ref = gammaln(x)
         assert np.all(np.abs(v - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
         assert [log_gamma(xi) for xi in x[::1000]] == v[::1000].tolist()
-
-
-class TestMittagLeffler:
-    def test_exp_special_case(self):
-        p = MLParams(1.0, 1.0)
-        for x in np.linspace(0.0, 30.0, 13):
-            got = log_mittag_leffler(p, float(x))
-            assert abs(got - x) < 1e-12 * max(x, 1.0)
-
-    @pytest.mark.parametrize("alpha,beta", [(4.0, 1.0), (2.0, 3.0), (1.5, 0.5)])
-    def test_x_zero(self, alpha, beta):
-        v = math.exp(log_mittag_leffler(MLParams(alpha, beta), 0.0))
-        assert abs(v - 1.0 / math.gamma(beta)) < 1e-14
-
-    def test_asymptotic_regime_ratio(self):
-        # (alpha=4, beta=1, x=1e4): value within 1% of (1/a) x^{(1-b)/a} e^{x^{1/a}}
-        got = _ml_series_log(4.0, 1.0, 1e4)
-        asy = _ml_asymptotic_log(4.0, 1.0, 1e4)
-        assert abs(math.expm1(got - asy)) < 0.01
-
-    def test_switch_point_overlap(self):
-        # series and asymptotic branches agree near the switch x^{1/alpha} = 35
-        for alpha, beta in [(1.0, 1.0), (2.0, 1.5), (4.0, 1.0)]:
-            x = 35.0**alpha
-            s = _ml_series_log(alpha, beta, x)
-            a = _ml_asymptotic_log(alpha, beta, x)
-            assert abs(math.expm1(s - a)) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_mittag_leffler(MLParams(1, 1), -1.0)
-        with pytest.raises(ValueError):
-            MLParams(0.0, 1.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="x = nan"):
-            log_mittag_leffler(MLParams(1, 1), math.nan)
 
 
 class TestMittagTypeImaginary:

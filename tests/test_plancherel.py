@@ -7,12 +7,9 @@ import pytest
 from heatflat.gevrey import GevreyParams
 from heatflat.plancherel import (
     MAX_LAPLACE_N,
-    an_vs_Mn_bridge,
     convolution_An,
     discrete_laplace,
-    laplace_remainder_split,
     varpi_coeffs,
-    varpi_log,
     varpi_params,
 )
 
@@ -43,14 +40,6 @@ class TestVarpiCoeffs:
             varpi_params(GevreyParams(2.0, 1.0, 0.5))
         with pytest.raises(ValueError):
             varpi_params(GevreyParams(2.0, 0.5, -0.5))
-
-    def test_asymptotic_reconstruction_at_1e6(self):
-        c = varpi_coeffs(P, 2000)
-        xi = 1e6
-        got = varpi_log(c, xi)
-        alpha, beta = 4.0, 1.0
-        want = -math.log(alpha) + P.gamma * math.log(xi) + xi ** (1.0 / P.s)
-        assert abs(math.expm1(got - want)) < 0.02
 
 
 def _convolution_An_rowwise(p, N):
@@ -114,18 +103,6 @@ class TestConvolutionAn:
         assert np.all(np.isfinite(logA))
         d2 = np.diff(logA, 2)
         assert np.max(np.abs(d2[10:])) < 1.0
-
-
-class TestBridge:
-    def test_band_below_ln10(self):
-        r = an_vs_Mn_bridge(P, 1000)
-        assert r.band_width < math.log(10.0)
-        assert np.isfinite(r.values[0])
-
-    def test_band_stable_when_N_doubles(self):
-        b500 = an_vs_Mn_bridge(P, 500).band_width
-        b1000 = an_vs_Mn_bridge(P, 1000).band_width
-        assert abs(b1000 - b500) <= 0.1 * b500
 
 
 class TestDiscreteLaplace:
@@ -198,28 +175,3 @@ class TestDiscreteLaplace:
         want = alpha * 2000 * math.log(2.0)
         assert abs(r.log_prediction - (want + 0.5 * math.log(2 * math.pi / (16 * 2000)))) < 1e-9
 
-
-class TestRemainderSplit:
-    @pytest.mark.parametrize("mu", [0.3, 0.45])
-    def test_decay_trend(self, mu):
-        vals = [laplace_remainder_split(4.0, 1.0, n, mu) for n in (500, 1000, 2000)]
-        near = [v.near for v in vals]
-        far = [v.far for v in vals]
-        assert near[0] > near[1] > near[2]
-        assert far[0] >= far[1] >= far[2]
-
-    def test_gn_half_limit(self):
-        # g_n(1/2) = (1/2 + 1/n)^{-2 beta - 1} -> 4^{beta + 1/2} at rate ~ 48/n
-        gaps = []
-        for n in (1000, 10000, 100000):
-            v = laplace_remainder_split(4.0, 1.0, n, 0.3)
-            gap = abs(v.gn_half - 4.0 ** (1.0 + 0.5))
-            assert gap < 60.0 / n
-            gaps.append(gap)
-        assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_mu_domain(self):
-        with pytest.raises(ValueError):
-            laplace_remainder_split(4.0, 1.0, 500, 0.2)
-        with pytest.raises(ValueError):
-            laplace_remainder_split(4.0, 1.0, 500, 0.5)
