@@ -197,9 +197,12 @@ def run_an_asymptotics(cfg, out):
     n = np.arange(1, N + 1)
     logpred = alpha * n * (np.log(2.0 * math.e) - np.log(alpha * n)) + (-2 * beta - 0.5) * np.log(n)
     log_ratio = logA[1:] - logpred
-    # n <= MAX_AN_TERMS goes as a float, which %.17g writes with the digits of the integer
+    # n <= MAX_AN_TERMS goes as a float, which %.17g writes with the digits of the integer;
+    # a ratio beyond the float range is written as inf
+    with np.errstate(over="ignore"):
+        ratio = np.exp(log_ratio)
     _write_csv(os.path.join(out, "an_asymptotics.csv"), ["n", "log_An", "log_pred", "ratio"],
-               np.column_stack((n, logA[1:], logpred, np.exp(log_ratio))))
+               np.column_stack((n, logA[1:], logpred, ratio)))
     # the band from the log ratios: the ratios themselves underflow long before it leaves
     # the float range
     lr = log_ratio[n >= int(cfg["n_min"])]
@@ -219,16 +222,22 @@ def _log10_truncation_law(n: int) -> float:
             - 0.5 * math.log10(math.pi * n))
 
 
-def _quadratic_dps(n: int) -> int:
-    """Working precision of the quadratic case: 40 digits below its truncation error."""
-    return int(0.25 * n / math.log(10)) + 40
+def _log_h(alpha):
+    """u = alpha (x log x + (1 - x) log(1 - x)) on an array: 0.0 outside (0, 1)."""
+    def u(x):
+        x = np.asarray(x, float)
+        v, inside = np.zeros_like(x), (0 < x) & (x < 1)
+        xi = x[inside]
+        v[inside] = alpha * (xi * np.log(xi) + (1 - xi) * np.log(1 - xi))
+        return v
+    return u
 
 
 def run_laplace_discrete(cfg, out):
     rows, log_rels = [], []
     for n in cfg["n_quadratic"]:
-        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, int(n),
-                                        dps=_quadratic_dps(n))
+        # the dual form resolves the error at a fixed 40 digits, whatever n
+        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, int(n), dps=40)
         log_rels.append(r.log10_rel_err)
         rows.append(("quadratic", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err,
                      _log10_truncation_law(int(n))))
@@ -236,8 +245,7 @@ def run_laplace_discrete(cfg, out):
     ok = ok and all(b < a for a, b in zip(log_rels, log_rels[1:]))
     alpha = cfg["alpha"]
     for n in cfg["n_logh"]:
-        logh = lambda x: alpha * (x * math.log(x) + (1 - x) * math.log(1 - x)) if 0 < x < 1 else 0.0
-        r = plancherel.discrete_laplace(logh, 4.0 * alpha, 0.5, int(n))
+        r = plancherel.discrete_laplace(_log_h(alpha), 4.0 * alpha, 0.5, int(n))
         rows.append(("log_h", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err, ""))
         if n >= 2000:
             ok = ok and r.rel_err < 5e-2
@@ -361,6 +369,9 @@ SUBCOMMANDS = {
 
 _K_LOW, _N_MIN = "be 0 (no comparison) or lie in [1, K = {K})", "lie in [1, n_max = {n_max}]"
 _DPS = "digits of working precision"
+# the bound on alpha n_max and on beta: once both reach 8.54e304, the convolution's sum of two
+# log Gamma values of the coefficients leaves the float range
+_AN_PRODUCT = 5e304
 
 # Every config key's range, checked in order before any work; [] leaves a threshold open (README's
 # "Config ranges" gives what each limit rests on).  A rule is (op, limit[, must[, cost]]): x, each
@@ -386,11 +397,14 @@ RULES = {
         "threshold": [], "shrink_factor": []},
     "plancherel-ratio": {"s": [(">=", 1)], "R": [(">", 0)], "gamma": [(">=", -300), ("<=", 200)],
                          "N": [(">=", 1), ("<=", 512)], "c_hat": []},
-    "an-asymptotics": {"s": [(">", 0)], "gamma": [("<", 0)], "band_factor": [],
+    "an-asymptotics": {"s": [(">", 0), ("<=", _AN_PRODUCT, "as alpha n_max = 2 s n_max",
+                                        lambda s, c: 2.0 * s * c["n_max"])],
+                       "gamma": [("<", 0), ("<=", _AN_PRODUCT, "as beta = -gamma s",
+                                            lambda g, c: -g * c["s"])], "band_factor": [],
                        "n_max": [(">=", 1), ("<=", plancherel.MAX_AN_TERMS)],
                        "n_min": [(">=", 1, _N_MIN), ("<=", lambda c: c["n_max"], _N_MIN)]},
     "laplace-discrete": {
-        "n_quadratic": [(">=", 2), ("<=", numkit.MAX_DPS, _DPS, lambda n, c: _quadratic_dps(n))],
+        "n_quadratic": [(">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
         "n_logh": [(">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
         "alpha": [(">=", 1.6e-14, "be at least 1.6e-14, below which log h spans under 1e-14 "
                                   "on the grid of n = 3 and reads as constant"), ("<=", 1e300)],
@@ -407,6 +421,8 @@ RULES = {
     "loss-table": {"s_grid": [(">", 1)]},
     "fourier-decay": {
         "gamma_exps": [lambda v, c: not all(g > 0 for g in v) and f"entries must be > 0, got {v}",
+                       (">=", 1e-12, "be at least 1e-12, below which the fit's abscissae "
+                                     "xi^(1/s_nominal) all but coincide and np.polyfit warns"),
                        ("<=", 250)],
         "halfwidth": [(">", 0), ("<=", 1e164),
                       lambda hw, c: next((f"must keep the bump's peak exp(-2 halfwidth^-gamma_exp) "

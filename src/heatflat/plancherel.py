@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .gevrey import GevreyParams
 from .holo import CoeffSeq
-from .numkit import gauss_sum, log_gamma
+from .numkit import _GUARD_BITS, gauss_sum, log_gamma
 
 __all__ = [
     "varpi_params",
@@ -34,7 +34,8 @@ __all__ = [
 
 MAX_AN_TERMS = 5000  # largest N of convolution_An, O(N^2) terms in blocks of rows
 _AN_BLOCK = 16  # rows per block of convolution_An
-MAX_LAPLACE_N = 1_000_000  # largest n of discrete_laplace: u(k/n) is sampled in a Python loop
+MAX_LAPLACE_N = 1_000_000  # largest n of discrete_laplace: n + 1-point arrays and fsum, 0.15 s
+_MODEL_DIGITS = 20  # digits the dps mode of discrete_laplace keeps after cancellation
 
 
 def varpi_params(p: GevreyParams) -> tuple:
@@ -104,20 +105,21 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
     """(1/n) sum_{k=0}^n e^{-n u(k/n)} against sqrt(2 pi/(u''(x0) n)) e^{-n u(x0)}.
 
     ``u`` must have a strict global minimum at x0 in (0,1) with u''(x0) > 0
-    (``d2u_x0``), and 2 <= n <= MAX_LAPLACE_N.  Sums run in the log domain.
+    (``d2u_x0``), and 2 <= n <= MAX_LAPLACE_N.  ``u`` is called once on the
+    array of grid points k/n (a scalar is broadcast) and once at x0.  Sums
+    run in the log domain.
 
     With ``dps`` set, ``u`` must be its own Gaussian model
     u(x0) + u''(x0)/2 (x - x0)^2: the float values u(k/n) must match it to
     1e-12 max(1, max |model|), and any other ``u`` raises ValueError.  The
-    model sum is then evaluated exactly, at ``dps`` digits, as
-    e^{-n u(x0)} gauss_sum(u''(x0)/(2n), n x0, 0, n) / n -- required to resolve
-    the superexponentially small error of the pure-Gaussian case.  That error
-    is the boundary truncation of the bilateral Gaussian sum, the terms
-    beyond k = 0 and k = n: for u = (x - 1/2)^2 it is about
-    2 e^{-n/4} / ((e - 1) sqrt(pi n)).  The theta gap of the bilateral sum,
-    O(e^{-pi^2 n}), lies far below it.  The CLI's rule
-    dps = 0.25 n/ln 10 + 40 is matched to the truncation law (40 digits below
-    e^{-n/4}), not to the theta gap.
+    model sum is then evaluated exactly, at ``dps`` digits of working
+    precision, in the Poisson-dual form of :func:`_gaussian_model`, which
+    resolves its superexponentially small error at a precision that does not
+    grow with n.  That error is the boundary truncation of the bilateral
+    Gaussian sum, the terms beyond k = 0 and k = n: for u = (x - 1/2)^2 it is
+    about 2 e^{-n/4} / ((e - 1) sqrt(pi n)).  Where the dual's terms cancel
+    to fewer than 20 digits the sum is taken once more at ``dps`` raised by
+    the digits lost, and ValueError is raised if that is not enough either.
     """
     if n < 2:
         raise ValueError(f"discrete Laplace requires n >= 2, got n = {n}")
@@ -128,7 +130,7 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
     if not d2u_x0 > 0:
         raise ValueError("discrete Laplace requires u''(x0) > 0")
     k = np.arange(n + 1)
-    uvals = np.array([float(u(ki / n)) for ki in k])
+    uvals = np.broadcast_to(np.asarray(u(k / n), float), k.shape)
     umin = uvals.min()
     if uvals.max() - umin < 1e-14:
         raise ValueError("u appears constant: no strict minimum")
@@ -149,11 +151,59 @@ def discrete_laplace(u, d2u_x0: float, x0: float, n: int, dps: int = None) -> La
     if np.max(np.abs(uvals - model)) > 1e-12 * max(1.0, np.max(np.abs(model))):
         raise ValueError("the dps mode sums the Gaussian model exactly: u must equal "
                          "u(x0) + u''(x0)/2 (x - x0)^2 on the grid k/n")
+    res, lost = _gaussian_model(u0, d2u_x0, x0, n, dps)
+    if dps - lost < _MODEL_DIGITS:  # cancelled: once more, with the digits lost added
+        dps = max(dps, _MODEL_DIGITS) + math.ceil(lost)
+        res, lost = _gaussian_model(u0, d2u_x0, x0, n, dps)
+        if dps - lost < _MODEL_DIGITS:
+            raise ValueError(f"the Gaussian model sum cancels to fewer than {_MODEL_DIGITS} "
+                             f"digits at {dps} digits of working precision")
+    return res
+
+
+def _gaussian_model(u0, d2u_x0, x0, n, dps):
+    """The dps mode of :func:`discrete_laplace` at ``dps`` digits, and the digits it lost.
+
+    With c = u''(x0)/(2n) and kc = n x0 the model sum over k = 0..n is
+    e^{-n u0}/n (sqrt(pi/c) theta - T_lo - T_hi), where, by Poisson summation,
+    theta = 1 + 2 sum_{m>=1} e^{-pi^2 m^2/c} cos(2 pi m kc), and T_lo and T_hi
+    are the Gaussian sums over k < 0 and k > n.  So the ratio to the
+    prediction is q = 1 + delta with delta = (theta - 1) - (T_lo + T_hi)/sqrt(pi/c),
+    and rel_err is |delta|, with no digits lost to the 1 that cancels.  Each
+    tail is a :func:`gauss_sum` of M = ceil(sqrt((prec + 64) ln 2 / c)) + 1
+    terms, beyond which every term is below 2^-(prec + 64) of its first.
+    Where M > n the tails would be longer than the sum itself, whose error is
+    then not small: the sum over k = 0..n is taken directly.  The digits lost
+    are log10 of the operands' size over |delta|, and over q.
+    """
     with mp.workdps(dps):
         d2u, scale = mp.mpf(d2u_x0), mp.exp(-n * mp.mpf(u0))
-        s = scale * gauss_sum(d2u / (2 * n), n * mp.mpf(x0), 0, n) / n
+        c, kc = d2u / (2 * n), n * mp.mpf(x0)
+        root = mp.sqrt(mp.pi / c)
+        M = int(mp.ceil(mp.sqrt((mp.mp.prec + _GUARD_BITS) * mp.ln2 / c))) + 1
+        if M > n:
+            q = gauss_sum(c, kc, 0, n) / root
+            delta, size, q_size = q - 1, max(q, 1), q
+        else:
+            theta1, env = _theta_minus_one(c, kc)
+            tails = (gauss_sum(c, kc, -M, -1) + gauss_sum(c, kc, n + 1, n + M)) / root
+            delta, size = theta1 - tails, max(env, tails)
+            q, q_size = 1 + delta, 1 + size
+        lost = float(mp.log10(max(size / abs(delta), q_size / q))) if delta and q > 0 else dps
         pred = mp.sqrt(2 * mp.pi / (d2u * n)) * scale
-        rel = abs(s / pred - 1)
+        rel = abs(delta)
         log10_rel = float(mp.log10(rel)) if rel > 0 else -math.inf
-        return LaplaceResult(float(mp.log(s)), float(mp.log(pred)), float(rel), log10_rel)
+        return LaplaceResult(float(mp.log(pred * q)), float(mp.log(pred)), float(rel),
+                             log10_rel), lost
 
+
+def _theta_minus_one(c, kc):
+    """(theta - 1, its terms' size): 2 sum_{m>=1} e^{-pi^2 m^2/c} cos(2 pi m kc) and
+    2 sum e^{-pi^2 m^2/c}, over the m whose e^{-pi^2 m^2/c} is at least 2^-prec of the first."""
+    a = mp.pi**2 / c
+    total = size = mp.mpf(0)
+    m = 1
+    while a * (m * m - 1) <= mp.mp.prec * mp.ln2:
+        t = 2 * mp.exp(-a * m * m)
+        total, size, m = total + t * mp.cospi(2 * m * kc), size + t, m + 1
+    return total, size

@@ -229,9 +229,8 @@ class TestCli:
         ("theta-identity", {"cases": [[100, 2.0, 0.5], [1, 1e-5, 0.0]]},
          "cases entry [1, 1e-05, 0.0] needs 857302 digits of working precision, "
          "above the cap of 10000"),
-        ("laplace-discrete", {"n_quadratic": [100, 1000000]},
-         "n_quadratic entry 1000000 needs 108613 digits of working precision, "
-         "above the cap of 10000"),
+        ("laplace-discrete", {"n_quadratic": [100, 1000001]},
+         "n_quadratic entries must be at most 1000000, got 1000001"),
         ("plancherel-ratio", {"s": 1e-12}, "s must be at least 1, got 1e-12"),
         ("plancherel-ratio", {"s": 0.05}, "s must be at least 1, got 0.05"),
         ("an-asymptotics", {"n_max": 20000}, "n_max must be at most 5000, got 20000"),
@@ -337,6 +336,21 @@ class TestCli:
         if code:
             assert out == "fourier-decay: ERROR: halfwidth must be at most 1e+164, got 1e+300\n"
 
+    @pytest.mark.filterwarnings("error")  # np.polyfit's RankWarning went to stderr
+    @pytest.mark.parametrize("gamma_exp, code", [(1e-13, 2), (1e-12, 0)], ids=["below", "at"])
+    def test_fourier_decay_gamma_floor(self, tmp_path, capfd, gamma_exp, code):
+        # the edge is at about 7.5e-13 for halfwidths from 0.7 to 1e100
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "gamma_exps": [gamma_exp]}))
+        assert run(["fourier-decay", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == code
+        out, err = capfd.readouterr()
+        assert err == ""
+        if code:
+            assert out == ("fourier-decay: ERROR: gamma_exps entries must be at least 1e-12, "
+                           "below which the fit's abscissae xi^(1/s_nominal) all but coincide "
+                           "and np.polyfit warns, got 1e-13\n")
+            assert not (tmp_path / "o").exists()
+
     def test_fourier_decay_fail_names_the_failed_fits(self, tmp_path, capsys):
         # at halfwidth 100 both bump fits are flagged; the line said "bump fits positive and clean"
         cfgp = tmp_path / "cfg.json"
@@ -388,6 +402,39 @@ class TestCli:
                     "--assert"]) == 1
         assert capfd.readouterr() == (f"an-asymptotics: FAIL: A_n/prediction band factor {band} "
                                       f"over n in {span} (allowed 10)\n", "")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, msg", [
+        # numpy warned on stderr, then "ERROR: log_gamma requires x > 0, got nan"
+        ({"s": 1e308}, "s = 1e+308 needs inf as alpha n_max = 2 s n_max"),
+        # an OverflowError traceback from math.lgamma
+        ({"s": 1e302}, "s = 1e+302 needs 4e+305 as alpha n_max = 2 s n_max"),
+        # numpy warned on stderr, then "ERROR: math domain error"
+        ({"gamma": -1.7e308}, "gamma = -1.7e+308 needs inf as beta = -gamma s"),
+        ({"s": 1e300, "gamma": -1e10}, "gamma = -1e+10 needs inf as beta = -gamma s")],
+        ids=["s-1e308", "s-1e302", "gamma", "product"])
+    def test_an_asymptotics_products_bound(self, tmp_path, capfd, values, msg):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run(["an-asymptotics", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert capfd.readouterr() == (
+            f"an-asymptotics: ERROR: {msg}, above the cap of 5e+304\n", "")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, ratio", [
+        # alpha n_max = 4.8e304 and beta = 4.92e304: the coefficients' logs stay finite
+        ({"s": 1.2e301, "gamma": -4100.0}, "0"),
+        # exp of the log ratios overflowed with a warning on stderr
+        ({"s": 1e250, "gamma": -1e-250}, "inf")], ids=["corner", "ratio-inf"])
+    def test_an_asymptotics_inside_the_products_bound(self, tmp_path, capfd, values, ratio):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run(["an-asymptotics", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+        out, err = capfd.readouterr()
+        assert err == ""
+        assert out.startswith("an-asymptotics: FAIL: A_n/prediction band factor e^")
+        assert f",{ratio}\n" in (tmp_path / "an_asymptotics.csv").read_text()
 
     def test_plancherel_ratio_non_finite_norm_fails(self, tmp_path, capsys, monkeypatch):
         # N >= 100 gave NaN bump norms that max/min skipped, and a PASS

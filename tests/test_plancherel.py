@@ -4,7 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from heatflat import plancherel
 from heatflat.gevrey import GevreyParams
+from heatflat.numkit import gauss_sum
 from heatflat.plancherel import (
     MAX_LAPLACE_N,
     convolution_An,
@@ -17,10 +19,13 @@ P = GevreyParams(2.0, 1.0, -0.5)  # alpha = 4, beta = 1
 
 
 def _log_h_u(x, alpha=4.0):
-    """u = log h, h(x) = x^{alpha x} (1-x)^{alpha(1-x)}, with u''(1/2) = 4 alpha."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return alpha * (x * math.log(x) + (1 - x) * math.log(1 - x))
+    """u = log h, h(x) = x^{alpha x} (1-x)^{alpha(1-x)}, with u''(1/2) = 4 alpha, on an
+    array: 0.0 outside (0, 1)."""
+    x = np.asarray(x, float)
+    u, inside = np.zeros_like(x), (0 < x) & (x < 1)
+    xi = x[inside]
+    u[inside] = alpha * (xi * np.log(xi) + (1 - xi) * np.log(1 - xi))
+    return u
 
 
 class TestVarpiCoeffs:
@@ -175,3 +180,124 @@ class TestDiscreteLaplace:
         want = alpha * 2000 * math.log(2.0)
         assert abs(r.log_prediction - (want + 0.5 * math.log(2 * math.pi / (16 * 2000)))) < 1e-9
 
+
+
+def _model(x0, d2u):
+    return lambda x: 0.5 * d2u * (x - x0) ** 2
+
+
+def _model_digits(n, x0, d2u):
+    """The CLI's former precision rule 0.25 n/ln 10 + 40 for any model: 40 digits below
+    e^{-u'' n d^2/2}, the first term beyond the nearer end, d = min(x0, 1 - x0)."""
+    d = min(x0, 1.0 - x0)
+    return int(d2u * n * d * d / (2.0 * math.log(10))) + 40
+
+
+def _fields(pred, delta):
+    """(log_sum, log_prediction, rel_err, log10_rel_err) for a sum of pred (1 + delta)."""
+    rel = abs(delta)
+    return (float(mp.log(pred * (1 + delta))), float(mp.log(pred)), float(rel),
+            float(mp.log10(rel)) if rel > 0 else -math.inf)
+
+
+def _direct(n, x0, d2u, dps):
+    """The four fields from the model sum over k = 0..n, by one gauss_sum at dps digits."""
+    with mp.workdps(dps):
+        d2 = mp.mpf(d2u)
+        pred = mp.sqrt(2 * mp.pi / (d2 * n))
+        return _fields(pred, gauss_sum(d2 / (2 * n), n * mp.mpf(x0), 0, n) / n / pred - 1)
+
+
+def _per_term(n, x0, d2u, dps=60):
+    """The four fields from the dual form with every term its own mp.exp: the two tails
+    and theta - 1, each up to the first term below 10^-(dps + 5) of its first."""
+    with mp.workdps(dps):
+        c, kc, small = mp.mpf(d2u) / (2 * n), n * mp.mpf(x0), mp.mpf(10) ** -(dps + 5)
+
+        def walk(term, start, step):
+            first, total, j = term(start), 0, start
+            while (t := term(j)) >= small * first:
+                total, j = total + t, j + step
+            return total
+
+        gauss = lambda k: mp.exp(-c * (k - kc) ** 2)
+        # up to m with pi^2 (m^2 - 1)/c past (dps + 5) ln 10
+        m_hi = 2 + int(mp.sqrt(1 + c * (dps + 5) * mp.ln(10)) / mp.pi)
+        theta1 = 2 * mp.fsum(mp.exp(-mp.pi**2 * m * m / c) * mp.cospi(2 * m * kc)
+                             for m in range(1, m_hi))
+        tails = (walk(gauss, -1, -1) + walk(gauss, n + 1, 1)) / mp.sqrt(mp.pi / c)
+        return _fields(mp.sqrt(2 * mp.pi / (mp.mpf(d2u) * n)), theta1 - tails)
+
+
+def _ulps(a, b):
+    return 0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+_GRID = [(n, x0, d2u) for n in (2, 3, 7, 100, 1000, 12345) for x0 in (0.3, 0.37, 0.45, 0.5, 0.61)
+         for d2u in (0.5, 2, 3, 7, 200)]
+# the direct reference needs twice the model's digits, plus 50, over all n + 1 terms: up to
+# 2000 digits it costs under 0.6 s a case
+_DIRECT = [g for g in _GRID if 2 * _model_digits(*g) + 50 <= 2000]
+_BEYOND = [g for g in _GRID if g not in _DIRECT]
+
+
+class TestDualForm:
+    """The dps mode's Poisson-dual form at a fixed 40 digits against the model sum."""
+
+    @pytest.mark.parametrize("n, x0, d2u", _DIRECT)
+    def test_equals_the_direct_sum(self, n, x0, d2u):
+        r = discrete_laplace(_model(x0, d2u), d2u, x0, n, dps=40)
+        ref = _direct(n, x0, d2u, 2 * _model_digits(n, x0, d2u) + 50)
+        got = (r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err)
+        assert max(_ulps(a, b) for a, b in zip(got, ref)) <= 1
+
+    @pytest.mark.parametrize("n, x0, d2u", _BEYOND)
+    def test_equals_per_term_sums_beyond_the_direct_reach(self, n, x0, d2u):
+        r = discrete_laplace(_model(x0, d2u), d2u, x0, n, dps=40)
+        ref = _per_term(n, x0, d2u)
+        got = (r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err)
+        assert max(_ulps(a, b) for a, b in zip(got, ref)) <= 1
+
+    def test_error_below_the_callers_digits_is_resolved(self):
+        # the former rule gave 583 digits here, for an error of 10^-1159: rel_err 0, log10 -inf
+        r = discrete_laplace(_model(0.61, 7.0), 7.0, 0.61, 5000, dps=583)
+        assert r.rel_err == 0.0  # below the float range
+        assert r.log10_rel_err == pytest.approx(-1158.97, abs=0.005)
+        assert r.log10_rel_err == _per_term(5000, 0.61, 7.0)[3]
+
+    def test_truncation_law_at_the_cap(self):
+        # 40 digits resolve an error of 10^-108577
+        n = MAX_LAPLACE_N
+        r = discrete_laplace(_model(0.5, 2.0), 2.0, 0.5, n, dps=40)
+        law = (math.log10(2.0) - n / (4.0 * math.log(10)) - math.log10(math.e - 1.0)
+               - 0.5 * math.log10(math.pi * n))
+        assert abs(r.log10_rel_err - law) < 1e-5  # the law is good to O(1/n)
+
+    @pytest.mark.parametrize("dps, passes", [(30, [30, 45]), (40, [40])])
+    def test_cancellation_is_summed_again(self, monkeypatch, dps, passes):
+        # u'' near 2 pi/x0: theta - 1 and the tails, both near 2e-9, cancel in 14.2 digits,
+        # leaving 15.8 of 30 (a second pass at 30 + 15) and 25.8 of 40 (none)
+        n, x0, d2u = 20, 0.3, 17.277881294762857
+        model, seen = plancherel._gaussian_model, []
+        monkeypatch.setattr(plancherel, "_gaussian_model",
+                            lambda *a: seen.append(a[-1]) or model(*a))
+        r = discrete_laplace(_model(x0, d2u), d2u, x0, n, dps=dps)
+        assert seen == passes
+        ref = _direct(n, x0, d2u, 200)
+        assert ref[3] == pytest.approx(-23.8633, abs=1e-4)
+        got = (r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err)
+        assert max(_ulps(a, b) for a, b in zip(got, ref)) <= 1
+
+    def test_cancellation_past_the_second_pass_raises(self, monkeypatch):
+        model = plancherel._gaussian_model
+        monkeypatch.setattr(plancherel, "_gaussian_model",  # every digit lost
+                            lambda *a: (model(*a)[0], a[-1]))
+        with pytest.raises(ValueError, match="cancels to fewer than 20 digits at 80 digits"):
+            discrete_laplace(_model(0.5, 2.0), 2.0, 0.5, 100, dps=40)
+
+    @pytest.mark.parametrize("dps", [None, 40])
+    def test_u_is_called_once_on_the_grid_array(self, dps):
+        shapes = []
+        u = lambda x: shapes.append(np.shape(x)) or (np.asarray(x) - 0.5) ** 2
+        discrete_laplace(u, 2.0, 0.5, 100, dps=dps)
+        assert shapes == [(101,), ()]  # the grid, then x0
