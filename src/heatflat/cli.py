@@ -372,6 +372,11 @@ _DPS = "digits of working precision"
 # the bound on alpha n_max and on beta: once both reach 8.54e304, the convolution's sum of two
 # log Gamma values of the coefficients leaves the float range
 _AN_PRODUCT = 5e304
+# the least width of a fourier-decay bump's central spike, halfwidth^(1 + g/2)/sqrt(2 g (g + 1))
+# for gamma_exp g (its curvature at the peak), over halfwidth: 1.32 steps of the bump's grid.
+# Narrower, the spectrum's decay window closed ("decay window too small"), last at 0.0025783 for
+# g = 250, the gamma_exps bound
+_SPIKE = 0.00258
 
 # Every config key's range, checked in order before any work; [] leaves a threshold open (README's
 # "Config ranges" gives what each limit rests on).  A rule is (op, limit[, must[, cost]]): x, each
@@ -428,7 +433,14 @@ RULES = {
                       lambda hw, c: next((f"must keep the bump's peak exp(-2 halfwidth^-gamma_exp) "
                                           f"at least e^-700, got {hw:g} at gamma_exp = {g:g}"
                                           for g in c["gamma_exps"]
-                                          if -g * math.log(hw) > math.log(350.0)), None)]},
+                                          if -g * math.log(hw) > math.log(350.0)), None),
+                      lambda hw, c: next((f"must let the grid resolve the bump's central spike, "
+                                          f"of width halfwidth^(1 + g/2)/sqrt(2 g (g + 1)) at "
+                                          f"least {_SPIKE:g} halfwidth, got {hw:g} at "
+                                          f"gamma_exps entry g = {g:g}"
+                                          for g in c["gamma_exps"]
+                                          if 0.5 * (g * math.log(hw) - math.log(2 * g * (g + 1)))
+                                          < math.log(_SPIKE)), None)]},
     "mittag-type": {
         "betas": [(">", 1)], "tolerance": [],
         "x_range": [lambda v, c: not (len(v) == 2 and 0 < v[0] < v[1]) and (

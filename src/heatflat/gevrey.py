@@ -379,16 +379,17 @@ def weighted_fourier_norm(sig: Signal, p: GevreyParams) -> float:
     rho = np.linspace(0.0, xi_hi ** (1.0 / p.s), m)
     xs = rho**p.s
     F2_xs = _lagrange8(np.concatenate([F2[3:0:-1], F2]), -3.0 * xi[1], xi[1], xs)
-    # where e^(2 R rho) overflows, the norm is inf or NaN: the caller names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = (p.s * rho ** (p.s - 1.0) * np.maximum(F2_xs, 0.0)
-                * np.exp(2.0 * p.R * rho) * (1.0 + xs) ** (2.0 * p.gamma))
     w = np.ones(m)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     h = rho[1] - rho[0]
-    # bilateral integral; |F| is even for real signals
-    return 2.0 * float(np.sum(w * vals) * h / 3.0)
+    # where e^(2 R rho) or the Simpson sum overflows, the norm is inf or NaN: the caller
+    # names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (p.s * rho ** (p.s - 1.0) * np.maximum(F2_xs, 0.0)
+                * np.exp(2.0 * p.R * rho) * (1.0 + xs) ** (2.0 * p.gamma))
+        # bilateral integral; |F| is even for real signals
+        return 2.0 * float(np.sum(w * vals) * h / 3.0)
 
 
 # ---------------------------------------------------------------------------

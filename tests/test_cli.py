@@ -351,6 +351,29 @@ class TestCli:
                            "and np.polyfit warns, got 1e-13\n")
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma_exps, halfwidth, code", [
+        ([150], 0.99, 2),  # made the output directory, then "decay window too small"
+        ([250], 0.99928, 2),  # spike width 0.0025797 halfwidth: just inside the rule's reach
+        ([250], 0.99929, 0)],  # 0.0025830: the fit runs clean
+        ids=["below", "edge-below", "edge-at"])
+    def test_fourier_decay_spike_rule(self, tmp_path, capfd, gamma_exps, halfwidth, code):
+        # the window closed below 0.0025783 halfwidth at gamma_exp = 250, and at less elsewhere
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "gamma_exps": gamma_exps,
+                                    "halfwidth": halfwidth}))
+        assert run(["fourier-decay", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == code
+        out, err = capfd.readouterr()
+        assert err == ""
+        if code:
+            assert out == ("fourier-decay: ERROR: halfwidth must let the grid resolve the bump's "
+                           "central spike, of width halfwidth^(1 + g/2)/sqrt(2 g (g + 1)) at least "
+                           f"0.00258 halfwidth, got {halfwidth:g} at gamma_exps entry "
+                           f"g = {gamma_exps[0]}\n")
+            assert not (tmp_path / "o").exists()
+        else:
+            assert out.startswith("fourier-decay: PASS")
+
     def test_fourier_decay_fail_names_the_failed_fits(self, tmp_path, capsys):
         # at halfwidth 100 both bump fits are flagged; the line said "bump fits positive and clean"
         cfgp = tmp_path / "cfg.json"
@@ -566,6 +589,22 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith(
             "plancherel-ratio: FAIL: non-finite norm or ratio for two_sided_bump")
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings went to stderr
+    def test_plancherel_ratio_simpson_sum_overflow_fails_without_warnings(self, tmp_path,
+                                                                         capfd):
+        # at gamma = 200, R = 5 the Simpson sum of every Fourier norm overflows, inside
+        # the declared gamma range: one FAIL line names the signals, nothing on stderr
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "gamma": 200, "R": 5}))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        out, err = capfd.readouterr()
+        assert err == ""
+        names = [r[0] for r in self._ratio_rows(tmp_path)]
+        assert len(names) == 8 and out.count("\n") == 1
+        assert out.startswith(f"plancherel-ratio: FAIL: non-finite norm or ratio for "
+                              f"{', '.join(names)}; ")
 
     @pytest.mark.parametrize("text, msg", [
         ("{bad", "cannot read config .*cfg.json: Expecting property name"),

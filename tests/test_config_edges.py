@@ -8,7 +8,8 @@ added to ``cli.SUBCOMMANDS`` is swept without a new test.
 
 After those cases, the sweep of the declared ranges is generated from
 ``cli.RULES``: one config just past every bound, cross-key rule and budget
-ends the same way, in the line that rule gives.
+ends the same way, in the line that rule gives.  The walks start from the
+defaults, and from ``STARTS`` where a rule binds only far from them.
 """
 
 import json
@@ -123,36 +124,43 @@ def _changes(f, a, x, whole):
         a = b
 
 
-def _outside(cmd):
-    """{first broken rule, as _first_broken gives it: (a key, its value) just past its edge}."""
-    defaults, found = cli.SUBCOMMANDS[cmd][1], {}
-    for key, default in defaults.items():
-        def first(v):
-            return _first_broken(cmd, dict(defaults, **{key: v}))
+# further configs the walks start from, after the defaults: fourier-decay's spike rule binds
+# only at gamma_exps above 14, where every walk from the defaults breaks another rule first
+STARTS = {"fourier-decay": [{"gamma_exps": [150.0]}]}
 
-        def note(v):
-            if first(v) is not None:
-                found.setdefault(first(v), (key, v))
-        for v in _reshaped(default):
-            note(v)
-        for path, d in [(p, d) for p in _paths(default) for d in (1, -1)]:
-            a = x0 = _get(default, path)
-            whole = isinstance(x0, int)
-            at = lambda x: _put(default, path, x)
-            if whole:  # a fraction where an integer goes
-                note(at(x0 + 0.5))
-            for k in range(0 if whole else -40, 1024):
-                x = x0 + d * (2**k if whole else 2.0**k)
-                if abs(x) > sys.float_info.max:
-                    break
-                for b in _changes(lambda y: first(at(y)), a, x, whole):
-                    note(at(b))
-                a = x
+
+def _outside(cmd):
+    """{first broken rule, as _first_broken gives it: the keys set, just past its edge}."""
+    found = {}
+    for start in [{}] + STARTS.get(cmd, []):
+        base = dict(cli.SUBCOMMANDS[cmd][1], **start)
+        for key, default in base.items():
+            def first(v):
+                return _first_broken(cmd, dict(base, **{key: v}))
+
+            def note(v):
+                if first(v) is not None:
+                    found.setdefault(first(v), dict(start, **{key: v}))
+            for v in _reshaped(default):
+                note(v)
+            for path, d in [(p, d) for p in _paths(default) for d in (1, -1)]:
+                a = x0 = _get(default, path)
+                whole = isinstance(x0, int)
+                at = lambda x: _put(default, path, x)
+                if whole:  # a fraction where an integer goes
+                    note(at(x0 + 0.5))
+                for k in range(0 if whole else -40, 1024):
+                    x = x0 + d * (2**k if whole else 2.0**k)
+                    if abs(x) > sys.float_info.max:
+                        break
+                    for b in _changes(lambda y: first(at(y)), a, x, whole):
+                        note(at(b))
+                    a = x
     return found
 
 
-_SWEEP = [(cmd, rule_key, i, key, v) for cmd in cli.RULES
-          for (rule_key, i, _), (key, v) in sorted(_outside(cmd).items())]
+_SWEEP = [(cmd, rule_key, i, values) for cmd in cli.RULES
+          for (rule_key, i, _), values in sorted(_outside(cmd).items())]
 
 
 def _sweep_ids():
@@ -165,17 +173,16 @@ def _sweep_ids():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("cmd, rule_key, i, key, value", _SWEEP, ids=list(_sweep_ids()))
-def test_just_past_a_declared_edge_is_one_error_line(tmp_path, capsys, cmd, rule_key, i, key,
-                                                     value):
-    # key, the one set, may be another than the rule's: a cross-key rule or a budget
+@pytest.mark.parametrize("cmd, rule_key, i, values", _SWEEP, ids=list(_sweep_ids()))
+def test_just_past_a_declared_edge_is_one_error_line(tmp_path, capsys, cmd, rule_key, i, values):
+    # the keys set may be others than the rule's: a cross-key rule or a budget
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({"schema": 1, key: value}))
+    cfgp.write_text(json.dumps({"schema": 1, **values}))
     out_dir = tmp_path / "out"
     assert cli.main([cmd, "--config", str(cfgp), "--out", str(out_dir), "--assert"]) == 2
     captured = capsys.readouterr()
     assert captured.err == ""
-    cfg = dict(cli.SUBCOMMANDS[cmd][1], **{key: value})
+    cfg = dict(cli.SUBCOMMANDS[cmd][1], **values)
     line = cli._broken(cli.RULES[cmd][rule_key][i], cfg[rule_key], cfg)
     assert captured.out == f"{cmd}: ERROR: {rule_key} {line}\n"
     assert not out_dir.exists()

@@ -58,13 +58,45 @@ def _convolution_An_rowwise(p, N):
     return logA
 
 
+# (s, gamma) of a band where every term is live, and of a narrow one
+ALL_LIVE, NARROW = (0.05, -1.0), (50.0, -0.5)
+
+
 class TestConvolutionAn:
-    @pytest.mark.parametrize("s, gamma", [(2.0, -0.5), (1.2, -2.0), (5.0, -0.1)])
-    @pytest.mark.parametrize("N", [1, 15, 16, 17, 33, 300, 2000])
+    @pytest.mark.parametrize("s, gamma", [(2.0, -0.5), (1.2, -2.0), (5.0, -0.1), NARROW])
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 31, 32, 33, 300, 2000, 5000])
     def test_blocks_equal_rowwise_loop(self, s, gamma, N):
-        # N = 15, 16, 17 and 33 put the last row at each edge of a 16-row block
+        # N = 31, 32 and 33 put the last row at each edge of a 32-row block
         p = GevreyParams(s, 1.0, gamma)
         assert np.array_equal(convolution_An(p, N), _convolution_An_rowwise(p, N))
+
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 31, 32, 33, 300, 2000, 5000])
+    def test_all_live_band_equals_rowwise_loop_to_rounding(self, N):
+        # the half-band sum adds a row's terms in another order than the full row: where
+        # hundreds of terms are alike, 22 of the 5001 rows differ in their last 1 to 4 ulp
+        p = GevreyParams(ALL_LIVE[0], 1.0, ALL_LIVE[1])
+        got, ref = convolution_An(p, N), _convolution_An_rowwise(p, N)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.maximum(np.abs(ref), 1.0))
+
+    @pytest.mark.parametrize("s, gamma", [(2.0, -0.5), (1.2, -2.0), (5.0, -0.1), NARROW,
+                                          ALL_LIVE, (5e300, -1e4)])
+    def test_live_band_is_rowwise_keep_set(self, s, gamma):
+        # each row's terms within 746 of its max are [lo_n, n - lo_n], and t_{n//2} is the max
+        N = 5000
+        loga = varpi_coeffs(GevreyParams(s, 1.0, gamma), N).log_mag
+        m, lo = plancherel._live_band(loga)
+        for n in range(N + 1):
+            t = loga[: n + 1] + loga[n::-1]
+            assert m[n] == t[n // 2] == t.max()
+            assert np.array_equal(np.flatnonzero(t - t.max() > -746.0),
+                                  np.arange(lo[n], n - lo[n] + 1))
+
+    def test_rules_edge(self):
+        # alpha n_max = 2 s n_max and beta = -gamma s both at cli._AN_PRODUCT = 5e304
+        p, N = GevreyParams(5e300, 1.0, -1e4), 5000
+        logA = convolution_An(p, N)
+        assert np.all(np.isfinite(logA))
+        assert np.array_equal(logA, _convolution_An_rowwise(p, N))
 
     def test_against_mpmath(self):
         # 40-digit sums of a_k a_{n-k} with a_k = 1/Gamma(alpha k + beta + 1)
