@@ -7,9 +7,12 @@ quadrature of |f_R|^2 over the exhaustion Omega_eps = (1-eps) Omega, with a
 three-way classification: convergent / divergent / undecided.  Since
 f_R(zeta) = f_1(R zeta), one evaluator of f_1 per sequence serves every R:
 the scale multiplies the quadrature nodes and divides the singularity gauge.
-The evaluator sets up the coefficient terms of the raw series once, and since
-the quadrature grid is point-symmetric and |f_1| is even, each node pair
-+-zeta is evaluated once.  The raw series is summed by blocked Horner
+The evaluator sets up the coefficient terms of the raw series once.  The
+quadrature grid is symmetric under zeta -> -zeta and zeta -> conj(zeta), and
+|f_1| is even, so one node of each orbit is evaluated: of each pair +-zeta in
+general, and of each four +-zeta, +-conj(zeta) when the raw terms and both
+Pade fits have real coefficients, where f_1(conj zeta) is exactly
+conj(f_1(zeta)).  The raw series is summed by blocked Horner
 (_poly_eval) under one majorant cutoff per call: per chunk of at most 512
 nodes, one complex matrix product evaluates every block of about sqrt(K)
 coefficients and Horner in x^L joins the blocks.  The short Pade
@@ -340,7 +343,8 @@ class SeriesEvaluator:
     Built once per sequence, with the coefficient terms of the raw series
     (_raw_terms) set up once.  The coefficients of g are normalized by its
     estimated radius r, lb_k = lg_k + k log r: the raw series (inside 0.85 r),
-    both Pade fits and their validation ring work in v = w / r.
+    both Pade fits and their validation ring work in v = w / r.  ``real``
+    says that the raw terms and both fits have zero imaginary parts.
     """
 
     def __init__(self, c: CoeffSeq):
@@ -350,6 +354,10 @@ class SeriesEvaluator:
         self.log_r, self.lb, self.unit = _radius_units(lg)
         self.terms = _raw_terms(self.lb, self.ph)
         self._build_pade()
+        # real coefficients: f_1(conj zeta) is conj(f_1(zeta)), bit for bit
+        coeffs = [self.terms[0]] + [a for f in (self.pade, self.pade_hi) if f is not None
+                                    for a in (f.p, f.q)]
+        self.real = not any(np.any(a.imag) for a in coeffs)
 
     def _build_pade(self):
         self.pade = None
@@ -466,29 +474,54 @@ class BergmanReport:
     quad_refinement: float
 
 
+@functools.lru_cache(maxsize=8)
+def _node_orbits(n: int, real: bool):
+    """(reps, inv): one node of each orbit of the n x n grid, and the map back.
+
+    Node (i, j) of OmegaDomain.quad_nodes(eps, n) is zeta; for every eps,
+    node (n-1-i, n-1-j) is exactly -zeta and node (n-1-j, n-1-i) exactly
+    conj(zeta), each with the same weight (leggauss's nodes are exactly
+    antisymmetric and its weights symmetric).  The orbit is
+    {zeta, -zeta}, or {+-zeta, +-conj(zeta)} when real: (n^2 + 2n)/4 orbits
+    for even n instead of n^2/2.  reps lists the lowest grid index of each
+    orbit; grid node k lies in the orbit of reps[inv[k]].  Cached per (n,
+    real); the arrays are shared, hence read-only.
+    """
+    k = np.arange(n * n)
+    i, j = np.divmod(k, n)
+    rep = np.minimum(k, n * n - 1 - k)
+    if real:
+        rep = np.minimum(rep, np.minimum((n - 1 - j) * n + (n - 1 - i), j * n + i))
+    reps, inv = np.unique(rep, return_inverse=True)
+    reps.flags.writeable = inv.flags.writeable = False
+    return reps, inv
+
+
 def _margin_norm(ev: SeriesEvaluator, R: float, eps: float, n: int,
                  masks_only: bool = False):
-    """Quadrature of |f_R|^2 over Omega_eps, each node pair +-zeta evaluated once.
+    """Quadrature of |f_R|^2 over Omega_eps, one node of each orbit evaluated.
 
-    The grid is point-symmetric (zeta[::-1] == -zeta, W[::-1] == W) and
-    |f_1(-zeta)| = |f_1(zeta)| for either parity, so the first half of the
-    grid (with the centre node when n is odd) is evaluated and mirrored back
-    into grid order: the sum runs in the same order as over the full grid.
-    With masks_only the evaluator sums no raw series and a resolved margin's
-    norm is NaN; the failure reasons and fractions are the same.
+    |f_1(-zeta)| = |f_1(zeta)| for either parity, and when ev.real (the raw
+    terms and both Pade fits have real coefficients) f_1(conj zeta) is
+    exactly conj(f_1(zeta)): so one node of each orbit of _node_orbits is
+    evaluated, {+-zeta} in general and {+-zeta, +-conj(zeta)} when ev.real.
+    Every orbit node has the same |zeta|, hence the same raw cutoff.  The
+    masks and |f|^2 are gathered back into grid order, so the sum runs in
+    the same order as over the full grid.  With masks_only the evaluator
+    sums no raw series and a resolved margin's norm is NaN; the failure
+    reasons and fractions are the same.
     """
     zeta, W = OmegaDomain.quad_nodes(eps, n)
-    h = len(zeta) // 2
-    half = R * zeta[:len(zeta) - h]
-    vals, unresolved, rawdiv = ev._evaluate(half, True) if masks_only else ev.values(half)
-    mirror = lambda a: np.concatenate([a, a[:h][::-1]])
+    reps, inv = _node_orbits(n, ev.real)
+    at = R * zeta[reps]
+    vals, unresolved, rawdiv = ev._evaluate(at, True) if masks_only else ev.values(at)
     if rawdiv.any():
-        return None, "raw-divergence", float(np.mean(mirror(rawdiv)))
+        return None, "raw-divergence", float(np.mean(rawdiv[inv]))
     if unresolved.any():
-        return None, "continuation-disagreement", float(np.mean(mirror(unresolved)))
+        return None, "continuation-disagreement", float(np.mean(unresolved[inv]))
     if masks_only:
         return math.nan, "", 0.0
-    return float(np.sum(W * mirror(np.abs(vals) ** 2))), "", 0.0
+    return float(np.sum(W * (np.abs(vals) ** 2)[inv])), "", 0.0
 
 
 def bergman_norm_estimate(c: CoeffSeq, R_scale: float) -> BergmanReport:

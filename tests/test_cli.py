@@ -606,6 +606,28 @@ class TestCli:
         assert out.startswith(f"plancherel-ratio: FAIL: non-finite norm or ratio for "
                               f"{', '.join(names)}; ")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cfg, why", [
+        ({"gamma": -300, "s": 1}, "nominal Gevrey order above s = 1 for two_sided_bump"),
+        ({"gamma": -300, "R": 20}, "ratio band needs C_hat = 127.16 (allowed 50)"),
+        ({"gamma": 200, "s": 20}, "non-finite norm or ratio for gaussian"),
+        ({"gamma": 200, "R": 1e-3}, "non-finite norm or ratio for gaussian"),
+        ({"gamma": 200, "s": 5, "R": 20}, "non-finite norm or ratio for gaussian"),
+        ({"s": 1e300}, "ratio band needs C_hat = "),
+        ({"R": 1e6}, "non-finite norm or ratio for gaussian"),
+    ], ids=["g-300-s1", "g-300-R20", "g200-s20", "g200-R1e-3", "g200-s5-R20", "s1e300",
+            "R1e6"])
+    def test_plancherel_ratio_range_edges_fail_by_name(self, tmp_path, capfd, cfg, why):
+        # the gamma range [-300, 200] away from the default s and R, and extreme
+        # s and R: one FAIL line that names the reason, nothing on stderr
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, **cfg}))
+        assert run(["plancherel-ratio", "--config", str(cfgp), "--out", str(tmp_path),
+                    "--assert"]) == 1
+        out, err = capfd.readouterr()
+        assert err == "" and out.count("\n") == 1
+        assert out.startswith(f"plancherel-ratio: FAIL: {why}")
+
     @pytest.mark.parametrize("text, msg", [
         ("{bad", "cannot read config .*cfg.json: Expecting property name"),
         (None, "cannot read config .*cfg.json: .*No such file"),

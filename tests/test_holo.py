@@ -40,13 +40,18 @@ class TestOmegaDomain:
             _, w = OmegaDomain.quad_nodes(eps, 64)
             assert abs(w.sum() - 2.0 * (1 - eps) ** 2) < 1e-12
 
-    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("n", [64, 96, 33])
     def test_grid_is_point_symmetric(self, n):
-        # _margin_norm evaluates one node of each pair +-zeta
-        for eps in (0.3, 0.2, 0.1, 0.05, 0.025, 0.0125):
+        # _margin_norm evaluates one node of each orbit {+-zeta}, or
+        # {+-zeta, +-conj(zeta)} for real coefficients (holo._node_orbits)
+        for eps in (0.3, *holo.DEFAULT_MARGINS):
             zeta, w = OmegaDomain.quad_nodes(eps, n)
             assert np.array_equal(zeta[::-1], -zeta)
             assert np.array_equal(w[::-1], w)
+            # node (n-1-j, n-1-i) is conj of node (i, j), with an equal weight
+            Z, Wm = zeta.reshape(n, n), w.reshape(n, n)
+            assert np.array_equal(Z[::-1, ::-1].T, np.conj(Z))
+            assert np.array_equal(Wm[::-1, ::-1].T, Wm)
 
 
 class TestCoeffSeq:
@@ -346,7 +351,7 @@ class _FineGridDiverges(SeriesEvaluator):
 
     def values(self, zeta):
         vals, unresolved, rawdiv = super().values(zeta)
-        if len(zeta) == 96 * 96 // 2:
+        if len(zeta) == len(holo._node_orbits(96, self.real)[0]):
             rawdiv = np.ones_like(rawdiv)
         return vals, unresolved, rawdiv
 
@@ -367,6 +372,7 @@ def test_class_only_falls_back_to_the_coarse_grid(parity, R, want):
     got = holo._classify(ev, R, 64, class_only=True)
     assert full.classification == got.classification == want
     assert got.norms == full.norms and all(math.isfinite(v) for v in got.norms)
+    assert got.norms == tuple(_margin_norm(ev, R, eps, 64)[0] for eps in got.margins)
 
 
 @pytest.mark.parametrize("parity, a1, R, first_unresolved", [
@@ -400,31 +406,71 @@ def _full_grid_norm(ev, R, eps, n):
     return float(np.sum(W * np.abs(vals) ** 2)), "", 0.0
 
 
+def _barely_complex(N=700):
+    """geometric(1.0, N) with a 1e-300j part on one coefficient."""
+    base = CoeffSeq.geometric(1.0, N)
+    phase = base.phase.copy()
+    phase[5] += 1e-300j
+    return CoeffSeq(base.log_mag, phase)
+
+
 class TestMarginNorm:
-    # (sequence, R, kind of nodes): Horner inside 0.85 r only; Pade nodes
-    # beyond it; no Pade fit (30 terms) and the raw series diverging outside
+    # (sequence, R, kind of nodes, real coefficients): Horner inside 0.85 r
+    # only; Pade nodes beyond it; no Pade fit (30 terms) and the raw series
+    # diverging outside
     CASES = [
-        (lambda: CoeffSeq.geometric(1.0, 700), 0.5, "inner"),
-        (lambda: CoeffSeq.geometric(1.0, 700), 1.0, "pade"),
-        (lambda: CoeffSeq.sharp_radius(700), 0.6, "pade"),
-        (lambda: CoeffSeq.geometric(1.0, 30), 1.0, "raw-divergent"),
+        (lambda: CoeffSeq.geometric(1.0, 700), 0.5, "inner", True),
+        (lambda: CoeffSeq.geometric(1.0, 700), 1.0, "pade", True),
+        (lambda: CoeffSeq.sharp_radius(700), 0.6, "pade", False),
+        (lambda: CoeffSeq.geometric(1.0, 30), 1.0, "raw-divergent", True),
+        (lambda: CoeffSeq.factorial_pair(1000), INV_SQRT2, "pade", True),
+        (_barely_complex, 1.0, "pade", False),
     ]
+    # points per margin that reach the evaluator: one per orbit of the grid
+    POINTS = {True: {64: 1056, 96: 2352, 33: 289}, False: {64: 2048, 96: 4608, 33: 545}}
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_half_grid_equals_full_grid_sum(self, case, parity):
-        make, R, kind = self.CASES[case]
+    def test_half_grid_equals_full_grid_sum(self, monkeypatch, case, parity):
+        make, R, kind, real = self.CASES[case]
         base = make()
         ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
+        assert ev.real == real
+        points = []
+        evaluate = ev._evaluate
+        monkeypatch.setattr(ev, "_evaluate", lambda z, masks_only:
+                            points.append(len(z)) or evaluate(z, masks_only))
         for eps in (0.05, 0.0125):
             for n in (64, 96, 33):  # 33: an odd grid with a centre node
                 zeta, _ = OmegaDomain.quad_nodes(eps, n)
                 outer = np.abs((R * zeta) ** 2 / ev.unit) > 0.85
                 assert outer.any() == (kind != "inner")
                 assert ev.pade_valid == (kind != "raw-divergent")
+                points.clear()
                 got = _margin_norm(ev, R, eps, n)
+                assert points == [self.POINTS[real][n]]
                 assert (got[1] == "raw-divergence") == (kind == "raw-divergent")
                 assert got == _full_grid_norm(ev, R, eps, n)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("case", [0, 1, 4])
+    def test_real_series_values_at_conj_are_conj(self, case, parity):
+        # what the orbit {+-zeta, +-conj(zeta)} rests on: with real
+        # coefficients every step of the raw sum (the matrix product among
+        # them) and of the Pade quotient maps conj inputs to exactly conj outputs
+        make, R, kind, _ = self.CASES[case]
+        base = make()
+        ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
+        assert ev.real
+        rng = np.random.default_rng(case)
+        z = R * np.concatenate([OmegaDomain.quad_nodes(0.0125, 96)[0],
+                                rng.uniform(-0.5, 0.5, 300) + 1j * rng.uniform(-0.5, 0.5, 300)])
+        vals, unresolved, rawdiv = ev.values(z)
+        assert np.all(np.isfinite(vals)) and not unresolved.any() and not rawdiv.any()
+        assert (np.abs(z * z / ev.unit) > 0.85).any() == (kind == "pade")
+        got = ev.values(np.conj(z))
+        assert np.array_equal(got[0], np.conj(vals))
+        assert np.array_equal(got[1], unresolved) and np.array_equal(got[2], rawdiv)
 
     def test_coefficient_terms_set_up_once_per_evaluator(self, monkeypatch):
         calls = []
