@@ -186,7 +186,9 @@ def run_plancherel_ratio(cfg, out):
         return False, f"nominal Gevrey order above s = {cfg['s']:g} for {', '.join(above_s)}"
     ratios = [r[3] for r in rows]
     chat = max(max(ratios), 1.0 / min(ratios))
-    return chat <= cfg["c_hat"], f"ratio band needs C_hat = {chat:.2f} (allowed {cfg['c_hat']:g})"
+    # .2f from 1e6 up grows with the exponent: about 300 digits at s = 1e300
+    shown = f"{chat:.2f}" if chat < 1e6 else f"{chat:.3e}"
+    return chat <= cfg["c_hat"], f"ratio band needs C_hat = {shown} (allowed {cfg['c_hat']:g})"
 
 
 def run_an_asymptotics(cfg, out):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .gevrey import GevreyNormResult, GevreyParams, Signal, gevrey_norm_time
 from .heatsim import SimConfig, SimResult, simulate
-from .holo import BergmanReport, CoeffSeq, bergman_norm_estimate, borel_range_test
+from .holo import BergmanReport, CoeffSeq, bergman_norm_estimate
 from .numkit import log_gamma, series_converged, series_tail, write_csv
 
 __all__ = [
@@ -192,14 +192,15 @@ def terminal_state_report(seq: CoeffSeq):
 
     The terminal state sum a_k zeta^{2k}/(2k)! must be an even holomorphic
     H^1 function on the tilted square: both the series itself and its
-    termwise derivative (the odd series with entries shifted by one) are put
-    through the Bergman estimate at scale 1/sqrt(2); the derivative test is
-    the decisive one (the flat series of the two-sided counterexample stays
-    square-integrable while its derivative blows up like Li_{-1/2}).
+    termwise derivative (``CoeffSeq.derivative``, the odd series of a_1, a_2,
+    ...) are put through the Bergman estimate at scale 1/sqrt(2); the
+    derivative test is the decisive one (the flat series of the two-sided
+    counterexample stays square-integrable while its derivative blows up
+    like Li_{-1/2}).
     """
     R = 1.0 / math.sqrt(2.0)
     even = bergman_norm_estimate(seq, R)
-    deriv = borel_range_test(seq, p=1, parity="odd", R=R)
+    deriv = bergman_norm_estimate(seq.derivative(), R)
     return even, deriv
 
 

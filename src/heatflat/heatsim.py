@@ -69,10 +69,11 @@ def _whole_steps(T: float, dt: float) -> bool:
 # The kernel k(t)
 # ---------------------------------------------------------------------------
 
-def _poisson_terms(t: float) -> int:
-    """Image terms m = 0, 1, ... of k(t) that _kernel_poisson sums: those with
-    (m + 1/2)^2 / t up to 42, and one more; finite for every finite t."""
-    return int(math.sqrt(42.0) * math.sqrt(t)) + 2
+def _poisson_terms(t):
+    """Image terms m = 0, 1, ... of k(t) that _kernel_poisson sums at each t: those
+    with (m + 1/2)^2 / t up to 42, and one more.  Whole floats, exact below 2^53
+    and finite for every finite t; np.sqrt rounds as math.sqrt does."""
+    return np.floor(math.sqrt(42.0) * np.sqrt(t)) + 2
 
 
 def _by_term_count(t: np.ndarray, counts: np.ndarray, row_sums) -> np.ndarray:
@@ -87,15 +88,11 @@ def _by_term_count(t: np.ndarray, counts: np.ndarray, row_sums) -> np.ndarray:
 
 
 def _kernel_poisson(t: np.ndarray) -> np.ndarray:
-    # _poisson_terms of each point, as a float (exact below 2^53): np.sqrt
-    # rounds as math.sqrt does
-    counts = np.floor(math.sqrt(42.0) * np.sqrt(t)) + 2
-
     def row_sums(n, ts):
         a = -((np.arange(n) + 0.5) ** 2)
         return 2.0 * np.exp(a / ts[:, None]).sum(axis=1) / np.sqrt(math.pi * ts)
 
-    return _by_term_count(t, counts, row_sums)
+    return _by_term_count(t, _poisson_terms(t), row_sums)
 
 
 def _kernel_eigen_f64(t: np.ndarray) -> np.ndarray:
@@ -130,27 +127,21 @@ def _kernel_eigen_small_t(ti: float, k_est: float) -> float:
                      - gauss_sum(c, 0, -jmax, jmax))
 
 
-def kernel_k(t, rep: str = "auto"):
+def kernel_k(t, rep: str):
     """Input kernel of the Neumann-to-Dirichlet system, k(t) for t > 0.
 
     rep = "eigen" uses the eigenmode series, "poisson" the image-charge form
-    from the Poisson summation formula, "auto" picks poisson for t < 1/pi and
-    eigen otherwise.  Both representations carry tail bounds below 1e-14; the
-    eigen branch switches to extended precision where the alternating sum
-    cancels (k(t) -> 0 as t -> 0+) and returns k(t) rounded to float: a
-    subnormal below t ~ 3.5e-4 and 0.0 below t ~ 3.3e-4.
+    from the Poisson summation formula.  Both representations carry tail
+    bounds below 1e-14; the eigen branch switches to extended precision where
+    the alternating sum cancels (k(t) -> 0 as t -> 0+) and returns k(t)
+    rounded to float: a subnormal below t ~ 3.5e-4 and 0.0 below t ~ 3.3e-4.
     """
-    if rep not in ("eigen", "poisson", "auto"):
+    if rep not in ("eigen", "poisson"):
         raise ValueError(f"unknown representation {rep!r}")
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(tarr <= 0):
         raise ValueError("kernel_k requires t > 0")
-    if rep == "auto":  # each branch only where it is chosen
-        small = tarr < 1.0 / math.pi
-        out = np.empty_like(tarr)
-        out[small] = _kernel_poisson(tarr[small])
-        out[~small] = _kernel_eigen_f64(tarr[~small])
-    elif rep == "poisson":
+    if rep == "poisson":
         out = _kernel_poisson(tarr)
     else:
         out = _kernel_eigen_f64(tarr)

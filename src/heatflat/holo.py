@@ -54,7 +54,6 @@ __all__ = [
     "interpolation_counterexample",
     "loss_factors",
     "loss_crossover",
-    "borel_range_test",
     "DEFAULT_MARGINS",
 ]
 
@@ -65,8 +64,6 @@ _POLE_GUARD = 0.005  # ~5x the observed Pade pole-location bias
 
 class OmegaDomain:
     """The tilted square |Re zeta| + |Im zeta| < 1 and its exhaustion."""
-
-    area = 2.0
 
     @staticmethod
     @functools.lru_cache(maxsize=32)
@@ -116,14 +113,14 @@ class CoeffSeq:
     def is_zero(self) -> bool:
         return bool(np.all(self.log_mag == -math.inf))
 
-    def shifted(self, p: int) -> "CoeffSeq":
-        """Drop the first p entries (p >= 0) or left-pad with zeros (p < 0)."""
-        if p >= 0:
-            lm, ph = self.log_mag[p:], self.phase[p:]
-        else:
-            lm = np.concatenate([np.full(-p, -math.inf), self.log_mag])
-            ph = np.concatenate([np.ones(-p, dtype=complex), self.phase])
-        return CoeffSeq(lm, ph, self.parity)
+    def derivative(self) -> "CoeffSeq":
+        """The termwise derivative of the even series: the odd series of a_1, a_2, ...
+
+        d/dzeta sum a_k zeta^{2k}/(2k)! = sum a_{k+1} zeta^{2k+1}/(2k+1)!.
+        """
+        if self.parity != "even":
+            raise ValueError("derivative() takes an even series")
+        return CoeffSeq(self.log_mag[1:], self.phase[1:], "odd")
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -312,7 +309,6 @@ def _raw_sum(terms, w):
 
 class _Pade:
     def __init__(self, b: np.ndarray, m: int):
-        self.m = m
         C = b[m + np.subtract.outer(np.arange(m), np.arange(m))]  # C[i, j] = b[m+i-j]
         rhs = -b[m + 1: 2 * m + 1]
         qt, *_ = np.linalg.lstsq(C, rhs, rcond=1e-13)
@@ -325,8 +321,6 @@ class _Pade:
         return _poly_eval(self.p, v) / _poly_eval(self.q, v)
 
     def poles(self):
-        if self.m == 0:
-            return np.array([], dtype=complex)
         pl = np.roots(self.q[::-1])
         zr = np.roots(self.p[::-1]) if len(self.p) > 1 else np.array([])
         keep = []
@@ -371,8 +365,7 @@ class SeriesEvaluator:
         m1 = max(8, m2 - 10)
         if m2 < 12:
             return
-        lb = self.lb[: 2 * m2 + 1]
-        b = np.where(np.isfinite(lb), np.exp(np.minimum(lb, 690.0)), 0.0) * self.ph[: 2 * m2 + 1]
+        b = self.terms[0][: 2 * m2 + 1]
         # effective numerical rank caps the useful order (exact rational inputs)
         sv = np.linalg.svd(b[m2 + np.subtract.outer(np.arange(m2), np.arange(m2))],
                            compute_uv=False)
@@ -534,11 +527,10 @@ def bergman_norm_estimate(c: CoeffSeq, R_scale: float) -> BergmanReport:
     if c.is_zero:
         return BergmanReport(DEFAULT_MARGINS, tuple(0.0 for _ in DEFAULT_MARGINS),
                              "convergent", 0.0, math.inf, "zero sequence", 0.0)
-    return _classify(SeriesEvaluator(c), R, _NODES)
+    return _classify(SeriesEvaluator(c), R)
 
 
-def _classify(ev: SeriesEvaluator, R: float, nodes: int,
-              class_only: bool = False) -> BergmanReport:
+def _classify(ev: SeriesEvaluator, R: float, class_only: bool = False) -> BergmanReport:
     """Bergman report of f_R(zeta) = f_1(R zeta) from the evaluator of f_1.
 
     The class rule, in order:
@@ -562,7 +554,7 @@ def _classify(ev: SeriesEvaluator, R: float, nodes: int,
     inside, of the first three when certified outside, and of every margin
     for an entire-type series, where a later margin can still diverge; its
     norms are NaN and its slope is not fitted.  Any other scale reads the
-    masks at `nodes` and the norm at 3/2 nodes, or at `nodes` when the finer
+    masks at _NODES and the norm at 3/2 _NODES, or at _NODES when the finer
     grid does not resolve.  Its quad_refinement (refine_gap) is then 0.
     """
     # tail increments of log|g_R| below -25: superexponential decay, effectively
@@ -583,7 +575,7 @@ def _classify(ev: SeriesEvaluator, R: float, nodes: int,
     notes = ""
     refine_gap = 0.0
     for eps in margins:
-        val, why, frac = _margin_norm(ev, R, eps, nodes, masks_only=class_only)
+        val, why, frac = _margin_norm(ev, R, eps, _NODES, masks_only=class_only)
         if val is None:
             if why == "raw-divergence" and not pade_valid:
                 return BergmanReport(tuple(margins[: len(norms)]), tuple(norms),
@@ -593,13 +585,13 @@ def _classify(ev: SeriesEvaluator, R: float, nodes: int,
             notes = f"{why} at eps={eps}"
             break
         if not settled:
-            val2, _, _ = _margin_norm(ev, R, eps, nodes + nodes // 2)
+            val2, _, _ = _margin_norm(ev, R, eps, _NODES + _NODES // 2)
             if val2 is not None:
                 if not class_only:
                     refine_gap = max(refine_gap, abs(val2 - val) / max(abs(val2), 1e-300))
                 val = val2
             elif class_only:  # the masks carried no norm
-                val, _, _ = _margin_norm(ev, R, eps, nodes)
+                val, _, _ = _margin_norm(ev, R, eps, _NODES)
         norms.append(val)
 
     if inside:
@@ -661,7 +653,7 @@ def radius_Ra(c: CoeffSeq, tol: float):
 
     def cls(R):
         if R not in memo:
-            memo[R] = _classify(ev, R, _NODES, class_only=True).classification
+            memo[R] = _classify(ev, R, class_only=True).classification
         return memo[R]
 
     # initial bracket
@@ -739,11 +731,11 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
     growth_sup = float(np.max(grow))
     growth_tail = float(grow[-1])
 
-    # membership series of the reachable/trackable class: odd parity, shift 1
-    track = borel_range_test(seq, p=1, parity="odd", R=1.0 / math.sqrt(2.0))
+    # membership series of the reachable/trackable class: the termwise derivative
+    track = bergman_norm_estimate(seq.derivative(), 1.0 / math.sqrt(2.0))
     # the flat series itself (even, R = 1/sqrt2): integrable boundary blow-up;
     # only its class is reported
-    fn = _classify(SeriesEvaluator(seq), 1.0 / math.sqrt(2.0), _NODES, class_only=True)
+    fn = _classify(SeriesEvaluator(seq), 1.0 / math.sqrt(2.0), class_only=True)
     return CounterexampleReport(
         residual_exponent=float(expo),
         residual_amplitude=float(math.exp(amp)),
@@ -753,13 +745,6 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
         trackability_slope=track.slope,
         fn_class=fn.classification,
     )
-
-
-def borel_range_test(c: CoeffSeq, p: int, parity: str, R: float) -> BergmanReport:
-    """Range test for the shifted Borel sequence: reindex by p, set the series
-    parity, and delegate to the Bergman estimate at scale R."""
-    shifted = c.shifted(p)
-    return bergman_norm_estimate(CoeffSeq(shifted.log_mag, shifted.phase, parity), R)
 
 
 def loss_factors(s_grid):

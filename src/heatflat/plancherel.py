@@ -21,7 +21,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gevrey import GevreyParams
-from .holo import CoeffSeq
 from .numkit import _GUARD_BITS, gauss_sum, log_gamma
 
 __all__ = [
@@ -53,12 +52,10 @@ def varpi_params(p: GevreyParams) -> tuple:
     return alpha, beta
 
 
-def varpi_coeffs(p: GevreyParams, N: int) -> CoeffSeq:
-    """Coefficients a_k = 1/Gamma(alpha k + beta + 1), k <= N, as a CoeffSeq."""
+def varpi_coeffs(p: GevreyParams, N: int) -> np.ndarray:
+    """log a_k = -log Gamma(alpha k + beta + 1) for k <= N (every a_k is positive)."""
     alpha, beta = varpi_params(p)
-    k = np.arange(N + 1)
-    lm = -log_gamma(alpha * k + beta + 1.0)
-    return CoeffSeq(lm, np.ones(N + 1, dtype=complex), "even")
+    return -log_gamma(alpha * np.arange(N + 1) + beta + 1.0)
 
 
 def convolution_An(p: GevreyParams, N: int):
@@ -82,7 +79,7 @@ def convolution_An(p: GevreyParams, N: int):
     if N > MAX_AN_TERMS:
         raise ValueError(f"N capped at {MAX_AN_TERMS} (documented; up to (N + 1)^2/4 exps, "
                          "21 ms at N = 5000)")
-    loga = varpi_coeffs(p, N).log_mag
+    loga = varpi_coeffs(p, N)
     n = np.arange(N + 1)
     h = n // 2
     m, lo = _live_band(loga)

@@ -116,7 +116,7 @@ def eval_series(c: CoeffSeq, zeta: complex, R_scale: float) -> EvalResult:
 def kernel_laplace_quadrature(s: float) -> float:
     """Numerical Laplace transform of k: mpmath's tanh-sinh quadrature on
     [0, 3] plus the analytic integral of the eigen tail beyond it."""
-    val = float(mp.quad(lambda t: math.exp(-s * float(t)) * kernel_k(float(t), "auto"),
+    val = float(mp.quad(lambda t: math.exp(-s * float(t)) * kernel_k(float(t), "poisson"),
                         [0.0, 3.0]))
     # beyond t = 3: k(t) = 1 + 2 sum (-1)^j e^{-lam_j t}, integrated exactly
     # over its first 8 modes (the ninth is below e^{-2398})

@@ -613,10 +613,12 @@ class TestCli:
         ({"gamma": 200, "s": 20}, "non-finite norm or ratio for gaussian"),
         ({"gamma": 200, "R": 1e-3}, "non-finite norm or ratio for gaussian"),
         ({"gamma": 200, "s": 5, "R": 20}, "non-finite norm or ratio for gaussian"),
-        ({"s": 1e300}, "ratio band needs C_hat = "),
+        # from 1e6 up C_hat is printed with .3e: at s = 1e300 .2f gave about 300 digits
+        ({"s": 1e6}, "ratio band needs C_hat = 1.024e+13 (allowed 50)\n"),
+        ({"s": 1e300}, "ratio band needs C_hat = 5.516e+295 (allowed 50)\n"),
         ({"R": 1e6}, "non-finite norm or ratio for gaussian"),
-    ], ids=["g-300-s1", "g-300-R20", "g200-s20", "g200-R1e-3", "g200-s5-R20", "s1e300",
-            "R1e6"])
+    ], ids=["g-300-s1", "g-300-R20", "g200-s20", "g200-R1e-3", "g200-s5-R20", "s1e6",
+            "s1e300", "R1e6"])
     def test_plancherel_ratio_range_edges_fail_by_name(self, tmp_path, capfd, cfg, why):
         # the gamma range [-300, 200] away from the default s and R, and extreme
         # s and R: one FAIL line that names the reason, nothing on stderr

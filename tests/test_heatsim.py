@@ -1,7 +1,6 @@
 import cmath
 import math
 import sys
-import time
 import tracemalloc
 
 import mpmath as mp
@@ -44,7 +43,7 @@ class TestKernel:
         assert _kernel_poisson(t).tobytes() == np.array([poisson(ti) for ti in t]).tobytes()
         assert _kernel_eigen_f64(t).tobytes() == np.array([eigen(ti) for ti in t]).tobytes()
 
-    @pytest.mark.parametrize("rep", ["eigen", "poisson", "auto"])
+    @pytest.mark.parametrize("rep", ["eigen", "poisson"])
     def test_scalar_gives_float(self, rep):
         for t in (3.4e-4, 0.05, 0.3, 2.0):
             v = kernel_k(t, rep)
@@ -56,14 +55,14 @@ class TestKernel:
         assert abs(e - p) < 1e-12 * abs(p)
 
     def test_large_t_plateau(self):
-        assert abs(kernel_k(10.0) - 1.0) < 1e-14
+        assert abs(kernel_k(10.0, "eigen") - 1.0) < 1e-14
 
     def test_flat_at_zero(self):
         # k(0.01) = 2 (pi 0.01)^{-1/2} e^{-25} = 1.5668e-10: flat at 0+;
         # assert the decade rather than a rounded bound
-        v = kernel_k(0.01)
+        v = kernel_k(0.01, "poisson")
         assert 1e-11 < v < 2e-10
-        assert kernel_k(0.005) < 1e-17
+        assert kernel_k(0.005, "poisson") < 1e-17
 
     def test_dual_representation_band(self):
         t = np.geomspace(0.01, 10.0, 200)
@@ -91,25 +90,9 @@ class TestKernel:
                          / mp.sqrt(mp.pi * ti)) for ti in t]
         assert np.array_equal(e, ref)
 
-    def test_auto_matches_branches(self):
-        for t in (0.05, 0.31, 0.33, 2.0):
-            a = kernel_k(t, "auto")
-            b = kernel_k(t, "poisson" if t < 1 / math.pi else "eigen")
-            assert a == b
-        t = np.geomspace(1e-3, 10.0, 301)
-        small = t < 1 / math.pi
-        want = np.where(small, kernel_k(t, "poisson"), kernel_k(t, "eigen"))
-        assert np.array_equal(kernel_k(t, "auto"), want)
-
-    def test_auto_evaluates_only_the_chosen_branch(self):
-        # the eigen sum at t = 1e-20 would take about 2e10 terms
-        t0 = time.perf_counter()
-        assert kernel_k(1e-20, "auto") == kernel_k(1e-20, "poisson")
-        assert time.perf_counter() - t0 < 1.0
-
     def test_domain(self):
         with pytest.raises(ValueError):
-            kernel_k(0.0)
+            kernel_k(0.0, "poisson")
         with pytest.raises(ValueError):
             kernel_k(1.0, "fourier")
 
@@ -187,7 +170,7 @@ class TestSimulate:
         cfg = SimConfig(J=128, dt=1e-3, T=1.0)
         res = simulate(np.ones(len(cfg.time_grid())), cfg)
         for t in (0.1, 0.3, 0.7, 1.0):
-            want = quad(lambda s: kernel_k(s), 0, t, limit=200, epsabs=1e-11)[0]
+            want = quad(lambda s: kernel_k(s, "poisson"), 0, t, limit=200, epsabs=1e-11)[0]
             got = res.y[int(round(t / cfg.dt))]
             assert abs(got - want) < 1e-6 * max(abs(want), 1e-3)
 
@@ -197,7 +180,7 @@ class TestSimulate:
         cfg = SimConfig(J=128, dt=1e-3, T=1.0)
         res = simulate(cfg.time_grid(), cfg)
         for t in (0.1, 0.3, 0.7, 1.0):
-            want = quad(lambda s: kernel_k(s) * (t - s), 0, t, limit=200,
+            want = quad(lambda s: kernel_k(s, "poisson") * (t - s), 0, t, limit=200,
                         epsabs=1e-14, epsrel=1e-13)[0]
             got = res.y[int(round(t / cfg.dt))]
             assert abs(got - want) < 1e-12 * abs(want)

@@ -18,7 +18,6 @@ from heatflat.holo import (
     _margin_norm,
     _series_coeffs_g,
     bergman_norm_estimate,
-    borel_range_test,
     interpolation_counterexample,
     loss_crossover,
     loss_factors,
@@ -66,11 +65,15 @@ class TestCoeffSeq:
                 assert lm == math.log(abs(v))
                 assert ph == v / abs(v)
 
-    def test_shift(self):
-        seq = CoeffSeq.from_values([1.0, 2.0, 3.0])
-        up, down = seq.shifted(1), seq.shifted(-1)
-        assert up.phase[0].real * math.exp(up.log_mag[0]) == pytest.approx(2.0)
-        assert down.phase[0].real * math.exp(down.log_mag[0]) == 0.0
+    def test_derivative(self):
+        # d/dzeta sum a_k zeta^2k/(2k)! = sum a_{k+1} zeta^{2k+1}/(2k+1)!
+        seq = CoeffSeq.from_values([1.0, -2.0, 3.0j])
+        d = seq.derivative()
+        assert d.parity == "odd"
+        assert d.log_mag.tolist() == seq.log_mag[1:].tolist()
+        assert d.phase.tolist() == [-1.0, 1j]
+        with pytest.raises(ValueError, match="even series"):
+            d.derivative()
 
 
 class TestEvalSeries:
@@ -315,8 +318,8 @@ def test_scale_class_equals_full_report_class(name, parity):
     base = BATTERY[name]()
     ev = SeriesEvaluator(CoeffSeq(base.log_mag, base.phase, parity))
     for R in BATTERY_R:
-        want = holo._classify(ev, R, 64).classification
-        got = holo._classify(ev, R, 64, class_only=True)
+        want = holo._classify(ev, R).classification
+        got = holo._classify(ev, R, class_only=True)
         assert got.classification == want, R
 
 
@@ -368,8 +371,8 @@ def test_class_only_falls_back_to_the_coarse_grid(parity, R, want):
     base = CoeffSeq.geometric(1.0, 30)
     ev = _FineGridDiverges(CoeffSeq(base.log_mag, base.phase, parity))
     assert not ev.pade_valid and math.isfinite(ev.log_r)
-    full = holo._classify(ev, R, 64)
-    got = holo._classify(ev, R, 64, class_only=True)
+    full = holo._classify(ev, R)
+    got = holo._classify(ev, R, class_only=True)
     assert full.classification == got.classification == want
     assert got.norms == full.norms and all(math.isfinite(v) for v in got.norms)
     assert got.norms == tuple(_margin_norm(ev, R, eps, 64)[0] for eps in got.margins)
@@ -387,10 +390,10 @@ def test_scale_class_entire_raw_divergence(parity, a1, R, first_unresolved):
     ev = SeriesEvaluator(CoeffSeq.from_values([1.0, a1, 1.0], parity))
     # entire: under 8 finite terms give no radius estimate, so no Pade fit
     assert ev.log_r == math.inf and not ev.pade_valid
-    rep = holo._classify(ev, R, 64)
+    rep = holo._classify(ev, R)
     assert len(rep.margins) == first_unresolved
     assert rep.classification == "divergent"
-    class_only = lambda R: holo._classify(ev, R, 64, class_only=True).classification
+    class_only = lambda R: holo._classify(ev, R, class_only=True).classification
     assert class_only(R) == "divergent"
     assert class_only(0.5) == "convergent"
 
@@ -479,7 +482,7 @@ class TestMarginNorm:
         ev = SeriesEvaluator(CoeffSeq.sharp_radius(700))
         assert len(calls) == 1 and ev.pade_valid
         for R in (0.3, 0.6, 0.68):
-            holo._classify(ev, R, 64)
+            holo._classify(ev, R)
         assert len(calls) == 1
 
 
@@ -606,6 +609,15 @@ class TestCounterexample:
         # growth ratio tends to sqrt(pi) from the sharper Stirling estimate
         assert abs(rep.growth_tail - math.sqrt(math.pi)) < 0.01
 
+    def test_trackability_is_the_terminal_derivative_report(self):
+        # the counterexample and the finite-horizon terminal test run one derivative test
+        from heatflat.flatness import terminal_state_report
+
+        rep = interpolation_counterexample(1000)
+        _, deriv = terminal_state_report(CoeffSeq.factorial_pair(1000))
+        assert rep.trackability_class == deriv.classification
+        assert rep.trackability_slope.hex() == deriv.slope.hex()
+
     def test_fn_class_is_the_full_report_class(self):
         full = bergman_norm_estimate(CoeffSeq.factorial_pair(1000), INV_SQRT2)
         assert interpolation_counterexample(1000).fn_class == full.classification == "undecided"
@@ -616,14 +628,17 @@ class TestCounterexample:
 
 
 class TestBorelRangeTest:
+    """The Bergman estimate on Borel sequences: as given, shifted and odd."""
+
     def test_delta_sequence_convergent(self):
-        rep = borel_range_test(CoeffSeq.from_values([1.0, 0, 0, 0]), 0, "even", INV_SQRT2)
+        rep = bergman_norm_estimate(CoeffSeq.from_values([1.0, 0, 0, 0]), INV_SQRT2)
         assert rep.classification == "convergent"
 
     def test_factorial_pair_shift_still_divergent(self):
-        rep = borel_range_test(CoeffSeq.factorial_pair(1500), 1, "even", INV_SQRT2)
+        d = CoeffSeq.factorial_pair(1500).derivative()
+        rep = bergman_norm_estimate(CoeffSeq(d.log_mag, d.phase, "even"), INV_SQRT2)
         # shifting changes only (1+n)-power prefactors, not the (2k)! growth;
-        # at p=1 the even series gains a factor ~ 4k per term: still divergent
+        # shifted by one the even series gains a factor ~ 4k per term: still divergent
         assert rep.classification == "divergent"
 
     def test_odd_parity_geometric_analogue(self):
@@ -632,9 +647,9 @@ class TestBorelRangeTest:
 
         k = np.arange(400)
         seq = CoeffSeq(gammaln(2 * k + 2), np.ones(400, dtype=complex), "odd")
-        rep_c = borel_range_test(seq, 0, "odd", 0.5)
+        rep_c = bergman_norm_estimate(seq, 0.5)
         assert rep_c.classification == "convergent"
-        rep_d = borel_range_test(seq, 0, "odd", 0.75)
+        rep_d = bergman_norm_estimate(seq, 0.75)
         assert rep_d.classification == "divergent"
         r = eval_series(seq, 0.4 + 0.2j, 0.5)
         zeta = 0.4 + 0.2j

@@ -33,12 +33,10 @@ class TestVarpiCoeffs:
         assert varpi_params(P) == (4.0, 1.0)
 
     def test_a0(self):
-        c = varpi_coeffs(P, 10)
-        assert abs(c.phase[0].real * math.exp(c.log_mag[0]) - 1.0 / math.gamma(2.0)) < 1e-15
+        assert abs(math.exp(varpi_coeffs(P, 10)[0]) - 1.0 / math.gamma(2.0)) < 1e-15
 
     def test_a1_is_1_over_120(self):
-        c = varpi_coeffs(P, 10)
-        assert abs(c.phase[1].real * math.exp(c.log_mag[1]) - 1.0 / 120.0) < 1e-16
+        assert abs(math.exp(varpi_coeffs(P, 10)[1]) - 1.0 / 120.0) < 1e-16
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -49,7 +47,7 @@ class TestVarpiCoeffs:
 
 def _convolution_An_rowwise(p, N):
     """Reference: row by row, with one exp over every term."""
-    loga = varpi_coeffs(p, N).log_mag
+    loga = varpi_coeffs(p, N)
     logA = np.empty(N + 1)
     for n in range(N + 1):
         terms = loga[: n + 1] + loga[n::-1]
@@ -83,7 +81,7 @@ class TestConvolutionAn:
     def test_live_band_is_rowwise_keep_set(self, s, gamma):
         # each row's terms within 746 of its max are [lo_n, n - lo_n], and t_{n//2} is the max
         N = 5000
-        loga = varpi_coeffs(GevreyParams(s, 1.0, gamma), N).log_mag
+        loga = varpi_coeffs(GevreyParams(s, 1.0, gamma), N)
         m, lo = plancherel._live_band(loga)
         for n in range(N + 1):
             t = loga[: n + 1] + loga[n::-1]
