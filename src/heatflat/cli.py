@@ -429,7 +429,8 @@ RULES = {
     "fourier-decay": {
         "gamma_exps": [lambda v, c: not all(g > 0 for g in v) and f"entries must be > 0, got {v}",
                        (">=", 1e-12, "be at least 1e-12, below which the fit's abscissae "
-                                     "xi^(1/s_nominal) all but coincide and np.polyfit warns"),
+                                     "xi^(1/s_nominal) all but coincide and the fitted slope "
+                                     "is lost to rounding"),
                        ("<=", 250)],
         "halfwidth": [(">", 0), ("<=", 1e164),
                       lambda hw, c: next((f"must keep the bump's peak exp(-2 halfwidth^-gamma_exp) "

@@ -415,7 +415,16 @@ def _exp_series_rows(g: float, N: int, terms, r, out: np.ndarray, cols) -> None:
     e^H_0 is not a normal long double, whose few digits the walk would carry
     up the rows; those points take one exp per row.  Rows that underflow are
     0.0, and points where rho underflows are left as they are.
+
+    Each ladder, the powers u_i q_i^j (q_i = c_i rho / r) and the scales
+    S_n, is one ``multiply.accumulate`` down an (N+1, points) array.  jH and G
+    are held point-major, shape (points, N+1), so that each G_k is one einsum
+    over contiguous rows, summed in increasing j for every point.  A block
+    takes two buffers of its size: the power ladder's then holds G, and jH's
+    the scale ladder.
     """
+    if not len(cols):
+        return
     n = np.arange(N + 1, dtype=np.longdouble)
     with np.errstate(over="ignore"):  # a coefficient past the range makes its rows not finite
         jC = -n * np.cumprod(np.concatenate([[1.0], (-g - n[:-1]) / n[1:]]))  # j H_j / sum u c^j
@@ -427,27 +436,29 @@ def _exp_series_rows(g: float, N: int, terms, r, out: np.ndarray, cols) -> None:
         k = 1.0 + g * U
         live = np.flatnonzero(r[blk] / k > 0.0)  # rho is 0 where g sum u passes the range
         k, U, rho = k[live], U[live], r[blk][live] / k[live]
-        jH = np.zeros((N + 1, len(live)), dtype=np.longdouble)
-        G = np.empty_like(jH)
-        G[0] = 1.0
+        jH = np.zeros((len(live), N + 1), dtype=np.longdouble)
+        ladder = np.empty((N + 1, len(live)), dtype=np.longdouble)
         with np.errstate(under="ignore"):  # a row that underflows is 0.0
             for u, c in terms:
-                q, p = c[blk][live] / k, u[blk][live]
-                for j in range(1, N + 1):
-                    p *= q
-                    jH[j] += jC[j] * p
-            for m in range(1, N + 1):  # summed in increasing j for every point
-                G[m] = np.einsum("jp,jp->p", jH[1:m + 1], G[m - 1::-1]) / m
-            S = np.exp(-U)
-            sub = np.flatnonzero(S < np.finfo(np.longdouble).smallest_normal)
-            log_rho, U_sub = np.log(rho[sub]), U[sub]
-            for m in range(N + 1):
-                if m:
-                    S *= m / rho
-                if len(sub):
-                    S[sub] = np.exp(log_fact[m] - m * log_rho - U_sub)
-                G[m] *= S
-            out[:, cols[blk][live]] = G
+                ladder[0], ladder[1:] = u[blk][live], c[blk][live] / k
+                np.multiply.accumulate(ladder, axis=0, out=ladder)
+                ladder[1:] *= jC[1:, None]
+                jH.T[1:] += ladder[1:]
+            G = ladder.reshape(jH.shape)
+            G[:, 0] = 1.0
+            for m in range(1, N + 1):
+                G[:, m] = np.einsum("pj,pj->p", jH[:, 1:m + 1], G[:, m - 1::-1]) / m
+            ladder = jH.reshape(N + 1, len(live))
+            ladder[0] = np.exp(-U)
+            np.divide(n[1:, None], rho, out=ladder[1:])
+            sub = np.flatnonzero(ladder[0] < np.finfo(np.longdouble).smallest_normal)
+            np.multiply.accumulate(ladder, axis=0, out=ladder)
+            if len(sub):
+                ladder[:, sub] = np.exp(log_fact[:, None] - n[:, None] * np.log(rho[sub])
+                                        - U[sub])
+            ladder *= G.T
+            out[:, cols[blk][live]] = ladder
+        del jH, ladder, G  # before the next block's buffers are allocated
 
 
 def _one_sided_bump(g: float, N: int, t, s: float = 1.0) -> np.ndarray:
@@ -654,7 +665,12 @@ def fourier_decay_fit(sig: Signal, order_s: float) -> DecayFit:
         raise ValueError("decay window too small; enlarge the grid or padding")
     x = xi[idx] ** (1.0 / order_s)
     y = -np.log(F[idx])
-    delta, icpt = np.polyfit(x, y, 1)
+    # least squares in closed form: with no BLAS or LAPACK call, the fit does
+    # not depend on the kernel OpenBLAS picks for the CPU
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    delta = np.sum(dx * (y - ym)) / np.sum(dx * dx)
+    icpt = ym - delta * xm
     resid = y - (delta * x + icpt)
     rms = float(np.sqrt(np.mean(resid**2)))
     spread = float(y.max() - y.min())

@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numkit import gauss_sum
+from .numkit import _GUARD_BITS, _walk
 
 __all__ = [
     "SimConfig",
@@ -109,10 +109,11 @@ def _kernel_eigen_f64(t: np.ndarray) -> np.ndarray:
 def _kernel_eigen_small_t(ti: float, k_est: float) -> float:
     # alternating eigen sum cancels to ~k(t); extend precision to keep the
     # *relative* error of this representation below 1e-13.  Terms past jmax
-    # lie below 10^-dps.  The alternating sum is twice the even-j Gaussian sum
-    # minus the full one; the guard digits cover their ~1/sqrt(pi t) size.
-    # gauss_sum is good to about one unit of the working precision, so the
-    # further 2 log10(2 jmax + 1) digits are spare margin.
+    # lie below 10^-dps.  k(t) = 2 sum_{j=0..jmax} (-1)^j e^{-j^2 pi^2 t} - 1
+    # is one alternating walk of numkit._walk (d0 = 0), in fixed point with
+    # prec + 64 bits below its first term 1, which bounds every partial sum.
+    # It is off by less than jmax^2/2 units of its last bit, so the further
+    # 5 + 2 log10(2 jmax + 1) digits are spare margin.
     # Where the float estimate underflows, k ~ 2 e^{-1/(4t)} / sqrt(pi t) sets
     # the size; below half the least subnormal k(t) rounds to 0.0.
     log10_k = (math.log10(k_est) if k_est >= 1e-300 else
@@ -123,8 +124,10 @@ def _kernel_eigen_small_t(ti: float, k_est: float) -> float:
     jmax = int(math.sqrt(dps * math.log(10) / (math.pi**2 * ti))) + 1
     with mp.workdps(dps + 5 + int(2 * math.log10(2 * jmax + 1))):
         c = mp.pi**2 * mp.mpf(ti)
-        return float(2 * gauss_sum(4 * c, 0, -(jmax // 2), jmax // 2)
-                     - gauss_sum(c, 0, -jmax, jmax))
+        p = mp.mp.prec + _GUARD_BITS
+        with mp.workprec(p):
+            s = _walk(c, 0, (jmax + 1,), p, alternating=True)[0]
+        return float(mp.ldexp(2 * s - (1 << p), -p))
 
 
 def kernel_k(t, rep: str):

@@ -218,14 +218,16 @@ def series_converged(total: float, tail: float) -> bool:
 def gauss_sum(c, kc, k_lo: int, k_hi: int):
     """sum_{k=k_lo}^{k_hi} exp(-c (k - kc)^2) at the caller's mpmath precision.
 
-    The one extended-precision Gaussian-sum loop of the package.  The range
-    is split at kc: an up walk over k >= kc and a down walk over k < kc, along
-    each of which the terms only decrease when c > 0 (c <= 0 is summed
-    correctly too, without the savings).  Each walk (:func:`_walk`) runs in
-    Python integers, in fixed point scaled by its own first term, so a range
-    far out in the tail keeps full relative precision.  When 2 kc is an exact
-    integer the down walk's terms are the up walk's shifted by 0 or 1 places,
-    and its sum is taken from the up walk's running sums.
+    The extended-precision Gaussian sum of the package.  The range is split
+    at kc: an up walk over k >= kc and a down walk over k < kc, along each of
+    which the terms only decrease when c > 0 (c <= 0 is summed correctly too,
+    without the savings).  Each walk runs in Python integers, in fixed point
+    scaled by its own first term, so a range far out in the tail keeps full
+    relative precision.  The walks are :func:`_walk`, the package's one
+    fixed-point loop, which the small-t eigen kernel
+    (``heatsim._kernel_eigen_small_t``) runs too, alternating.  When 2 kc is
+    an exact integer the down walk's terms are the up walk's shifted by 0 or
+    1 places, and its sum is taken from the up walk's running sums.
 
     Error model (c > 0): a walk of M terms with P = prec + 64 fractional bits
     is off by less than M^2/2 units of 2^-P of its first term, which is below
@@ -251,31 +253,34 @@ def gauss_sum(c, kc, k_lo: int, k_hi: int):
     return +total
 
 
-def _walk(c, d0, stops, p):
+def _walk(c, d0, stops, p, alternating=False):
     """Running sums of t_m = exp(-c ((d0 + m)^2 - d0^2)), m = 0, 1, ..., d0 >= 0.
 
     Returns, for each n in ``stops``, t_0 + ... + t_{n-1} as an integer
-    scaled by 2^p.  t, the ratio r = t_{m+1}/t_m = exp(-c (2 (d0 + m) + 1))
+    scaled by 2^p; with ``alternating``, t_0 - t_1 + ... + (-1)^(n-1) t_{n-1}.
+    t, the ratio r = t_{m+1}/t_m = exp(-c (2 (d0 + m) + 1))
     and q = r_{m+1}/r_m = exp(-2c) are fixed-point integers, r and q with w
     fractional bits (w = p at first); each step is t <- t r, r <- r q.  For
     c > 0 the terms only decrease, so once t's length plus 64 guard bits
     falls more than 64 bits below w, r and q are cut to that length, which
-    keeps t r good to one unit and makes each later product cheaper.  The
-    walk stops at the last stop, or once t is 0.
+    keeps t r good to one unit and makes each later product cheaper.  t, r
+    and q stay positive either way: the terms of even and odd m are summed
+    apart, exactly, and the sums added or subtracted at each stop.  The walk
+    stops at the last stop, or once t is 0.
     """
     r = int(mp.ldexp(mp.exp(-c * (2 * d0 + 1)), p))
     q = int(mp.ldexp(mp.exp(-2 * c), p))
-    t, w, m, tot, sums = 1 << p, p, 0, 0, {}
+    t, w, m, parts, sums = 1 << p, p, 0, [0, 0], {}  # parts: the even-m and odd-m sums
     for n in sorted(stops):
         while m < n and t:
-            tot += t
+            parts[m & 1] += t
             t = t * r >> w
             r = r * q >> w
             m += 1
             cut = w - t.bit_length() - _GUARD_BITS
             if cut > _GUARD_BITS:
                 r, q, w = r >> cut, q >> cut, w - cut
-        sums[n] = tot
+        sums[n] = parts[0] - parts[1] if alternating else parts[0] + parts[1]
     return [sums[n] for n in stops]
 
 

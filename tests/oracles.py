@@ -6,6 +6,10 @@ eval_series                one-point value of a coefficient series by its raw
                            Taylor sum, with raw_eval, EvalResult and l1
 kernel_laplace_quadrature  the Laplace transform of the kernel k(t) by quadrature
 neu_dir_transfer           its closed form 1/(sqrt(s) sinh sqrt(s))
+exp_series_rows_rowmajor   gevrey's derivative-row recurrence in its row-major form,
+                           one Python step per row of each ladder
+kernel_eigen_two_sums      the small-t eigen kernel as twice the even-j Gaussian
+                           sum minus the full one
 """
 
 import math
@@ -17,7 +21,7 @@ import numpy as np
 from heatflat import holo
 from heatflat.heatsim import kernel_k
 from heatflat.holo import CoeffSeq
-from heatflat.numkit import log_gamma
+from heatflat.numkit import gauss_sum, log_gamma
 
 
 def polylog(s: float, zeta: complex) -> complex:
@@ -137,3 +141,63 @@ def neu_dir_transfer(s):
     em = np.exp(-w)
     out = 2.0 * em / (w * (1.0 - em * em))
     return out if np.ndim(s) else complex(out[0])
+
+
+# ---------------------------------------------------------------------------
+# Former forms of two extended-precision kernels
+# ---------------------------------------------------------------------------
+
+def exp_series_rows_rowmajor(g: float, N: int, terms, r, out: np.ndarray, cols) -> None:
+    """gevrey._exp_series_rows with each block's ladders row-major, shape (N+1, points).
+
+    The same operations in the same order: the power ladder p_j = p_{j-1} q and
+    the scale ladder S_m = S_{m-1} m / rho take one Python step per row, and
+    G_m is one einsum over the (j, points) layout.
+    """
+    n = np.arange(N + 1, dtype=np.longdouble)
+    with np.errstate(over="ignore"):
+        jC = -n * np.cumprod(np.concatenate([[1.0], (-g - n[:-1]) / n[1:]]))
+    log_fact = np.cumsum(np.log(n.clip(1.0)))
+    step = max(1, min(1024, (1 << 16) // (N + 1)))
+    for lo in range(0, len(cols), step):
+        blk = slice(lo, lo + step)
+        U = sum(u[blk] for u, _ in terms)
+        k = 1.0 + g * U
+        live = np.flatnonzero(r[blk] / k > 0.0)
+        k, U, rho = k[live], U[live], r[blk][live] / k[live]
+        jH = np.zeros((N + 1, len(live)), dtype=np.longdouble)
+        G = np.empty_like(jH)
+        G[0] = 1.0
+        with np.errstate(under="ignore"):
+            for u, c in terms:
+                q, p = c[blk][live] / k, u[blk][live]
+                for j in range(1, N + 1):
+                    p *= q
+                    jH[j] += jC[j] * p
+            for m in range(1, N + 1):
+                G[m] = np.einsum("jp,jp->p", jH[1:m + 1], G[m - 1::-1]) / m
+            S = np.exp(-U)
+            sub = np.flatnonzero(S < np.finfo(np.longdouble).smallest_normal)
+            log_rho, U_sub = np.log(rho[sub]), U[sub]
+            for m in range(N + 1):
+                if m:
+                    S *= m / rho
+                if len(sub):
+                    S[sub] = np.exp(log_fact[m] - m * log_rho - U_sub)
+                G[m] *= S
+            out[:, cols[blk][live]] = G
+
+
+def kernel_eigen_two_sums(ti: float, k_est: float) -> float:
+    """heatsim._kernel_eigen_small_t as 2 gauss_sum(4c, 0, -jmax//2, jmax//2)
+    - gauss_sum(c, 0, -jmax, jmax), c = pi^2 t, at the same digits and jmax."""
+    log10_k = (math.log10(k_est) if k_est >= 1e-300 else
+               (math.log(2.0 / math.sqrt(math.pi * ti)) - 0.25 / ti) / math.log(10.0))
+    if log10_k < -324.5:
+        return 0.0
+    dps = 20 + max(0, int(-log10_k))
+    jmax = int(math.sqrt(dps * math.log(10) / (math.pi**2 * ti))) + 1
+    with mp.workdps(dps + 5 + int(2 * math.log10(2 * jmax + 1))):
+        c = mp.pi**2 * mp.mpf(ti)
+        return float(2 * gauss_sum(4 * c, 0, -(jmax // 2), jmax // 2)
+                     - gauss_sum(c, 0, -jmax, jmax))

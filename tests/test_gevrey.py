@@ -15,6 +15,7 @@ from heatflat.gevrey import (
     _log_l2_norm,
     _log_Mn,
     _one_sided_bump,
+    bump_derivs,
     bump_gevrey,
     fourier_decay_fit,
     gaussian_signal,
@@ -26,6 +27,7 @@ from heatflat.gevrey import (
     weighted_fourier_norm,
 )
 from heatflat.heatsim import SimConfig
+from oracles import exp_series_rows_rowmajor
 
 P2 = GevreyParams(2.0, 0.5, 0.0)
 
@@ -343,6 +345,37 @@ class TestDerivativeTable:
             want = self._mp_series_rows(g, t, N)
             assert np.count_nonzero(want) >= 5
             assert np.all(np.abs(tab[:, i] - want) <= 1e-13 * np.abs(want))
+
+    @staticmethod
+    def _row_major_cases():
+        track = cli.SUBCOMMANDS["track"][1]
+        bump = bump_derivs(track["gamma_exp"], track["t_scale"])
+        for dt in (1e-3, 2.5e-4):
+            grid = SimConfig(J=track["J"], dt=dt, T=track["T"]).time_grid()
+            for N in (25, 60):
+                yield f"track dt={dt:g} N={N}", bump, N, grid
+        for m in (1023, 1024, 1025):  # the edge of a 1024-point block
+            yield f"{m} points", bump, 25, np.linspace(-0.1, 2.0, m)
+        for N in (62, 63, 64):  # the block shrinks to 1008 points at N = 64
+            yield f"N={N}", bump, N, np.linspace(-0.1, 2.0, 2100)
+        yield "N=0", bump, 0, np.linspace(-0.1, 2.0, 1500)
+        yield "no points", bump, 12, np.array([])
+        yield "rho underflows", bump_derivs(20.0), 10, np.array([1e-300, 1e-290, 0.5])
+        yield "rho underflows at every point", bump_derivs(20.0), 10, np.array([1e-300, 1e-290])
+        yield "two-sided N=100", two_sided_bump(0.0, 3.0, 1.5).derivs, 100, np.linspace(-4, 4, 2049)
+        us = np.array([11300.0, 11370.0, 11390.0, 11420.0])  # e^-u subnormal at two
+        yield "e^-u subnormal", bump_derivs(0.05), 60, us ** (-1 / 0.05)
+
+    def test_point_major_recurrence_equals_the_row_major_form(self, monkeypatch):
+        # the same operations in the same order: equal tables, sign bits included
+        cases = list(self._row_major_cases())
+        new = [derivs(N, t) for _, derivs, N, t in cases]
+        monkeypatch.setattr(gevrey, "_exp_series_rows", exp_series_rows_rowmajor)
+        for (name, derivs, N, t), tab in zip(cases, new):
+            ref = derivs(N, t)
+            assert tab.shape == ref.shape == (N + 1, len(t)), name
+            assert np.array_equal(tab, ref), name
+            assert np.array_equal(np.signbit(tab), np.signbit(ref)), name
 
     def test_bump_rows_vanish_where_they_underflow(self):
         # f^(n)(t) = exp(-t^-g) * (...) is far below the float64 range here

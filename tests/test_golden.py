@@ -12,6 +12,12 @@ of the first runs still warm, and must give the same bytes.
 A change that moves a result file updates the golden copy and its bound here
 in the same diff, and says by how much in CHANGES.md.
 
+The 11 runs are made once more in a subprocess under
+``OPENBLAS_CORETYPE=Nehalem``, a BLAS kernel for CPUs without AVX, and must
+match the same golden copies under the same TOLERANCES: the results must not
+hang on the kernel that OpenBLAS picks for the CPU.  That check is skipped
+where numpy is not linked to OpenBLAS.
+
 The first runs are traced with ``sys.setprofile``.  Every module-level
 function and class method of ``src/heatflat`` that none of them calls must
 be in KEEP with the reason it stays, and every entry of KEEP must be such a
@@ -27,11 +33,14 @@ import inspect
 import io
 import json
 import math
+import os
 import pkgutil
+import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heatflat
@@ -230,3 +239,32 @@ def test_unreached_functions_are_kept_on_purpose(default_run):
                  if code not in default_run.called}
     assert sorted(unreached - set(KEEP)) == []  # add to KEEP, with the reason
     assert sorted(set(KEEP) - unreached) == []  # reached or gone: drop from KEEP
+
+
+def _blas_name() -> str:
+    """The BLAS numpy was built against, in lower case; '' where numpy does not say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode
+        return ""
+
+
+_RUN_ALL = """
+import sys
+from heatflat import cli
+for name in cli.SUBCOMMANDS:
+    cli.main([name, "--out", sys.argv[1]])
+"""
+
+
+@pytest.mark.skipif("openblas" not in _blas_name(),
+                    reason="numpy is not linked to OpenBLAS, so OPENBLAS_CORETYPE picks no kernel")
+def test_default_runs_match_golden_under_the_nehalem_blas_kernel(tmp_path):
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=str(Path(heatflat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _RUN_ALL,
+                           str(tmp_path)], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "messages.txt").read_text()
+    assert {name: _mismatches(tmp_path / name, GOLDEN / name, tols)
+            for name, tols in TOLERANCES.items()} == {name: [] for name in TOLERANCES}

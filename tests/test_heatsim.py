@@ -12,12 +12,13 @@ from scipy.special import erfc
 from heatflat.heatsim import (
     SimConfig,
     _kernel_eigen_f64,
+    _kernel_eigen_small_t,
     _kernel_poisson,
     _poisson_terms,
     kernel_k,
     simulate,
 )
-from oracles import kernel_laplace_quadrature, neu_dir_transfer
+from oracles import kernel_eigen_two_sums, kernel_laplace_quadrature, neu_dir_transfer
 
 
 class TestKernel:
@@ -89,6 +90,14 @@ class TestKernel:
             ref = [float(2 * mp.fsum(mp.exp(-(m + mp.mpf(0.5)) ** 2 / ti) for m in range(5))
                          / mp.sqrt(mp.pi * ti)) for ti in t]
         assert np.array_equal(e, ref)
+
+    def test_eigen_small_t_equals_the_two_sum_form(self):
+        # one alternating walk gives the floats of twice the even-j Gaussian
+        # sum minus the full one, down to where k(t) leaves the normal range
+        t = np.geomspace(3.51e-4, 0.05, 3000)
+        est = _kernel_poisson(t)
+        walk = [_kernel_eigen_small_t(ti, ei) for ti, ei in zip(t, est)]
+        assert walk == [kernel_eigen_two_sums(ti, ei) for ti, ei in zip(t, est)]
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,12 @@ from scipy.special import gammaln
 
 from heatflat.numkit import (
     MAX_LOST_DIGITS,
+    _GUARD_BITS,
     _imag_digits_lost,
     _imag_series_terms,
     _log_abs_E_beta_imag,
     _theta_digits,
+    _walk,
     gauss_sum,
     log_gamma,
     mittag_type_imaginary,
@@ -236,6 +238,26 @@ def test_gauss_sum_matches_termwise_exp():
             want = mp.fsum(mp.exp(-c * (k - kc) ** 2) for k in range(lo, hi + 1))
             assert abs(gauss_sum(c, kc, lo, hi) / want - 1) < mp.mpf(10) ** -45
         assert gauss_sum(0.3, 4.0, 8, 7) == 0  # empty range
+
+
+@pytest.mark.parametrize("c, jmax, dps", [(0.5, 10, 30), (2.0, 3, 30), (1e-3, 120, 40),
+                                          (math.pi**2 * 0.01, 27, 37),
+                                          (math.pi**2 * 3.51e-4, 467, 337)])
+def test_alternating_walk_against_mpmath(c, jmax, dps):
+    # the running sums of (-1)^m e^{-c m^2} at three stops, in fixed point below
+    # the first term, within jmax^2/2 + 1 units of 2^-p of a direct sum at
+    # twice the digits; the last two are the small-t eigen kernel's walks at
+    # t = 0.01 and at the edge of the normal range, where k(t) is 1e-308
+    stops = (1, jmax // 2, jmax + 1)
+    with mp.workdps(dps):
+        c = mp.mpf(c)
+        p = mp.mp.prec + _GUARD_BITS
+        with mp.workprec(p):
+            sums = _walk(c, 0, stops, p, alternating=True)
+        with mp.workdps(2 * dps):
+            for n, s in zip(stops, sums):
+                want = mp.fsum((-1) ** m * mp.exp(-c * m**2) for m in range(n))
+                assert abs(mp.ldexp(s, -p) - want) <= mp.ldexp(jmax**2 / 2 + 1, -p)
 
 
 @pytest.mark.parametrize("kind, n, a, b", [
