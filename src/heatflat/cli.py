@@ -2,9 +2,11 @@
 
 Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert]
 
-Each subcommand reads an optional JSON config ({"schema": 1, ...}), writes
-CSV/JSON results with 17 significant digits, and -- with --assert -- exits
-nonzero when its acceptance threshold is violated.  Unknown keys, values of the
+Each subcommand reads an optional JSON config ({"schema": 1, ...}) and -- with
+--assert -- exits nonzero when its acceptance threshold is violated.  Its run,
+run_*(cfg), touches no file: it returns its verdict, message and result files by
+name, (header, rows) tables or one JSON object, and one writer, _write, makes
+them under --out, CSV with 17 significant digits.  Unknown keys, values of the
 wrong kind, numbers not finite or beyond the float range, fractions where the
 default is an integer, and values outside the range RULES declares for their
 key are rejected before any work: one ERROR line names the key, exit code 2.
@@ -15,6 +17,7 @@ with an identical config reproduces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -102,18 +105,18 @@ def _broken(rule, v, cfg):
     return None
 
 
-# subcommand implementations: each returns (ok, message)
-def run_kernel_check(cfg, out):
+# subcommand implementations: each returns (ok, message, {file name: table or JSON object})
+def run_kernel_check(cfg):
     t = np.geomspace(cfg["t_min"], cfg["t_max"], cfg["n_points"])
     ke, kp = heatsim.kernel_k(t, "eigen"), heatsim.kernel_k(t, "poisson")
     gap = np.abs(ke - kp) / np.abs(kp)
-    _write_csv(os.path.join(out, "kernel_check.csv"), ["t", "eigen", "poisson", "rel_gap"],
-               np.column_stack((t, ke, kp, gap)))
     mx = float(gap.max())
-    return mx < cfg["threshold"], f"max relative gap {mx:.3e} (threshold {cfg['threshold']:g})"
+    return mx < cfg["threshold"], f"max relative gap {mx:.3e} (threshold {cfg['threshold']:g})", {
+        "kernel_check.csv": (["t", "eigen", "poisson", "rel_gap"],
+                             np.column_stack((t, ke, kp, gap)))}
 
 
-def run_track(cfg, out):
+def run_track(cfg):
     """Track the target at K, and at K_low when set, on one time grid.
 
     Both experiments read one derivative table of rows 0..max(K, K_low) on
@@ -136,7 +139,6 @@ def run_track(cfg, out):
 
     y = gevrey.Signal(tgrid, None, derivs=shared)
     res = flatness.tracking_experiment(y, sim_cfg, K=int(cfg["K"]))
-    res.to_csv(os.path.join(out, "track.csv"))
     ok = res.max_error < cfg["threshold"]
     msg = f"max tracking error {res.max_error:.3e} (threshold {cfg['threshold']:g})"
     if cfg["K_low"]:
@@ -147,7 +149,7 @@ def run_track(cfg, out):
             ratio = res_lo.max_error / max(res.max_error, 1e-300)
             ok = ok and ratio >= cfg["shrink_factor"]
             msg += f"; K={cfg['K_low']} -> K={cfg['K']} error shrink x{ratio:.1f}"
-    return ok, msg
+    return ok, msg, {"track.csv": res.table()}
 
 
 def _ratio_family():
@@ -157,7 +159,7 @@ def _ratio_family():
             g(-1.0, 1.4, grid=grid) + b(1.0, 2.0, 1.5, grid=grid)]
 
 
-def run_plancherel_ratio(cfg, out):
+def run_plancherel_ratio(cfg):
     p = gevrey.GevreyParams(cfg["s"], cfg["R"], cfg["gamma"])
     rows, unconverged, unresolved, above_s = [], [], [], []
     for sig in _ratio_family():
@@ -171,8 +173,7 @@ def run_plancherel_ratio(cfg, out):
             unresolved.append(name)
         if (gevrey.nominal_order(sig.descriptor()) or 0.0) > cfg["s"]:
             above_s.append(name)
-    _write_csv(os.path.join(out, "plancherel_ratio.csv"),
-               ["signal", "time_norm", "fourier_norm", "ratio"], rows)
+    files = {"plancherel_ratio.csv": (["signal", "time_norm", "fourier_norm", "ratio"], rows)}
     # max and min skip a NaN that does not come first, so check every row
     bad = [r[0] for r in rows if not all(math.isfinite(v) for v in r[1:])]
     fails = [f"{what} for {', '.join(names)}" for what, names in (
@@ -180,18 +181,19 @@ def run_plancherel_ratio(cfg, out):
         ("time norm series not converged", unconverged),
         ("time norm quadrature not converged", unresolved)) if names]
     if fails:
-        return False, "; ".join(fails)
+        return False, "; ".join(fails), files
     # a nominal order above s means infinite norms, which N rows on a grid may not show
     if above_s:
-        return False, f"nominal Gevrey order above s = {cfg['s']:g} for {', '.join(above_s)}"
+        return False, f"nominal Gevrey order above s = {cfg['s']:g} for {', '.join(above_s)}", files
     ratios = [r[3] for r in rows]
     chat = max(max(ratios), 1.0 / min(ratios))
     # .2f from 1e6 up grows with the exponent: about 300 digits at s = 1e300
     shown = f"{chat:.2f}" if chat < 1e6 else f"{chat:.3e}"
-    return chat <= cfg["c_hat"], f"ratio band needs C_hat = {shown} (allowed {cfg['c_hat']:g})"
+    return (chat <= cfg["c_hat"],
+            f"ratio band needs C_hat = {shown} (allowed {cfg['c_hat']:g})", files)
 
 
-def run_an_asymptotics(cfg, out):
+def run_an_asymptotics(cfg):
     p = gevrey.GevreyParams(cfg["s"], 1.0, cfg["gamma"])
     alpha, beta = plancherel.varpi_params(p)
     N = int(cfg["n_max"])
@@ -203,8 +205,8 @@ def run_an_asymptotics(cfg, out):
     # a ratio beyond the float range is written as inf
     with np.errstate(over="ignore"):
         ratio = np.exp(log_ratio)
-    _write_csv(os.path.join(out, "an_asymptotics.csv"), ["n", "log_An", "log_pred", "ratio"],
-               np.column_stack((n, logA[1:], logpred, ratio)))
+    files = {"an_asymptotics.csv": (["n", "log_An", "log_pred", "ratio"],
+                                    np.column_stack((n, logA[1:], logpred, ratio)))}
     # the band from the log ratios: the ratios themselves underflow long before it leaves
     # the float range
     lr = log_ratio[n >= int(cfg["n_min"])]
@@ -212,10 +214,10 @@ def run_an_asymptotics(cfg, out):
     span = f"over n in [{cfg['n_min']}, {N}]"
     if not width <= math.log(sys.float_info.max):  # NaN too
         return False, (f"A_n/prediction band factor e^{width:.4g} {span} is beyond the float "
-                       f"range (log ratio from {lr.min():.6g} to {lr.max():.6g})")
+                       f"range (log ratio from {lr.min():.6g} to {lr.max():.6g})"), files
     band = math.exp(width)
     return band <= cfg["band_factor"], (
-        f"A_n/prediction band factor {band:.4g} {span} (allowed {cfg['band_factor']:g})")
+        f"A_n/prediction band factor {band:.4g} {span} (allowed {cfg['band_factor']:g})"), files
 
 
 def _log10_truncation_law(n: int) -> float:
@@ -235,7 +237,7 @@ def _log_h(alpha):
     return u
 
 
-def run_laplace_discrete(cfg, out):
+def run_laplace_discrete(cfg):
     rows, log_rels = [], []
     for n in cfg["n_quadratic"]:
         # the dual form resolves the error at a fixed 40 digits, whatever n
@@ -251,62 +253,60 @@ def run_laplace_discrete(cfg, out):
         rows.append(("log_h", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err, ""))
         if n >= 2000:
             ok = ok and r.rel_err < 5e-2
-    _write_csv(os.path.join(out, "laplace_discrete.csv"),
-               ["case", "n", "log_sum", "log_prediction", "rel_err", "log10_rel_err",
-                "log10_truncation_law"], rows)
     return ok, (f"quadratic log10 rel_err sequence {[round(l, 1) for l in log_rels]}, "
-                f"decreasing and below log10({cfg['threshold']:g})")
+                f"decreasing and below log10({cfg['threshold']:g})"), {
+        "laplace_discrete.csv": (["case", "n", "log_sum", "log_prediction", "rel_err",
+                                  "log10_rel_err", "log10_truncation_law"], rows)}
 
 
-def run_theta_identity(cfg, out):
+def run_theta_identity(cfg):
     rows, worst = [], 0.0
     for n, a, b in cfg["cases"]:
         r = numkit.theta_gauss_sum(int(n), a, b)
         rows.append((int(n), a, b, r.sum, r.predicted, r.log10_gap, r.log10_bound, r.c_uniform))
         worst = max(worst, r.c_uniform)
-    _write_csv(os.path.join(out, "theta_identity.csv"),
-               ["n", "a", "b", "sum", "predicted", "log10_gap", "log10_bound", "c_uniform"], rows)
-    return worst < cfg["c_max"], f"uniform constant {worst:.3f} (allowed {cfg['c_max']:g})"
+    return worst < cfg["c_max"], f"uniform constant {worst:.3f} (allowed {cfg['c_max']:g})", {
+        "theta_identity.csv": (["n", "a", "b", "sum", "predicted", "log10_gap", "log10_bound",
+                                "c_uniform"], rows)}
 
 
 _SEQUENCES = {"geometric": lambda: holo.CoeffSeq.geometric(1.0, 700),
               "sharp_radius": lambda: holo.CoeffSeq.sharp_radius(700)}
 
 
-def run_bergman_radius(cfg, out):
+def run_bergman_radius(cfg):
     target, rows, ok = 1.0 / math.sqrt(2.0), [], True
     for name in cfg["sequences"]:
         lo, hi = holo.radius_Ra(_SEQUENCES[name](), tol=cfg["tol"])
         rows.append((name, lo, hi))
         ok = ok and (target - cfg["window"] <= lo) and (hi <= target + cfg["window"])
-    _write_csv(os.path.join(out, "bergman_radius.csv"), ["sequence", "R_lo", "R_hi"], rows)
-    return ok, f"brackets {rows} vs 1/sqrt2 +- {cfg['window']:g}"
+    return ok, f"brackets {rows} vs 1/sqrt2 +- {cfg['window']:g}", {
+        "bergman_radius.csv": (["sequence", "R_lo", "R_hi"], rows)}
 
 
-def run_counterexample(cfg, out):
+def run_counterexample(cfg):
     rep = holo.interpolation_counterexample(int(cfg["N"]))
-    with open(os.path.join(out, "counterexample.json"), "w") as f:
-        f.write(json.dumps(vars(rep)))
     ok = (cfg["exponent_lo"] <= rep.residual_exponent <= cfg["exponent_hi"]
           and rep.trackability_class == "divergent" and math.isfinite(rep.growth_sup))
     return ok, (f"residual exponent {rep.residual_exponent:.3f}, trackability "
-                f"{rep.trackability_class}, growth sup {rep.growth_sup:.3f}")
+                f"{rep.trackability_class}, growth sup {rep.growth_sup:.3f}"), {
+        "counterexample.json": vars(rep)}
 
 
-def run_loss_table(cfg, out):
+def run_loss_table(cfg):
     rows = holo.loss_factors(cfg["s_grid"])
-    _write_csv(os.path.join(out, "loss_table.csv"), ["s", "rho_s", "Gamma_s", "rho_mrr", "sign"],
-               [(r["s"], r["rho_s"], r["Gamma_s"], r["rho_mrr"], r["sign"]) for r in rows])
     cross = holo.loss_crossover()
     ok = (all(r["sign"] > 0 for r in rows if 1 < r["s"] < 3) and 3.0 < cross < 4.0
           and all(r["sign"] < 0 for r in rows if r["s"] > 4)
           and all(abs(r["rho_s"] - 0.7071067811865476) < 1e-12
                   and abs(r["rho_mrr"] - 0.8319859539411386) < 1e-12
                   for r in rows if r["s"] == 2.0))
-    return ok, f"crossover at s = {cross:.6f}; rho_2 = {1/math.sqrt(2):.7f}, mrr = {math.exp(-1/(2*math.e)):.7f}"
+    table = [(r["s"], r["rho_s"], r["Gamma_s"], r["rho_mrr"], r["sign"]) for r in rows]
+    return ok, f"crossover at s = {cross:.6f}; rho_2 = {1/math.sqrt(2):.7f}, mrr = {math.exp(-1/(2*math.e)):.7f}", {
+        "loss_table.csv": (["s", "rho_s", "Gamma_s", "rho_mrr", "sign"], table)}
 
 
-def run_fourier_decay(cfg, out):
+def run_fourier_decay(cfg):
     rows, fails = [], []
     for gamma_exp in cfg["gamma_exps"]:
         s_nom = 1.0 + 1.0 / gamma_exp
@@ -325,14 +325,14 @@ def run_fourier_decay(cfg, out):
     rows.append(("gaussian-vs-s1", 1.0, fit.delta, fit.residual_rms, int(fit.mismatch)))
     if not fit.mismatch:
         fails.append("gaussian not flagged as mismatch for s=1")
-    _write_csv(os.path.join(out, "fourier_decay.csv"),
-               ["signal", "s_nominal", "delta", "residual_rms", "mismatch"], rows)
+    files = {"fourier_decay.csv": (["signal", "s_nominal", "delta", "residual_rms", "mismatch"],
+                                   rows)}
     if fails:
-        return False, "; ".join(fails)
-    return True, "bump fits positive and clean; gaussian flagged as mismatch for s=1"
+        return False, "; ".join(fails), files
+    return True, "bump fits positive and clean; gaussian flagged as mismatch for s=1", files
 
 
-def run_mittag_type(cfg, out):
+def run_mittag_type(cfg):
     (lo, hi), rows, ok = cfg["x_range"], [], True
     for beta in cfg["betas"]:
         y = np.exp(np.linspace(beta * math.log(lo), beta * math.log(hi), int(cfg["n_points"])))
@@ -340,12 +340,24 @@ def run_mittag_type(cfg, out):
         target = math.cos(math.pi / (2.0 * beta))
         rows.append((beta, fit.type_fitted, target, abs(fit.type_fitted - target)))
         ok = ok and abs(fit.type_fitted - target) < cfg["tolerance"]
-    _write_csv(os.path.join(out, "mittag_type.csv"),
-               ["beta", "fitted_type", "expected", "abs_diff"], rows)
-    return ok, f"fitted types {[(r[0], round(r[1], 6)) for r in rows]}"
+    return ok, f"fitted types {[(r[0], round(r[1], 6)) for r in rows]}", {
+        "mittag_type.csv": (["beta", "fitted_type", "expected", "abs_diff"], rows)}
 
 
-SUBCOMMANDS = {
+def _write(run, cfg, out):
+    """The one result writer: run(cfg), then its (header, rows) tables as CSV, anything else as
+    JSON, under out.  Bound to each run, it is the (cfg, out) -> (ok, msg) of SUBCOMMANDS."""
+    ok, msg, files = run(cfg)
+    for name, content in files.items():
+        if isinstance(content, tuple):
+            _write_csv(os.path.join(out, name), *content)
+        else:
+            with open(os.path.join(out, name), "w") as f:
+                f.write(json.dumps(content))
+    return ok, msg
+
+
+SUBCOMMANDS = {name: (functools.partial(_write, run), defaults) for name, (run, defaults) in {
     "kernel-check": (run_kernel_check, {"t_min": 0.01, "t_max": 10.0, "n_points": 200,
                                         "threshold": 1e-10}),
     "track": (run_track, {"target": "bump", "gamma_exp": 1.5, "t_scale": 0.2, "K": 25,
@@ -367,7 +379,7 @@ SUBCOMMANDS = {
     "fourier-decay": (run_fourier_decay, {"gamma_exps": [1.0, 1.5], "halfwidth": 1.0}),
     "mittag-type": (run_mittag_type, {"betas": [2.0, 3.0], "x_range": [15.0, 25.0],
                                       "n_points": 12, "tolerance": 0.01}),
-}
+}.items()}
 
 _K_LOW, _N_MIN = "be 0 (no comparison) or lie in [1, K = {K})", "lie in [1, n_max = {n_max}]"
 _DPS = "digits of working precision"

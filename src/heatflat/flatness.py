@@ -123,9 +123,12 @@ class TrackingResult:
     synthesis: FlatSum
     K: int
 
+    def table(self):  # track.csv's header and rows
+        return (["t", "y_target", "y_sim", "u"],
+                np.column_stack((self.sim.t, self.y_target, self.sim.y, self.sim.u)))
+
     def to_csv(self, path) -> None:
-        write_csv(path, ["t", "y_target", "y_sim", "u"],
-                  np.column_stack((self.sim.t, self.y_target, self.sim.y, self.sim.u)))
+        write_csv(path, *self.table())
 
 
 def tracking_experiment(y_target: Signal, cfg: SimConfig, K: int) -> TrackingResult:

@@ -5,6 +5,8 @@ fields of the results it counts (``perfbench/tracing.py``); a deletion that
 removes one of them breaks traced runs without failing any other test.
 """
 
+import os
+
 import pytest
 
 from heatflat import cli, flatness, gevrey, heatsim, holo, numkit, plancherel
@@ -40,3 +42,16 @@ def test_every_traced_attribute_exists():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr in TRACED
                if not (hasattr(owner, attr) or attr in getattr(owner, "__dataclass_fields__", {}))]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["track", "kernel-check"])
+def test_subcommand_entry_writes_through_the_traced_name(name, tmp_path, monkeypatch):
+    # perfbench runs a unit as ok, msg = SUBCOMMANDS[name][0](cfg, out), and its tracer
+    # counts the bytes of every CSV written through cli._write_csv
+    write, paths = cli._write_csv, []
+    monkeypatch.setattr(cli, "_write_csv", lambda path, *a: paths.append(path) or write(path, *a))
+    result = cli.SUBCOMMANDS[name][0](dict(cli.SUBCOMMANDS[name][1]), str(tmp_path))
+    assert len(result) == 2 and type(result[0]) is bool and type(result[1]) is str
+    csv = name.replace("-", "_") + ".csv"
+    assert paths == [os.path.join(tmp_path, csv)]
+    assert [p.name for p in tmp_path.iterdir()] == [csv]

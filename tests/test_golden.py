@@ -7,7 +7,10 @@ TOLERANCES gives it no columns, otherwise column by column, numbers within
 the stated bound and everything else as text.  The messages must equal
 ``tests/golden/messages.txt`` line for line.  The 11 runs are made again in
 reverse order into a second directory, without a config and with the caches
-of the first runs still warm, and must give the same bytes.
+of the first runs still warm, and must give the same bytes.  Each ``run_*``
+is also called alone at its defaults with ``open`` and ``os.makedirs`` made
+to raise: it must return its golden message and exactly its golden file's
+name, which ``cli._write`` alone writes.
 
 A change that moves a result file updates the golden copy and its bound here
 in the same diff, and says by how much in CHANGES.md.
@@ -26,6 +29,7 @@ function that no default run reaches, or a kept one that becomes reached,
 is a one-line edit of KEEP in the same diff.
 """
 
+import builtins
 import contextlib
 import csv
 import importlib
@@ -80,6 +84,7 @@ TOLERANCES = {
 KEEP = {
     "flatness.Trackable2Result.reachable_class":
         "terminal-state link of the chain (ROADMAP item 5); perfbench chain",
+    "flatness.TrackingResult.to_csv": "perfbench's tracer patches it",
     "flatness.check_trackable_finite":
         "finite-horizon trackability test; perfbench chain and its tracer",
     "flatness.check_trackable_infinite":
@@ -221,6 +226,22 @@ def test_result_file_matches_golden(default_run, name):
 
 def test_messages_match_golden(default_run):
     assert default_run.messages == (GOLDEN / "messages.txt").read_text()
+
+
+@pytest.mark.parametrize("name", cli.SUBCOMMANDS)
+def test_runs_touch_no_file(name, monkeypatch):
+    # a run returns its result files and its message; cli._write alone makes the files
+    messages = (GOLDEN / "messages.txt").read_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} touched the filesystem: {args}")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(os, "makedirs", refuse)
+    ok, msg, files = getattr(cli, "run_" + name.replace("-", "_"))(dict(cli.SUBCOMMANDS[name][1]))
+    assert type(ok) is bool and type(msg) is str
+    assert list(files) == [f for f in TOLERANCES if f.split(".")[0] == name.replace("-", "_")]
+    assert f"{name}: {'PASS' if ok else 'FAIL'}: {msg}\n" in messages
 
 
 def test_reverse_order_gives_the_same_bytes(default_run):
