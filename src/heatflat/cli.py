@@ -348,6 +348,7 @@ def _write(run, cfg, out):
     """The one result writer: run(cfg), then its (header, rows) tables as CSV, anything else as
     JSON, under out.  Bound to each run, it is the (cfg, out) -> (ok, msg) of SUBCOMMANDS."""
     ok, msg, files = run(cfg)
+    os.makedirs(out, exist_ok=True)
     for name, content in files.items():
         if isinstance(content, tuple):
             _write_csv(os.path.join(out, name), *content)
@@ -481,7 +482,6 @@ def main(argv=None) -> int:
     fn, defaults = SUBCOMMANDS[args.subcommand]
     try:
         cfg = _load_config(args.config, defaults, RULES[args.subcommand])
-        os.makedirs(args.out, exist_ok=True)
         ok, msg = fn(cfg, args.out)
     except ValueError as e:  # a rejected config, or a value of the right kind out of its range
         print(f"{args.subcommand}: ERROR: {e}")

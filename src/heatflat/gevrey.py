@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .numkit import log_gamma, series_converged, series_tail
+from .numkit import fit_line, log_gamma, series_converged, series_tail
 
 __all__ = [
     "GevreyParams",
@@ -665,15 +665,8 @@ def fourier_decay_fit(sig: Signal, order_s: float) -> DecayFit:
         raise ValueError("decay window too small; enlarge the grid or padding")
     x = xi[idx] ** (1.0 / order_s)
     y = -np.log(F[idx])
-    # least squares in closed form: with no BLAS or LAPACK call, the fit does
-    # not depend on the kernel OpenBLAS picks for the CPU
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
-    delta = np.sum(dx * (y - ym)) / np.sum(dx * dx)
-    icpt = ym - delta * xm
-    resid = y - (delta * x + icpt)
-    rms = float(np.sqrt(np.mean(resid**2)))
+    delta, icpt, rms = fit_line(x, y)
     spread = float(y.max() - y.min())
     mismatch = rms > 0.02 * max(spread, 1.0)
-    return DecayFit(float(delta), float(icpt), rms, bool(mismatch),
+    return DecayFit(delta, icpt, rms, bool(mismatch),
                     (float(xi[idx[0]]), float(xi[idx[-1]])), len(idx))

@@ -27,11 +27,12 @@ Membership in A^2 is undecidable from finite data; the judgment calls are:
   continuation beyond it (the disc need not cover Omega even for genuine A^2
   members), cross-validated at two orders,
 * a convergent / divergent / undecided rule over the coefficient evidence
-  (entire type, validated singularities) and the per-margin norms, stated
-  once in _classify.  radius_Ra and the counterexample's flat series ask it
-  for the class alone: it reads only the divergence and continuation masks
-  where the class needs no norm, so no raw series is summed there, and no
-  margin at all where the coefficients settle the class.
+  (entire type, validated singularities) and the per-margin norms (their
+  trend a numkit.fit_line slope), stated once in _classify.  radius_Ra and
+  the counterexample's flat series ask it for the class alone: it reads only
+  the divergence and continuation masks where the class needs no norm, so
+  no raw series is summed there, and no margin at all where the
+  coefficients settle the class.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .numkit import log_gamma
+from .numkit import fit_line, log_gamma
 
 __all__ = [
     "OmegaDomain",
@@ -606,8 +607,8 @@ def _classify(ev: SeriesEvaluator, R: float, class_only: bool = False) -> Bergma
     eps_arr = np.array(margins[: len(norms)])
     n_arr = np.array(norms)
     # a settled scale is entire or certified outside here: its trend is not read
-    slope = math.nan if settled else float(
-        np.polyfit(np.log(1.0 / eps_arr[-3:]), np.log(np.maximum(n_arr[-3:], 1e-300)), 1)[0])
+    slope = math.nan if settled else fit_line(
+        np.log(1.0 / eps_arr[-3:]), np.log(np.maximum(n_arr[-3:], 1e-300)))[0]
     if entire or certified_outside:
         # holomorphic on a neighborhood of the closure, hence a member even
         # while the margin norms are still climbing toward their limit
@@ -725,7 +726,7 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
     n = np.arange(10, min(400, N - 1))
     ratio = np.exp(seq.log_mag[n] - log_gamma(2 * n + 1))
     resid = np.abs(ratio - np.sqrt(np.pi / n))
-    expo, amp = np.polyfit(np.log(n), np.log(resid), 1)
+    expo, amp, _ = fit_line(np.log(n), np.log(resid))
 
     grow = np.exp(seq.log_mag - log_gamma(2 * np.arange(N) + 1)) * np.sqrt(1.0 + np.arange(N))
     growth_sup = float(np.max(grow))
@@ -737,8 +738,8 @@ def interpolation_counterexample(N: int = 1000) -> CounterexampleReport:
     # only its class is reported
     fn = _classify(SeriesEvaluator(seq), 1.0 / math.sqrt(2.0), class_only=True)
     return CounterexampleReport(
-        residual_exponent=float(expo),
-        residual_amplitude=float(math.exp(amp)),
+        residual_exponent=expo,
+        residual_amplitude=math.exp(amp),
         growth_sup=growth_sup,
         growth_tail=growth_tail,
         trackability_class=track.classification,

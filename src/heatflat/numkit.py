@@ -1,4 +1,4 @@
-"""Log-domain special functions, extended-precision sums and the CSV writer.
+"""Log-domain special functions, extended-precision sums, the line fit and the CSV writer.
 
 Everything factorial-sized in this package -- (2k)!, R^{ns}, Mittag-Leffler
 coefficients -- is carried as a natural-log magnitude plus a unit phase, so
@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "log_gamma",
+    "fit_line",
     "mittag_type_imaginary",
     "gauss_sum",
     "MAX_DPS",
@@ -83,6 +84,18 @@ def log_gamma(x):
     return _LGAMMA(x).astype(float)
 
 
+def fit_line(x, y) -> tuple:
+    """(slope, intercept, rms residual) of the least-squares line through the float arrays
+    (x, y): the package's one line fit, in closed form with numpy sums only, so no BLAS or
+    LAPACK kernel moves it."""
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    slope = np.sum(dx * (y - ym)) / np.sum(dx * dx)
+    intercept = ym - slope * xm
+    rms = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+    return float(slope), float(intercept), float(rms)
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler type on the imaginary axis
 # ---------------------------------------------------------------------------
@@ -120,16 +133,7 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
         raise ValueError(f"max(y) = {y[-1]:g} {beyond}")
 
     logabs = np.array([_log_abs_E_beta_imag(beta, yi) for yi in y])
-    xfit = y ** (1.0 / beta)
-    slope, intercept = np.polyfit(xfit, logabs, 1)
-    resid = logabs - (slope * xfit + intercept)
-    return MittagTypeFit(
-        type_fitted=float(slope),
-        intercept=float(intercept),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        y_grid=tuple(y),
-        logabs=tuple(logabs),
-    )
+    return MittagTypeFit(*fit_line(y ** (1.0 / beta), logabs), tuple(y), tuple(logabs))
 
 
 def _imag_series_terms(beta: float, x: float) -> int | float:

@@ -267,11 +267,15 @@ class TestCli:
          "gamma_exps entries must be at most 250, got 1e+300"),
         ("fourier-decay", {"gamma_exps": [10.0], "halfwidth": 0.5},  # the peak underflowed
          "halfwidth must keep the bump's peak exp(-2 halfwidth^-gamma_exp) at least e^-700, "
-         "got 0.5 at gamma_exp = 10")],
-        ids=["laplace-alpha", "fourier-gamma", "fourier-peak"])
+         "got 0.5 at gamma_exp = 10"),
+        ("track", {"K": 100, "K_low": 0},  # passes every rule; the library stops the run
+         "flat control with K=100: derivative row 89 of the target is not finite; "
+         "lower K below 89")],
+        ids=["laplace-alpha", "fourier-gamma", "fourier-peak", "track-row"])
     def test_library_refusals_are_declared(self, tmp_path, capfd, cmd, values, msg):
-        # each config was refused by the library after the output directory was made,
-        # in a line that did not name the key
+        # each of the first three configs was refused by the library after the output
+        # directory was made, in a line that did not name the key; a run the library
+        # still stops leaves no output directory either
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps(dict(values, schema=1)))
         assert run([cmd, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2

@@ -68,14 +68,13 @@ TOLERANCES = {
     "laplace_discrete.csv": {},
     "theta_identity.csv": {},
     "bergman_radius.csv": {},
-    "counterexample.json": {"residual_exponent": ("rel", 1e-10),
-                            "residual_amplitude": ("rel", 1e-9),
-                            "growth_sup": ("rel", 1e-15),
+    # the residual fields, fitted by numkit.fit_line, compare as text
+    "counterexample.json": {"growth_sup": ("rel", 1e-15),
                             # a Pade-sensitive margin-norm slope (ROADMAP item 6)
                             "trackability_slope": ("rel", 1e-6)},
     "loss_table.csv": {},
     "fourier_decay.csv": {},
-    "mittag_type.csv": {"fitted_type": ("rel", 5e-13), "abs_diff": ("abs", 5e-13)},
+    "mittag_type.csv": {},
 }
 
 

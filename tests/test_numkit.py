@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from heatflat.numkit import (
     _log_abs_E_beta_imag,
     _theta_digits,
     _walk,
+    fit_line,
     gauss_sum,
     log_gamma,
     mittag_type_imaginary,
@@ -23,6 +25,7 @@ from heatflat.numkit import (
     theta_gauss_sum,
     write_csv,
 )
+from heatflat.holo import CoeffSeq
 from oracles import polylog
 
 
@@ -100,6 +103,49 @@ class TestMittagTypeImaginary:
         y = np.exp(np.linspace(beta * math.log(0.5 * x), beta * math.log(1.01 * x), 8))
         with pytest.raises(ValueError, match="float64 digits to cancellation"):
             mittag_type_imaginary(beta, y)
+
+
+def _counterexample_points():
+    # holo.interpolation_counterexample's fit of log resid against log n, N = 1000
+    n = np.arange(10, 400)
+    ratio = np.exp(CoeffSeq.factorial_pair(1000).log_mag[n] - log_gamma(2 * n + 1))
+    return np.log(n), np.log(np.abs(ratio - np.sqrt(np.pi / n)))
+
+
+def _mittag_points(beta):
+    # the default mittag-type grid: 12 points of x = y^(1/beta) from 15 to 25
+    fit = mittag_type_imaginary(beta, np.exp(np.linspace(beta * math.log(15.0),
+                                                         beta * math.log(25.0), 12)))
+    return np.array(fit.y_grid) ** (1.0 / beta), np.array(fit.logabs)
+
+
+def _margin_points():
+    # holo._classify's trend over the last three margins, norms growing like 1/eps
+    eps = np.array([0.05, 0.025, 0.0125])
+    return np.log(1.0 / eps), np.log(2.5 / eps + 0.1)
+
+
+class TestFitLine:
+    @pytest.mark.parametrize("points", [_counterexample_points, lambda: _mittag_points(2.0),
+                                        lambda: _mittag_points(3.0), _margin_points],
+                             ids=["counterexample", "mittag-type-2", "mittag-type-3", "margins"])
+    def test_against_exact_least_squares(self, points):
+        # the least-squares line of the same float data in rational arithmetic: the slope
+        # within 2 ulp; the intercept and rms within 4 ulp of max|y|, the scale of the
+        # residuals y - (slope x + intercept) the two are formed from
+        x, y = points()
+        X, Y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        xm, ym = sum(X) / len(X), sum(Y) / len(Y)
+        slope = (sum((a - xm) * (b - ym) for a, b in zip(X, Y))
+                 / sum((a - xm) ** 2 for a in X))
+        icpt = ym - slope * xm
+        rms = math.sqrt(sum((b - slope * a - icpt) ** 2 for a, b in zip(X, Y)) / len(X))
+        got = fit_line(x, y)
+        assert all(type(v) is float for v in got)
+        scale = np.spacing(np.max(np.abs(y)))
+        assert abs(Fraction(got[0]) - slope) <= 2 * Fraction(np.spacing(abs(float(slope))))
+        assert abs(Fraction(got[1]) - icpt) <= 4 * Fraction(scale)
+        assert abs(got[2] - rms) <= 4 * scale
 
 
 class TestSeriesTail:
