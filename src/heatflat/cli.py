@@ -2,16 +2,16 @@
 
 Usage: heatflat <subcommand> [--config PATH] [--out DIR] [--assert]
 
-Each subcommand reads an optional JSON config ({"schema": 1, ...}) and -- with
---assert -- exits nonzero when its acceptance threshold is violated.  Its run,
-run_*(cfg), touches no file: it returns its verdict, message and result files by
-name, (header, rows) tables or one JSON object, and one writer, _write, makes
-them under --out, CSV with 17 significant digits.  Unknown keys, values of the
-wrong kind, numbers not finite or beyond the float range, fractions where the
-default is an integer, and values outside the range RULES declares for their
-key are rejected before any work: one ERROR line names the key, exit code 2.
-All computations are deterministic (fixed summation orders), so re-running
-with an identical config reproduces byte-identical output.
+Each subcommand reads an optional JSON config ({"schema": 1, ...}) and -- with --assert -- exits
+nonzero when its acceptance threshold is violated.  Its run, run_*(cfg), touches no file: it
+returns its verdict, message and result files by name, (header, rows) tables or one JSON object,
+and one writer, _write, makes them under --out, CSV with 17 significant digits.  Each config key's
+default and range are declared once, in _DECLARED.  Unknown keys, values of the wrong kind, numbers
+not finite or beyond the float range, fractions where the default is an integer (integral values
+become ints) and values outside the declared range are rejected before any work: one ERROR line
+names the key, exit code 2.  All computations are deterministic (fixed summation orders): on one
+BLAS kernel an identical config reproduces byte-identical output, and another OpenBLAS kernel moves
+track.csv's y_sim and counterexample.json's trackability_slope within tests/test_golden.py's bounds.
 """
 
 from __future__ import annotations
@@ -125,12 +125,12 @@ def run_track(cfg):
     (a provider's row n does not depend on the table's size).  The flatness
     check at t = 0 goes to the target's own provider.
     """
-    sim_cfg = heatsim.SimConfig(J=int(cfg["J"]), dt=cfg["dt"], T=cfg["T"])
+    sim_cfg = heatsim.SimConfig(J=cfg["J"], dt=cfg["dt"], T=cfg["T"])
     tgrid = sim_cfg.time_grid()
     derivs = (gevrey.bump_derivs(cfg["gamma_exp"], t_scale=cfg["t_scale"])
               if cfg["target"] == "bump" else lambda N, t: np.zeros((N + 1, len(t))))
     with np.errstate(over="ignore", invalid="ignore"):  # flat_control names a row that overflows
-        table = derivs(max(int(cfg["K"]), int(cfg["K_low"])), tgrid)
+        table = derivs(max(cfg["K"], cfg["K_low"]), tgrid)
 
     def shared(N, t):
         if N < len(table) and np.array_equal(t, tgrid):
@@ -138,11 +138,11 @@ def run_track(cfg):
         return derivs(N, t)
 
     y = gevrey.Signal(tgrid, None, derivs=shared)
-    res = flatness.tracking_experiment(y, sim_cfg, K=int(cfg["K"]))
+    res = flatness.tracking_experiment(y, sim_cfg, K=cfg["K"])
     ok = res.max_error < cfg["threshold"]
     msg = f"max tracking error {res.max_error:.3e} (threshold {cfg['threshold']:g})"
     if cfg["K_low"]:
-        res_lo = flatness.tracking_experiment(y, sim_cfg, K=int(cfg["K_low"]))
+        res_lo = flatness.tracking_experiment(y, sim_cfg, K=cfg["K_low"])
         if res.max_error == 0.0:  # nothing left to shrink
             msg += f"; K={cfg['K_low']} -> K={cfg['K']}: exact at K={cfg['K']}"
         else:
@@ -164,7 +164,7 @@ def run_plancherel_ratio(cfg):
     rows, unconverged, unresolved, above_s = [], [], [], []
     for sig in _ratio_family():
         name = sig.family + json.dumps(sig.params, sort_keys=True).replace(",", ";")
-        tn = gevrey.gevrey_norm_time(sig, p, int(cfg["N"]))
+        tn = gevrey.gevrey_norm_time(sig, p, cfg["N"])
         fn = gevrey.weighted_fourier_norm(sig, p)
         rows.append((name, tn.total, fn, fn / tn.total))
         if not tn.converged:
@@ -196,7 +196,7 @@ def run_plancherel_ratio(cfg):
 def run_an_asymptotics(cfg):
     p = gevrey.GevreyParams(cfg["s"], 1.0, cfg["gamma"])
     alpha, beta = plancherel.varpi_params(p)
-    N = int(cfg["n_max"])
+    N = cfg["n_max"]
     logA = plancherel.convolution_An(p, N)
     n = np.arange(1, N + 1)
     logpred = alpha * n * (np.log(2.0 * math.e) - np.log(alpha * n)) + (-2 * beta - 0.5) * np.log(n)
@@ -209,7 +209,7 @@ def run_an_asymptotics(cfg):
                                     np.column_stack((n, logA[1:], logpred, ratio)))}
     # the band from the log ratios: the ratios themselves underflow long before it leaves
     # the float range
-    lr = log_ratio[n >= int(cfg["n_min"])]
+    lr = log_ratio[n >= cfg["n_min"]]
     width = float(lr.max() - lr.min())
     span = f"over n in [{cfg['n_min']}, {N}]"
     if not width <= math.log(sys.float_info.max):  # NaN too
@@ -241,15 +241,15 @@ def run_laplace_discrete(cfg):
     rows, log_rels = [], []
     for n in cfg["n_quadratic"]:
         # the dual form resolves the error at a fixed 40 digits, whatever n
-        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, int(n), dps=40)
+        r = plancherel.discrete_laplace(lambda x: (x - 0.5) ** 2, 2.0, 0.5, n, dps=40)
         log_rels.append(r.log10_rel_err)
         rows.append(("quadratic", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err,
-                     _log10_truncation_law(int(n))))
+                     _log10_truncation_law(n)))
     ok = log_rels[-1] < math.log10(cfg["threshold"])
     ok = ok and all(b < a for a, b in zip(log_rels, log_rels[1:]))
     alpha = cfg["alpha"]
     for n in cfg["n_logh"]:
-        r = plancherel.discrete_laplace(_log_h(alpha), 4.0 * alpha, 0.5, int(n))
+        r = plancherel.discrete_laplace(_log_h(alpha), 4.0 * alpha, 0.5, n)
         rows.append(("log_h", n, r.log_sum, r.log_prediction, r.rel_err, r.log10_rel_err, ""))
         if n >= 2000:
             ok = ok and r.rel_err < 5e-2
@@ -285,7 +285,7 @@ def run_bergman_radius(cfg):
 
 
 def run_counterexample(cfg):
-    rep = holo.interpolation_counterexample(int(cfg["N"]))
+    rep = holo.interpolation_counterexample(cfg["N"])
     ok = (cfg["exponent_lo"] <= rep.residual_exponent <= cfg["exponent_hi"]
           and rep.trackability_class == "divergent" and math.isfinite(rep.growth_sup))
     return ok, (f"residual exponent {rep.residual_exponent:.3f}, trackability "
@@ -325,17 +325,15 @@ def run_fourier_decay(cfg):
     rows.append(("gaussian-vs-s1", 1.0, fit.delta, fit.residual_rms, int(fit.mismatch)))
     if not fit.mismatch:
         fails.append("gaussian not flagged as mismatch for s=1")
-    files = {"fourier_decay.csv": (["signal", "s_nominal", "delta", "residual_rms", "mismatch"],
-                                   rows)}
-    if fails:
-        return False, "; ".join(fails), files
-    return True, "bump fits positive and clean; gaussian flagged as mismatch for s=1", files
+    msg = "; ".join(fails) or "bump fits positive and clean; gaussian flagged as mismatch for s=1"
+    return not fails, msg, {
+        "fourier_decay.csv": (["signal", "s_nominal", "delta", "residual_rms", "mismatch"], rows)}
 
 
 def run_mittag_type(cfg):
     (lo, hi), rows, ok = cfg["x_range"], [], True
     for beta in cfg["betas"]:
-        y = np.exp(np.linspace(beta * math.log(lo), beta * math.log(hi), int(cfg["n_points"])))
+        y = np.exp(np.linspace(beta * math.log(lo), beta * math.log(hi), cfg["n_points"]))
         fit = numkit.mittag_type_imaginary(beta, y)
         target = math.cos(math.pi / (2.0 * beta))
         rows.append((beta, fit.type_fitted, target, abs(fit.type_fitted - target)))
@@ -358,32 +356,7 @@ def _write(run, cfg, out):
     return ok, msg
 
 
-SUBCOMMANDS = {name: (functools.partial(_write, run), defaults) for name, (run, defaults) in {
-    "kernel-check": (run_kernel_check, {"t_min": 0.01, "t_max": 10.0, "n_points": 200,
-                                        "threshold": 1e-10}),
-    "track": (run_track, {"target": "bump", "gamma_exp": 1.5, "t_scale": 0.2, "K": 25,
-                          "K_low": 10, "J": 128, "dt": 1e-3, "T": 1.0, "threshold": 1e-4,
-                          "shrink_factor": 10.0}),
-    "plancherel-ratio": (run_plancherel_ratio, {"s": 2.0, "R": 0.5, "gamma": 0.0, "N": 16,
-                                                "c_hat": 50.0}),
-    "an-asymptotics": (run_an_asymptotics, {"s": 2.0, "gamma": -0.5, "n_min": 50,
-                                            "n_max": 2000, "band_factor": 10.0}),
-    "laplace-discrete": (run_laplace_discrete, {"n_quadratic": [100, 1000, 10000],
-                                                "n_logh": [500, 2000], "alpha": 4.0,
-                                                "threshold": 1e-2}),
-    "theta-identity": (run_theta_identity, {"cases": [[100, 2.0, 0.5], [50, 1.0, 0.25],
-                                                      [200, 3.0, 0.7]], "c_max": 10.0}),
-    "bergman-radius": (run_bergman_radius, {"sequences": ["geometric", "sharp_radius"],
-                                            "tol": 0.01, "window": 0.02}),
-    "counterexample": (run_counterexample, {"N": 1000, "exponent_lo": -1.6, "exponent_hi": -1.4}),
-    "loss-table": (run_loss_table, {"s_grid": [1.5, 2.0, 3.0, 5.0]}),
-    "fourier-decay": (run_fourier_decay, {"gamma_exps": [1.0, 1.5], "halfwidth": 1.0}),
-    "mittag-type": (run_mittag_type, {"betas": [2.0, 3.0], "x_range": [15.0, 25.0],
-                                      "n_points": 12, "tolerance": 0.01}),
-}.items()}
-
 _K_LOW, _N_MIN = "be 0 (no comparison) or lie in [1, K = {K})", "lie in [1, n_max = {n_max}]"
-_DPS = "digits of working precision"
 # the bound on alpha n_max and on beta: once both reach 8.54e304, the convolution's sum of two
 # log Gamma values of the coefficients leaves the float range
 _AN_PRODUCT = 5e304
@@ -393,79 +366,91 @@ _AN_PRODUCT = 5e304
 # g = 250, the gamma_exps bound
 _SPIKE = 0.00258
 
-# Every config key's range, checked in order before any work; [] leaves a threshold open (README's
-# "Config ranges" gives what each limit rests on).  A rule is (op, limit[, must[, cost]]): x, each
-# entry of a list, or cost(x, config) op limit (a number or a function of the config), where must
+# Each subcommand once: its run, then each config key as [default, *rules], checked in this order
+# before any work; a key without rules is an acceptance threshold left open (README's "Config
+# ranges" gives what each limit rests on).  A rule is (op, limit[, must[, cost]]): x, each entry of
+# a list, or cost(x, config) op limit (a number or a function of the config), where must
 # (formatted with the config) replaces "be <op> <limit>" or names what cost counts; or a function.
-RULES = {
-    "kernel-check": {
-        "t_min": [(">=", 3.51e-4, "be at least 3.51e-4, where k(t) leaves the normal float range")],
-        "n_points": [(">=", 2), ("<=", 10_000)], "threshold": [],
-        "t_max": [(">", lambda c: c["t_min"], "exceed t_min = {t_min:g}"),
+_DECLARED = {
+    "kernel-check": (run_kernel_check, {
+        "t_min": [0.01, (">=", 3.51e-4, "be at least 3.51e-4, where k(t) leaves the normal "
+                                        "float range")],
+        "n_points": [200, (">=", 2), ("<=", 10_000)], "threshold": [1e-10],
+        "t_max": [10.0, (">", lambda c: c["t_min"], "exceed t_min = {t_min:g}"),
                   ("<=", 10**6, "Poisson terms over {n_points} points",
-                   lambda t, c: c["n_points"] * heatsim._poisson_terms(t))]},
-    "track": {
-        "target": [("in", ("bump", "zero"))], "gamma_exp": [(">", 0)], "T": [(">", 0)],
-        "t_scale": [(">", 0, "be finite and > 0")], "J": [(">=", 1), ("<=", 65536)],
-        "dt": [(">", 0), ("<=", heatsim.MAX_STEPS, "time steps over T = {T:g}",
-                          lambda dt, c: c["T"] / dt),
+                   lambda t, c: c["n_points"] * heatsim._poisson_terms(t))]}),
+    "track": (run_track, {
+        "target": ["bump", ("in", ("bump", "zero"))], "gamma_exp": [1.5, (">", 0)],
+        "T": [1.0, (">", 0)], "t_scale": [0.2, (">", 0, "be finite and > 0")],
+        "J": [128, (">=", 1), ("<=", 65536)],
+        "dt": [1e-3, (">", 0), ("<=", heatsim.MAX_STEPS, "time steps over T = {T:g}",
+                                lambda dt, c: c["T"] / dt),
                lambda dt, c: not heatsim._whole_steps(c["T"], dt) and (
                    f"must divide T = {c['T']:g} into whole steps, got {dt:g}")],
-        "K": [(">=", 1), ("<=", 10**9, "steps of the target's derivative recurrence",
-                          lambda K, c: (K + 1.0) * (K + 1.0) * (round(c["T"] / c["dt"]) + 1))],
-        "K_low": [(">=", 0, _K_LOW), ("<", lambda c: c["K"], _K_LOW)],
-        "threshold": [], "shrink_factor": []},
-    "plancherel-ratio": {"s": [(">=", 1)], "R": [(">", 0)], "gamma": [(">=", -300), ("<=", 200)],
-                         "N": [(">=", 1), ("<=", 512)], "c_hat": []},
-    "an-asymptotics": {"s": [(">", 0), ("<=", _AN_PRODUCT, "as alpha n_max = 2 s n_max",
-                                        lambda s, c: 2.0 * s * c["n_max"])],
-                       "gamma": [("<", 0), ("<=", _AN_PRODUCT, "as beta = -gamma s",
-                                            lambda g, c: -g * c["s"])], "band_factor": [],
-                       "n_max": [(">=", 1), ("<=", plancherel.MAX_AN_TERMS)],
-                       "n_min": [(">=", 1, _N_MIN), ("<=", lambda c: c["n_max"], _N_MIN)]},
-    "laplace-discrete": {
-        "n_quadratic": [(">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
-        "n_logh": [(">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
-        "alpha": [(">=", 1.6e-14, "be at least 1.6e-14, below which log h spans under 1e-14 "
-                                  "on the grid of n = 3 and reads as constant"), ("<=", 1e300)],
-        "threshold": [(">", 0)]},
-    "theta-identity": {"c_max": [], "cases": [
+        "K": [25, (">=", 1), ("<=", 10**9, "steps of the target's derivative recurrence",
+                              lambda K, c: (K + 1.0) * (K + 1.0) * (round(c["T"] / c["dt"]) + 1))],
+        "K_low": [10, (">=", 0, _K_LOW), ("<", lambda c: c["K"], _K_LOW)],
+        "threshold": [1e-4], "shrink_factor": [10.0]}),
+    "plancherel-ratio": (run_plancherel_ratio, {
+        "s": [2.0, (">=", 1)], "R": [0.5, (">", 0)], "gamma": [0.0, (">=", -300), ("<=", 200)],
+        "N": [16, (">=", 1), ("<=", 512)], "c_hat": [50.0]}),
+    "an-asymptotics": (run_an_asymptotics, {
+        "s": [2.0, (">", 0), ("<=", _AN_PRODUCT, "as alpha n_max = 2 s n_max",
+                              lambda s, c: 2.0 * s * c["n_max"])],
+        "gamma": [-0.5, ("<", 0), ("<=", _AN_PRODUCT, "as beta = -gamma s",
+                                   lambda g, c: -g * c["s"])], "band_factor": [10.0],
+        "n_max": [2000, (">=", 1), ("<=", plancherel.MAX_AN_TERMS)],
+        "n_min": [50, (">=", 1, _N_MIN), ("<=", lambda c: c["n_max"], _N_MIN)]}),
+    "laplace-discrete": (run_laplace_discrete, {
+        "n_quadratic": [[100, 1000, 10000], (">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
+        "n_logh": [[500, 2000], (">=", 2), ("<=", plancherel.MAX_LAPLACE_N)],
+        "alpha": [4.0, (">=", 1.6e-14, "be at least 1.6e-14, below which log h spans under "
+                                       "1e-14 on the grid of n = 3 and reads as constant"),
+                  ("<=", 1e300)], "threshold": [1e-2, (">", 0)]}),
+    "theta-identity": (run_theta_identity, {"c_max": [10.0], "cases": [
+        [[100, 2.0, 0.5], [50, 1.0, 0.25], [200, 3.0, 0.7]],
         lambda v, c: any(len(e) != 3 for e in v) and f"entries must be [n, a, b] triples, got {v}",
         lambda v, c: next((f"entries need an integer n, got {e[0]!r}"
                            for e in v if not _integral(e[0])), None),
         lambda v, c: next((f"entries need n >= 1 and a > 0, got {e}"
                            for e in v if not (e[0] >= 1 and e[1] > 0)), None),
-        ("<=", numkit.MAX_DPS, _DPS, lambda e, c: numkit._theta_digits(e[0], e[1]))]},
-    "bergman-radius": {"sequences": [("in", _SEQUENCES)], "tol": [(">", 1e-4)], "window": []},
-    "counterexample": {"N": [(">=", 100), ("<=", 10**6)], "exponent_lo": [], "exponent_hi": []},
-    "loss-table": {"s_grid": [(">", 1)]},
-    "fourier-decay": {
-        "gamma_exps": [lambda v, c: not all(g > 0 for g in v) and f"entries must be > 0, got {v}",
-                       (">=", 1e-12, "be at least 1e-12, below which the fit's abscissae "
-                                     "xi^(1/s_nominal) all but coincide and the fitted slope "
-                                     "is lost to rounding"),
-                       ("<=", 250)],
-        "halfwidth": [(">", 0), ("<=", 1e164),
-                      lambda hw, c: next((f"must keep the bump's peak exp(-2 halfwidth^-gamma_exp) "
-                                          f"at least e^-700, got {hw:g} at gamma_exp = {g:g}"
-                                          for g in c["gamma_exps"]
-                                          if -g * math.log(hw) > math.log(350.0)), None),
-                      lambda hw, c: next((f"must let the grid resolve the bump's central spike, "
-                                          f"of width halfwidth^(1 + g/2)/sqrt(2 g (g + 1)) at "
-                                          f"least {_SPIKE:g} halfwidth, got {hw:g} at "
-                                          f"gamma_exps entry g = {g:g}"
-                                          for g in c["gamma_exps"]
-                                          if 0.5 * (g * math.log(hw) - math.log(2 * g * (g + 1)))
-                                          < math.log(_SPIKE)), None)]},
-    "mittag-type": {
-        "betas": [(">", 1)], "tolerance": [],
-        "x_range": [lambda v, c: not (len(v) == 2 and 0 < v[0] < v[1]) and (
+        ("<=", numkit.MAX_DPS, "digits of working precision",
+         lambda e, c: numkit._theta_digits(e[0], e[1]))]}),
+    "bergman-radius": (run_bergman_radius, {
+        "sequences": [["geometric", "sharp_radius"], ("in", _SEQUENCES)],
+        "tol": [0.01, (">", 1e-4)], "window": [0.02]}),
+    "counterexample": (run_counterexample, {
+        "N": [1000, (">=", 100), ("<=", 10**6)], "exponent_lo": [-1.6], "exponent_hi": [-1.4]}),
+    "loss-table": (run_loss_table, {"s_grid": [[1.5, 2.0, 3.0, 5.0], (">", 1)]}),
+    "fourier-decay": (run_fourier_decay, {
+        "gamma_exps": [
+            [1.0, 1.5], lambda v, c: not all(g > 0 for g in v) and f"entries must be > 0, got {v}",
+            (">=", 1e-12, "be at least 1e-12, below which the fit's abscissae xi^(1/s_nominal) "
+                          "all but coincide and the fitted slope is lost to rounding"),
+            ("<=", 250)],
+        "halfwidth": [
+            1.0, (">", 0), ("<=", 1e164),
+            lambda hw, c: next((f"must keep the bump's peak exp(-2 halfwidth^-gamma_exp) at "
+                                f"least e^-700, got {hw:g} at gamma_exp = {g:g}"
+                                for g in c["gamma_exps"]
+                                if -g * math.log(hw) > math.log(350.0)), None),
+            lambda hw, c: next((f"must let the grid resolve the bump's central spike, of width "
+                                f"halfwidth^(1 + g/2)/sqrt(2 g (g + 1)) at least {_SPIKE:g} "
+                                f"halfwidth, got {hw:g} at gamma_exps entry g = {g:g}"
+                                for g in c["gamma_exps"]
+                                if 0.5 * (g * math.log(hw) - math.log(2 * g * (g + 1)))
+                                < math.log(_SPIKE)), None)]}),
+    "mittag-type": (run_mittag_type, {"betas": [[2.0, 3.0], (">", 1)], "tolerance": [0.01],
+        "x_range": [[15.0, 25.0], lambda v, c: not (len(v) == 2 and 0 < v[0] < v[1]) and (
                         f"must be [lo, hi] with 0 < lo < hi, got {v}"),
                     lambda v, c: next((f"upper end {v[1]:g} {why}" for b in c["betas"]
                                        if (why := numkit._imag_beyond_reach(b, v[1]))), None)],
-        "n_points": [(">=", 4), ("<=", 100_000, "series sums, one per point and beta",
-                                 lambda n, c: float(n) * len(c["betas"]))]},
+        "n_points": [12, (">=", 4), ("<=", 100_000, "series sums, one per point and beta",
+                                     lambda n, c: float(n) * len(c["betas"]))]}),
 }
+SUBCOMMANDS = {name: (functools.partial(_write, run), {k: spec[0] for k, spec in keys.items()})
+               for name, (run, keys) in _DECLARED.items()}
+RULES = {name: {k: spec[1:] for k, spec in keys.items()} for name, (_, keys) in _DECLARED.items()}
 
 
 def main(argv=None) -> int:

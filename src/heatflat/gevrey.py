@@ -521,7 +521,6 @@ def bump_gevrey(gamma_exp: float, t_scale: float = 1.0, grid: np.ndarray = None)
     s = float(t_scale)
     if grid is None:
         grid = np.linspace(-0.5 * s, 4.0 * s, _NPTS)
-    grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="bump_gevrey", params={"gamma_exp": gamma_exp, "t_scale": s})
 
@@ -549,7 +548,6 @@ def two_sided_bump(center: float, halfwidth: float, gamma_exp: float,
 
     if grid is None:
         grid = np.linspace(a - halfwidth, b + halfwidth, _NPTS)
-    grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=True,
                   family="two_sided_bump",
                   params={"center": center, "halfwidth": halfwidth, "gamma_exp": gamma_exp})
@@ -569,7 +567,6 @@ def gaussian_signal(center: float = 0.0, sigma: float = 1.0,
 
     if grid is None:
         grid = np.linspace(center - 8.7 * sigma, center + 8.7 * sigma, _NPTS)
-    grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="gaussian", params={"center": center, "sigma": sigma})
 
@@ -619,7 +616,6 @@ def gevrey_cutoff(t_a: float, t_b: float, order_s: float,
 
     if grid is None:
         grid = np.linspace(t_a - w, t_b + w, _NPTS)
-    grid = np.asarray(grid, dtype=float)
     return Signal(grid, None, derivs=derivs, compact_support=False,
                   family="gevrey_cutoff",
                   params={"t_a": t_a, "t_b": t_b, "order_s": order_s})

@@ -189,14 +189,12 @@ def simulate(u, cfg: SimConfig) -> SimResult:
     point is the step-integrated kernel convolution of u and its slopes,
     plus the decay of the mode state carried in from the previous block;
     only the carry runs step by step, once per block.  Each step's output is
-    a sum over lags and modes, not over the modes of a running mode state;
-    that order moved y by a few units in the last place against the former
-    per-mode prefix scan: at most 1.2e-15 on the ``track`` ladder (max|y| =
-    0.91) and 7e-15 of max|y| over 10^5 steps, where both stay within 6e-15
-    of max|y| of the recurrence run in long double.  Modes beyond J are
-    closed quasi-statically (they relax within a single step once
-    lambda_{J+1} dt >= 35): their aggregate contribution to z is the
-    closed-form steady profile driven by u and its slope.  J is raised to
+    a sum over lags and modes, not over the modes of a running mode state,
+    and stays within 6e-15 of max|y| of the mode recurrence run in long
+    double (on the ``track`` ladder, max|y| = 0.91, and over 10^5 steps).
+    Modes beyond J are closed quasi-statically (they relax within a single
+    step once lambda_{J+1} dt >= 35): their aggregate contribution to z is
+    the closed-form steady profile driven by u and its slope.  J is raised to
     the least value that meets the condition, so the closure is always
     active, J is not accuracy-limiting and the reported tail bound is
     max|u| exp(-lambda_{J+1} dt).  A control that is not finite raises

@@ -572,18 +572,13 @@ def _classify(ev: SeriesEvaluator, R: float, class_only: bool = False) -> Bergma
     if settled:
         margins = () if inside else margins if entire else margins[:3]
 
-    norms = []
-    notes = ""
-    refine_gap = 0.0
+    norms, notes, diverged, refine_gap = [], "", None, 0.0
     for eps in margins:
         val, why, frac = _margin_norm(ev, R, eps, _NODES, masks_only=class_only)
         if val is None:
-            if why == "raw-divergence" and not pade_valid:
-                return BergmanReport(tuple(margins[: len(norms)]), tuple(norms),
-                                     "divergent", math.nan, l1sing,
-                                     f"series divergence at eps={eps} ({frac:.0%} of nodes)",
-                                     refine_gap)
             notes = f"{why} at eps={eps}"
+            if why == "raw-divergence" and not pade_valid:
+                diverged = f"series divergence at eps={eps} ({frac:.0%} of nodes)"
             break
         if not settled:
             val2, _, _ = _margin_norm(ev, R, eps, _NODES + _NODES // 2)
@@ -595,40 +590,37 @@ def _classify(ev: SeriesEvaluator, R: float, class_only: bool = False) -> Bergma
                 val, _, _ = _margin_norm(ev, R, eps, _NODES)
         norms.append(val)
 
-    if inside:
-        return BergmanReport(tuple(margins[: len(norms)]), tuple(norms), "divergent",
-                             math.nan, l1sing,
-                             "validated singularity inside Omega; " + notes, refine_gap)
-    if len(norms) < 3:
-        return BergmanReport(tuple(margins[: len(norms)]), tuple(norms), "undecided",
-                             math.nan, l1sing, "too few resolvable margins; " + notes,
-                             refine_gap)
-
-    eps_arr = np.array(margins[: len(norms)])
-    n_arr = np.array(norms)
-    # a settled scale is entire or certified outside here: its trend is not read
-    slope = math.nan if settled else fit_line(
-        np.log(1.0 / eps_arr[-3:]), np.log(np.maximum(n_arr[-3:], 1e-300)))[0]
-    if entire or certified_outside:
-        # holomorphic on a neighborhood of the closure, hence a member even
-        # while the margin norms are still climbing toward their limit
-        cls = "convergent"
-    elif slope >= 0.5:
-        cls = "divergent"
+    slope = math.nan
+    if diverged:
+        cls, notes = "divergent", diverged
+    elif inside:
+        cls, notes = "divergent", "validated singularity inside Omega; " + notes
+    elif len(norms) < 3:
+        cls, notes = "undecided", "too few resolvable margins; " + notes
     else:
-        incs = np.diff(n_arr)
-        if np.all(np.abs(incs) <= 1e-12 * max(n_arr[-1], 1e-300)):
+        eps_arr = np.array(margins[: len(norms)])
+        n_arr = np.array(norms)
+        # a settled scale is entire or certified outside here: its trend is not read
+        if not settled:
+            slope = fit_line(np.log(1.0 / eps_arr[-3:]),
+                             np.log(np.maximum(n_arr[-3:], 1e-300)))[0]
+        if entire or certified_outside:
+            # holomorphic on a neighborhood of the closure, hence a member even
+            # while the margin norms are still climbing toward their limit
             cls = "convergent"
-        elif np.any(incs < 0):
-            cls = "undecided"  # quadrature wobble; domains grow monotone
+        elif slope >= 0.5:
+            cls = "divergent"
         else:
-            ratios = incs[1:] / np.maximum(incs[:-1], 1e-300)
-            if float(np.max(ratios[-2:])) <= 0.7:
+            incs = np.diff(n_arr)
+            if np.all(np.abs(incs) <= 1e-12 * max(n_arr[-1], 1e-300)):
                 cls = "convergent"
+            elif np.any(incs < 0):
+                cls = "undecided"  # quadrature wobble; domains grow monotone
             else:
-                cls = "undecided"
-    return BergmanReport(tuple(margins[: len(norms)]), tuple(norms), cls, slope,
-                         l1sing, notes, refine_gap)
+                ratios = incs[1:] / np.maximum(incs[:-1], 1e-300)
+                cls = "convergent" if float(np.max(ratios[-2:])) <= 0.7 else "undecided"
+    return BergmanReport(tuple(margins[: len(norms)]), tuple(norms), cls, slope, l1sing, notes,
+                         refine_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each key gets a value of another kind and, where it holds numbers, NaN,
 Infinity, -Infinity and an integer beyond the float range (json reads all
 four).  Every case must end in one stdout line ``{cmd}: ERROR: ...`` that
 names the key, exit code 2, nothing on stderr and no result file.  A key
-added to ``cli.SUBCOMMANDS`` is swept without a new test.
+declared in ``cli._DECLARED`` is swept without a new test.
 
 After those cases, the sweep of the declared ranges is generated from
 ``cli.RULES``: one config just past every bound, cross-key rule and budget
@@ -195,8 +195,9 @@ def test_every_rule_has_an_edge_case():
 
 
 def test_every_key_is_declared():
-    # a key lands with its rules, or as an acceptance threshold left open
+    # a key lands with its rules, or as an acceptance threshold left open, and the defaults
+    # list the keys in the order their rules are checked
     for cmd, (_, defaults) in cli.SUBCOMMANDS.items():
-        assert sorted(cli.RULES[cmd]) == sorted(defaults)
+        assert list(cli.RULES[cmd]) == list(defaults)
     assert {(cmd, key) for cmd, keys in cli.RULES.items() for key, rs in keys.items()
             if not rs} == OPEN

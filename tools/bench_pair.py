@@ -17,9 +17,11 @@ The JSON record holds, for every workload, the end-to-end metrics of each
 run, each side's median and quartiles, and how many pairs the working tree
 won on each metric.  It also holds the accuracy outputs a speed-up must not
 move: every subcommand is run at its default config on both sides, with
-``track`` also at each dt of the refinement ladder.  For each result file
-the record says whether it is byte-identical; for ``track.csv`` it gives
-the largest change of each column relative to that column's maximum.
+``track`` also at each dt of the refinement ladder, and each side's exit
+code is kept next to its message.  For each result file that either side
+wrote, the record says whether it is byte-identical (a file on one side
+only is not); for ``track.csv`` it gives the largest change of each column
+relative to that column's maximum.
 """
 
 from __future__ import annotations
@@ -72,11 +74,19 @@ def bench(tree: Path, workload: str) -> dict:
             **{m: res["metrics"][m]["value"] for m in METRICS}}
 
 
-def cli(tree: Path, args: list, out: Path) -> str:
+def cli(tree: Path, args: list, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "heatflat.cli", *args, "--out", str(out)],
                           env=env, stdout=subprocess.PIPE, text=True)
-    return proc.stdout.strip()
+    return {"exit": proc.returncode, "message": proc.stdout.strip()}
+
+
+def files_identical(a: Path, b: Path) -> dict:
+    """{name: byte-identical} for every file in a or b; a file on one side only is not, and a
+    directory that does not exist (a run stopped before it wrote any) holds no files."""
+    names = set().union(*(os.listdir(d) for d in (a, b) if d.is_dir()))
+    return {f: (a / f).is_file() and (b / f).is_file() and filecmp.cmp(a / f, b / f, shallow=False)
+            for f in sorted(names)}
 
 
 def read_columns(path: Path) -> dict:
@@ -118,11 +128,10 @@ def accuracy(trees: dict, work: Path) -> dict:
         outs = {side: work / side / label.replace(" ", "_") for side in trees}
         record["messages"][label] = {side: cli(tree, args, outs[side])
                                      for side, tree in trees.items()}
-        for f in sorted(os.listdir(outs["parent"])):
+        for f, same in files_identical(outs["parent"], outs["change"]).items():
+            record["files_identical"][f"{label}: {f}"] = same
             a, b = outs["parent"] / f, outs["change"] / f
-            key = f"{label}: {f}"
-            record["files_identical"][key] = b.is_file() and filecmp.cmp(a, b, shallow=False)
-            if f == "track.csv":
+            if f == "track.csv" and a.is_file() and b.is_file():
                 record["track_csv_change"][label] = track_csv_change(a, b)
     return record
 
