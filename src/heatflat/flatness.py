@@ -15,8 +15,8 @@ square-summability
 equivalently membership of y' in the Gevrey Hilbert class of order 2,
 radius 1/sqrt(2), exponent -1/2 (the index bridge in the weights is exact).
 On a finite horizon the terminal Taylor sequence y^(k)(T) must additionally
-generate a reachable state; the reachable class is tested through the
-Bergman machinery.
+generate a reachable state; the reachable class is one Bergman estimate of
+the terminal state's derivative.
 """
 
 from __future__ import annotations
@@ -174,44 +174,29 @@ def check_trackable_infinite(y: Signal, N: int) -> GevreyNormResult:
 
 @dataclass
 class Trackable2Result:
+    """The regularity series (condition 13) and the terminal-state report."""
     condition13: GevreyNormResult
-    terminal_even: BergmanReport
-    terminal_derivative: BergmanReport
+    terminal: BergmanReport
 
     @property
     def reachable_class(self) -> str:
-        """Combined classification of the terminal state membership."""
-        if "divergent" in (self.terminal_even.classification,
-                           self.terminal_derivative.classification):
-            return "divergent"
-        if (self.terminal_even.classification == "convergent"
-                and self.terminal_derivative.classification == "convergent"):
-            return "convergent"
-        return "undecided"
+        """Classification of the terminal state's membership in the reachable space."""
+        return self.terminal.classification
 
 
-def terminal_state_report(seq: CoeffSeq):
+def terminal_state_report(seq: CoeffSeq) -> BergmanReport:
     """Reachability test of a terminal Taylor sequence (a_k) = (y^(k)(T)).
 
-    The terminal state sum a_k zeta^{2k}/(2k)! must be an even holomorphic
-    H^1 function on the tilted square: both the series itself and its
-    termwise derivative (``CoeffSeq.derivative``, the odd series of a_1, a_2,
-    ...) are put through the Bergman estimate at scale 1/sqrt(2); the
-    derivative test is the decisive one (the flat series of the two-sided
-    counterexample stays square-integrable while its derivative blows up
-    like Li_{-1/2}).
+    The terminal state f(zeta) = sum a_k zeta^{2k}/(2k)! is reachable when f' is
+    in A^2 of the tilted square: the Bergman estimate of the termwise derivative
+    (``CoeffSeq.derivative``) at scale 1/sqrt(2).  f in A^2 follows, as the square
+    is bounded and star-shaped: f(zeta) = f(0) + zeta int_0^1 f'(s zeta) ds.
     """
-    R = 1.0 / math.sqrt(2.0)
-    even = bergman_norm_estimate(seq, R)
-    deriv = bergman_norm_estimate(seq.derivative(), R)
-    return even, deriv
+    return bergman_norm_estimate(seq.derivative(), 1.0 / math.sqrt(2.0))
 
 
 def check_trackable_finite(y: Signal, N: int, K: int) -> Trackable2Result:
     """Finite-horizon trackability: regularity series plus terminal-state test."""
-    cond13 = check_trackable_infinite(y, N)
-    T = y.t1
-    a = y.derivs(K, np.array([T]))[:, 0].tolist()
-    seq = CoeffSeq.from_values(a, parity="even")
-    even, deriv = terminal_state_report(seq)
-    return Trackable2Result(cond13, even, deriv)
+    a = y.derivs(K, np.array([y.t1]))[:, 0].tolist()
+    return Trackable2Result(check_trackable_infinite(y, N),
+                            terminal_state_report(CoeffSeq.from_values(a)))

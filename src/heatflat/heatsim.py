@@ -35,6 +35,8 @@ __all__ = [
 # cap on the time steps T/dt of one run: dt = 1e-6 at T = 1, where the target's
 # float64 derivative table alone takes 0.2 GB at K = 25
 MAX_STEPS = 1_000_000
+# cap on the modes of one run, J or the count a small dt raises it to: track peaks at 154 MB there
+MAX_MODES = 65_536
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,12 @@ class SimConfig:
 
     def time_grid(self) -> np.ndarray:
         return np.arange(0.0, self.T + 0.5 * self.dt, self.dt)
+
+
+def _modes(J: int, dt: float) -> int | float:
+    """The modes ``simulate`` runs: J raised to the least count with lambda_{J+1} dt >= 35."""
+    r = math.sqrt(35.0 / dt) / math.pi  # inf where 35/dt passes the float range
+    return max(J, math.ceil(r) - 1) if r < math.inf else math.inf
 
 
 def _whole_steps(T: float, dt: float) -> bool:
@@ -211,7 +219,7 @@ def simulate(u, cfg: SimConfig) -> SimResult:
         raise ValueError(f"control is not finite at index {i} (t={tgrid[i]:g})")
 
     dt = cfg.dt
-    J = max(cfg.J, math.ceil(math.sqrt(35.0 / dt) / math.pi) - 1)
+    J = _modes(cfg.J, dt)
     j = np.arange(0.0, J + 1)  # float: j**4 wraps in int64 past j = 55 108
     lam = (j * math.pi) ** 2
     ej1 = np.where(j == 0, 1.0, math.sqrt(2.0) * (-1.0) ** j)

@@ -746,22 +746,19 @@ def loss_factors(s_grid):
     rho_s = cos(pi/(2s)) is the sharp interpolation loss factor; Gamma_s =
     rho_s^{-s} is the same constant in the n^{ns} normalization (rho_s =
     Gamma_s^{-1/s}); rho_mrr = exp(-1/(e s)) is the (flawed) competing value,
-    larger than rho_s for s in (1,3) and smaller for s > 4.
+    larger than rho_s for s in (1,3) and smaller for s > 4.  The sign of
+    rho_mrr - rho_s compares the logarithms, -1/(e s) against log1p(-2
+    sin^2(pi/(4 s))): from s ~ 1e16 on both factors round to 1.0.
     """
     rows = []
     for s in s_grid:
         if not s > 1:
             raise ValueError("loss factors require s > 1")
         rho = math.cos(math.pi / (2.0 * s))
-        rows.append(
-            {
-                "s": float(s),
-                "rho_s": rho,
-                "Gamma_s": rho ** (-s),
-                "rho_mrr": math.exp(-1.0 / (math.e * s)),
-                "sign": int(np.sign(math.exp(-1.0 / (math.e * s)) - rho)),
-            }
-        )
+        rows.append({"s": float(s), "rho_s": rho, "Gamma_s": rho ** (-s),
+                     "rho_mrr": math.exp(-1.0 / (math.e * s)),
+                     "sign": int(np.sign(-1.0 / math.e / s
+                                         - math.log1p(-2.0 * math.sin(math.pi / 4.0 / s) ** 2)))})
     return rows
 
 

@@ -115,8 +115,8 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
     Evaluates |E_beta(i y)| by a log-scaled complex series with a certified
     tail bound and fits ln|E_beta(iy)| against |y|^{1/beta}.  The slope
     estimates the type, which equals cos(pi/(2 beta)) for beta > 1.  A grid
-    whose series would lose more than MAX_LOST_DIGITS float64 digits to
-    cancellation raises ValueError.
+    that :func:`_imag_beyond_reach` refuses at max(y)^(1/beta) raises
+    ValueError.
     """
     if not beta > 1:
         raise ValueError("mittag_type_imaginary requires beta > 1")
@@ -124,11 +124,7 @@ def mittag_type_imaginary(beta: float, y_grid) -> MittagTypeFit:
     if (y.ndim != 1 or len(y) < 4 or not np.all(np.isfinite(y))
             or np.any(np.diff(y) <= 0) or np.any(y <= 0)):
         raise ValueError("y_grid must be finite, increasing, positive, length >= 4")
-    if y[-1] ** (1.0 / beta) < 20.0:
-        raise ValueError(
-            "insufficient grid range: need max(y)^(1/beta) >= 20 to expose the exponential regime"
-        )
-    beyond = _imag_beyond_reach(beta, y[-1] ** (1.0 / beta))
+    beyond = _imag_beyond_reach(beta, float(y[-1]) ** (1.0 / beta))
     if beyond:
         raise ValueError(f"max(y) = {y[-1]:g} {beyond}")
 
@@ -149,10 +145,18 @@ def _imag_digits_lost(beta: float, x: float) -> float:
     return (1.0 - math.cos(math.pi / (2.0 * beta))) * x / math.log(10.0)
 
 
+def _imag_top(beta: float, hi: float) -> float:
+    """x = y^(1/beta) at the float y = exp(beta ln hi) that mittag-type's grid ends
+    in (np.exp, which can differ from math.exp in the last bit); hi where y overflows."""
+    L = beta * math.log(hi)
+    return float(np.exp(L)) ** (1.0 / beta) if L <= math.log(sys.float_info.max) else hi
+
+
 def _imag_beyond_reach(beta: float, hi: float):
-    """Why the series of E_beta(i y) at y = hi^beta is not summed, or None: it
-    needs more than MAX_SERIES_TERMS terms, y is beyond the float range, or it
-    loses more than MAX_LOST_DIGITS digits."""
+    """Why a grid of E_beta(i y) up to y = hi^beta is not fitted, or None: its
+    series needs more than MAX_SERIES_TERMS terms, y is beyond the float range,
+    it loses more than MAX_LOST_DIGITS digits, or hi < 20 leaves the
+    exponential regime unexposed."""
     terms = _imag_series_terms(beta, hi)
     if terms > MAX_SERIES_TERMS:
         return (f"needs {terms:.6g} series terms at beta = {beta:g}, above the cap of "
@@ -163,6 +167,9 @@ def _imag_beyond_reach(beta: float, hi: float):
     if lost > MAX_LOST_DIGITS:
         return (f"loses {lost:.3g} float64 digits to cancellation at beta = {beta:g}, above "
                 f"the limit of {MAX_LOST_DIGITS:g}")
+    if hi < 20.0:
+        return (f"gives x = y^(1/beta) = {hi!r} at beta = {beta:g}, below the 20 that "
+                "exposes the exponential regime")
     return None
 
 
@@ -335,22 +342,15 @@ def theta_gauss_sum(n: int, a: float, b: float) -> ThetaResult:
     with mp.workdps(dps):
         an, bn = mp.mpf(a), mp.mpf(b)
         halfw = int(math.sqrt(2 * n * (dps + 20) * math.log(10) / a)) + 2
-        k0 = int(round(n * b))
-        ssum = gauss_sum(an / (2 * n), n * bn, k0 - halfw, k0 + halfw)
+        m = mp.nint(n * bn)  # the sum is the same under k -> k + m
+        ssum = gauss_sum(an / (2 * n), n * bn - m, -halfw, halfw)
         pred = mp.sqrt(2 * n * mp.pi / an)
         gap = abs(ssum / pred - 1)
         log10_gap = float(mp.log10(gap)) if gap > 0 else -math.inf
         c_uniform = float(gap * mp.exp(2 * n * mp.pi**2 / an))
-        return ThetaResult(
-            sum=float(ssum),
-            predicted=float(pred),
-            log10_gap=log10_gap,
-            c_uniform=c_uniform,
-            log10_bound=log10_bound,
-            n=n,
-            a=float(a),
-            b=float(b),
-        )
+        return ThetaResult(sum=float(ssum), predicted=float(pred), log10_gap=log10_gap,
+                           c_uniform=c_uniform, log10_bound=log10_bound, n=n, a=float(a),
+                           b=float(b))
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,33 @@ class TestCli:
             "theta-identity: ERROR: cases entries need an integer n, got 100.5\n")
         assert not (tmp_path / "theta_identity.csv").exists()
 
+    @pytest.mark.parametrize("b", [1e25, 1e300, 1e307, -1e307])
+    def test_theta_identity_at_large_b(self, tmp_path, capsys, b):
+        # the sum does not change under k -> k + m: its window is centred on the
+        # integer nearest n b, found in mpmath (a float centre missed the peak
+        # from b = 1e25 on, and overflowed at 1e307)
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"schema": 1, "cases": [[100, 2.0, 0.0], [100, 2.0, b]]}))
+        assert run(["theta-identity", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("theta-identity: PASS: ")
+        rows = (tmp_path / "theta_identity.csv").read_text().splitlines()[1:]
+        assert rows[1].split(",")[-1] == rows[0].split(",")[-1]  # c_uniform, written repr-exact
+
+    @pytest.mark.parametrize("values, msg", [
+        ({"n_quadratic": [3, 2]}, "[-1.0, -0.9], not decreasing; last entry not below "
+                                  "log10(0.01)"),
+        ({"n_quadratic": [1000, 100]}, "[-110.3, -12.1], not decreasing"),
+        ({"n_quadratic": [3]}, "[-1.0], last entry not below log10(0.01)"),
+        ({"n_quadratic": [100], "n_logh": [2000], "alpha": 1e-3},
+         "[-12.1], log_h rel_err 0.184 at n = 2000, not below 0.05")],
+        ids=["both", "decreasing", "below", "log_h"])
+    def test_laplace_discrete_fail_names_what_broke(self, tmp_path, capsys, values, msg):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(dict(values, schema=1)))
+        assert run(["laplace-discrete", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"laplace-discrete: FAIL: quadratic log10 rel_err sequence {msg}\n")
+
     @pytest.mark.parametrize("cfg", [
         ("track", {"dt": 0.0}, "dt must be > 0, got 0"),
         ("track", {"dt": 0.3}, "dt must divide T = 1 into whole steps, got 0.3"),
@@ -250,6 +277,17 @@ class TestCli:
          "n_logh entries must be at most 1000000, got 100000000"),
         ("track", {"gamma_exp": 1e300},  # the exponent's binomial coefficients overflow
          "flat control with K=25: derivative row 2 of the target is not finite"),
+        ("track", {"T": 1e-7, "dt": 5e-10},  # J raised to 84216 passed the cap on J
+         "dt = 5e-10 needs 84216 simulated modes, above the cap of 65536"),
+        ("track", {"T": 1e-300, "dt": 1e-300},  # numpy's "Maximum allowed size exceeded"
+         "dt = 1e-300 needs 1.88315e+150 simulated modes, above the cap of 65536"),
+        ("mittag-type", {"x_range": [1.0, 10.0]},  # the library's "insufficient grid range"
+         "x_range upper end 10 gives x = y^(1/beta) = 10.000000000000002 at beta = 2, below "
+         "the 20 that exposes the exponential regime"),
+        ("mittag-type", {"x_range": [15.0, 19.0]},
+         "x_range upper end 19 gives x = y^(1/beta) = 18.999999999999996 at beta = 2"),
+        ("mittag-type", {"n_points": 4, "x_range": [19.9, 20.0]},  # the grid's top rounds down
+         "x_range upper end 20 gives x = y^(1/beta) = 19.999999999999996 at beta = 2"),
     ])
     @pytest.mark.filterwarnings("error")  # a warning before the ERROR line is a leak
     def test_out_of_range_value_is_clean_error(self, tmp_path, capsys, cfg):

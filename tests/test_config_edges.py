@@ -125,8 +125,9 @@ def _changes(f, a, x, whole):
 
 
 # further configs the walks start from, after the defaults: fourier-decay's spike rule binds
-# only at gamma_exps above 14, where every walk from the defaults breaks another rule first
-STARTS = {"fourier-decay": [{"gamma_exps": [150.0]}]}
+# only at gamma_exps above 14, and track's mode budget on dt only below 8.26e-10, where every
+# walk from the defaults breaks another rule first (at T = 1, the time-step cap)
+STARTS = {"fourier-decay": [{"gamma_exps": [150.0]}], "track": [{"T": 1e-7}]}
 
 
 def _outside(cmd):

@@ -323,6 +323,41 @@ def test_scale_class_equals_full_report_class(name, parity):
         assert got.classification == want, R
 
 
+def s_eps_jets(eps, K=60):
+    """The terminal jets log sum_j (j pi)^{2k} e^{-eps j}, k <= K, of
+    S_eps(t) = sum_j e^{-eps j - j^2 pi^2 (T - t)} as an even sequence."""
+    j = np.arange(1, 4001)
+    lt = 2 * np.arange(K + 1)[:, None] * np.log(j * math.pi) - eps * j
+    top = lt.max(axis=1)
+    lm = top + np.log(np.exp(lt - top[:, None]).sum(axis=1))
+    return CoeffSeq(lm, np.ones(K + 1, dtype=complex), "even")
+
+
+# the terminal family S_eps around its threshold eps = pi (ROADMAP item 19)
+S_EPS = (1.5, 2.5, 3.0, math.pi, 3.4, 4.5, 6.0)
+
+
+@pytest.mark.parametrize("name", list(BATTERY) + ["S_eps"])
+def test_derivative_report_implies_the_even_report(name):
+    # f' in A^2 of the bounded star-shaped square puts f in A^2, as
+    # f(zeta) = f(0) + zeta int_0^1 f'(s zeta) ds: the even report adds nothing
+    if name == "S_eps":
+        cases = [(s_eps_jets(eps), INV_SQRT2) for eps in S_EPS]
+    else:
+        base = BATTERY[name]()
+        seq = CoeffSeq(base.log_mag, base.phase, "even")
+        cases = [(seq, R) for R in BATTERY_R]
+    for seq, R in cases:
+        even = bergman_norm_estimate(seq, R).classification
+        deriv = bergman_norm_estimate(seq.derivative(), R).classification
+        assert even != "divergent" or deriv == "divergent", R
+        # the former rule joining the two reports
+        pair = (even, deriv)
+        joined = ("divergent" if "divergent" in pair
+                  else "convergent" if pair == ("convergent", "convergent") else "undecided")
+        assert joined == deriv, R
+
+
 # the battery with two sequences whose raw series diverges on the grids: no
 # Pade fit (30 terms), and an entire type whose a_1 kills the outer nodes
 MASK_SEQS = {**BATTERY,
@@ -614,9 +649,9 @@ class TestCounterexample:
         from heatflat.flatness import terminal_state_report
 
         rep = interpolation_counterexample(1000)
-        _, deriv = terminal_state_report(CoeffSeq.factorial_pair(1000))
-        assert rep.trackability_class == deriv.classification
-        assert rep.trackability_slope.hex() == deriv.slope.hex()
+        terminal = terminal_state_report(CoeffSeq.factorial_pair(1000))
+        assert rep.trackability_class == terminal.classification
+        assert rep.trackability_slope.hex() == terminal.slope.hex()
 
     def test_fn_class_is_the_full_report_class(self):
         full = bergman_norm_estimate(CoeffSeq.factorial_pair(1000), INV_SQRT2)
@@ -699,6 +734,23 @@ class TestLossFactors:
         # bridging identity rho_s = Gamma_s^{-1/s}
         for r in rows:
             assert r["rho_s"] == pytest.approx(r["Gamma_s"] ** (-1.0 / r["s"]), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e16, 1e308, sys.float_info.max])
+    def test_sign_where_both_factors_round_to_1(self, s):
+        # rho_mrr < rho_s for every s > 4; from s ~ 1e16 on both factors read 1.0
+        row = loss_factors([s])[0]
+        assert row["rho_s"] == row["rho_mrr"] == 1.0
+        assert row["sign"] == -1
+
+    def test_sign_against_mpmath(self):
+        # the sign of exp(-1/(e s)) - cos(pi/(2 s)), at enough digits to resolve both from 1
+        c = loss_crossover()
+        for s in np.geomspace(1.001, 1e300, 120):
+            if abs(s - c) < 1e-6:
+                continue
+            with mp.workdps(int(2 * math.log10(s)) + 30):
+                want = mp.sign(mp.exp(-1 / (mp.e * s)) - mp.cos(mp.pi / (2 * s)))
+            assert loss_factors([float(s)])[0]["sign"] == int(want), s
 
     def test_domain(self):
         with pytest.raises(ValueError):

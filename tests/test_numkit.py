@@ -10,8 +10,10 @@ from scipy.special import gammaln
 from heatflat.numkit import (
     MAX_LOST_DIGITS,
     _GUARD_BITS,
+    _imag_beyond_reach,
     _imag_digits_lost,
     _imag_series_terms,
+    _imag_top,
     _log_abs_E_beta_imag,
     _theta_digits,
     _walk,
@@ -78,6 +80,22 @@ class TestMittagTypeImaginary:
         # y = 1e12 at beta = 2 starts from 2 sqrt(y)/2 + 32 terms, above the cap
         with pytest.raises(ValueError, match="needs 1.00003e.06 series terms at beta = 2"):
             mittag_type_imaginary(2.0, np.geomspace(1e10, 1e12, 5))
+
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, 7.0])
+    def test_reach_rule_agrees_with_the_fit_at_20(self, beta):
+        # mittag-type's x_range rule judges the float its grid ends in, as the fit does:
+        # within 40 ulps of hi = 20 both refuse the same configs
+        for k in range(-40, 41):
+            hi = 20.0 + k * math.ulp(20.0)
+            rule = _imag_beyond_reach(beta, _imag_top(beta, hi))
+            y = np.exp(np.linspace(beta * math.log(15.0), beta * math.log(hi), 4))
+            try:
+                mittag_type_imaginary(beta, y)
+                fit = None
+            except ValueError as e:
+                fit = str(e)
+            assert (rule is None) == (fit is None), hi
+            assert fit is None or fit.endswith(rule)
 
     def test_series_terms_past_the_float_range(self):
         assert _imag_series_terms(2.0, 1e300) == int(1e300) + 32
